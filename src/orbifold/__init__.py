@@ -41,6 +41,7 @@ from .rewriting import (
     RuleSet,
     check_associativity,
     check_dimension,
+    check_overlaps,
     oracle_multiply,
     reduce,
     rules_from_params,

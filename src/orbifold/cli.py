@@ -16,7 +16,7 @@ from .chains import MAX_CHAIN_DEGREE, verify_chain_maps
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
 from .params import CoboundaryData, DeformationParams, add_coboundary, closed_form, implied_a
 from .pbw import check_all
-from .rewriting import check_associativity, check_dimension, rules_from_params
+from .rewriting import check_dimension, check_overlaps, rules_from_params
 from .solver import SolutionRecord, census, enumerate_solutions, records_to_csv, records_to_json
 
 EXIT_OK = 0
@@ -41,7 +41,8 @@ def _add_common(sub: argparse.ArgumentParser, need_p: bool = True) -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sub.add_argument("--workers", type=int, default=1, help="worker processes for sweeps")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    sub.add_argument("--degree", type=int, default=4, help="degree bound for oracle/chain checks")
+    sub.add_argument("--degree", type=int, default=4,
+                     help="degree bound for the oracle's dimension rows and for chain checks")
 
 
 def _census_lines(p: int) -> list[str]:
@@ -96,6 +97,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.oracle and args.degree < 3:
+        raise UsageError(f"degree bound must be >= 3, got {args.degree}")
     try:
         with open(args.params_file) as fh:
             obj = json.load(fh)
@@ -107,7 +110,7 @@ def cmd_check(args) -> int:
     payload = report.to_json()
     if args.oracle:
         rules = rules_from_params(params)
-        ok, witness = check_associativity(rules, args.degree)
+        ok, witness = check_overlaps(rules)
         dim_ok, dim_rows = check_dimension(rules, args.degree)
         payload["oracle"] = {
             "degree": args.degree,

@@ -127,14 +127,16 @@ class GroupAlgebraElement:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_same_p(other)
+        if not self._same_ring(other):
+            return NotImplemented
         p = self.p
         return GroupAlgebraElement(
             p, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check_same_p(other)
+        if not self._same_ring(other):
+            return NotImplemented
         p = self.p
         return GroupAlgebraElement(
             p, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
@@ -145,7 +147,8 @@ class GroupAlgebraElement:
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """Cyclic convolution: (xy)_l = sum over i+j = l (mod p) of x_i y_j."""
-        self._check_same_p(other)
+        if not self._same_ring(other):
+            return NotImplemented
         p = self.p
         out = [0] * p
         for i, a in enumerate(self.coeffs):
@@ -184,9 +187,14 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check_same_p(self, other: "GroupAlgebraElement") -> None:
+    def _same_ring(self, other) -> bool:
+        """False for a foreign operand, so the ring dunders return NotImplemented
+        and Python raises TypeError; ValueError for an element of another F_pG."""
+        if not isinstance(other, GroupAlgebraElement):
+            return False
         if self.p != other.p:
             raise ValueError(f"mismatched primes: {self.p} != {other.p}")
+        return True
 
     # -- structural maps -------------------------------------------------
 
@@ -216,7 +224,8 @@ class GroupAlgebraElement:
     def from_gminus1_coords(cls, p: int, z: Sequence[int]) -> "GroupAlgebraElement":
         """Inverse of gminus1_coords: x_j = sum_i z_i (-1)^(i-j) C(i, j)."""
         coeffs = [
-            sum(z[i] * (-1) ** (i - j) * binom_mod(i, j, p) for i in range(p)) % p
+            # The exponent is taken mod 2: (-1) ** n is a float for negative n.
+            sum(z[i] * (-1) ** ((i - j) % 2) * binom_mod(i, j, p) for i in range(p)) % p
             for j in range(p)
         ]
         return cls(p, tuple(coeffs))
@@ -359,7 +368,7 @@ def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     if k >= p:
         return GroupAlgebraElement.zero(p)
     return GroupAlgebraElement.from_coeffs(
-        p, [(-1) ** (k - j) * binom_mod(k, j, p) for j in range(p)]
+        p, [(-1) ** ((k - j) % 2) * binom_mod(k, j, p) for j in range(p)]
     )
 
 

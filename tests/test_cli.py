@@ -66,6 +66,32 @@ class TestCheck:
         assert code == 0
         assert "oracle (degree 4): pass" in out
 
+    def test_oracle_json_key_set(self, capsys, params_file, tmp_path):
+        from orbifold.params import build_candidate
+
+        keys = {"degree", "associative", "witness", "dimension", "dimension_rows"}
+        code, out, _ = run(capsys, "check", str(params_file), "--oracle", "--format", "json")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert set(oracle) == keys
+        assert oracle["associative"] is True and oracle["witness"] is None
+        assert [row["degree"] for row in oracle["dimension_rows"]] == [0, 1, 2, 3, 4]
+
+        params = build_candidate(GA.from_text(3, "g"), GA.from_text(3, "1-g"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(params.to_json()))
+        code, out, _ = run(capsys, "check", str(path), "--oracle", "--format", "json")
+        assert code == 2
+        oracle = json.loads(out)["oracle"]
+        assert set(oracle) == keys
+        assert oracle["associative"] is False
+        assert set(oracle["witness"]) == {"x", "y", "z", "lhs", "rhs"}
+
+    def test_oracle_degree_guard(self, capsys, params_file):
+        code, _, err = run(capsys, "check", str(params_file), "--oracle", "--degree", "2")
+        assert code == 1
+        assert "degree bound must be >= 3" in err
+
     def test_nonsolution_exits_two_with_witness(self, capsys, tmp_path):
         from orbifold.params import build_candidate
 

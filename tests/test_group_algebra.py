@@ -1,6 +1,7 @@
 """Ring arithmetic, structural maps, and serialization of F_p[G]."""
 
 import json
+import operator
 import random
 
 import pytest
@@ -48,6 +49,15 @@ def test_add_characteristic_three():
 def test_add_mismatched_p():
     with pytest.raises(ValueError):
         ga(3, "1") + ga(5, "1")
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("foreign", [3, 1.5, "g", None])
+def test_foreign_operand_raises_type_error(op, foreign):
+    with pytest.raises(TypeError):
+        op(ga(3, "1+g"), foreign)
+    with pytest.raises(TypeError):
+        op(foreign, ga(3, "1+g"))
 
 
 def test_mul_group_law():

@@ -3,9 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbifold.group_algebra import GroupAlgebraElement as GA
-from orbifold.params import DeformationParams, build_candidate, closed_form
+from orbifold.group_algebra import GroupAlgebraElement as GA, gminus1, gminus1_power
+from orbifold.params import (
+    CoboundaryData,
+    DeformationParams,
+    add_coboundary,
+    build_candidate,
+    closed_form,
+    implied_a,
+)
+from orbifold.pbw import check_all
 from orbifold.rewriting import (
     NCPolynomial,
     NormalWord,
@@ -13,6 +22,7 @@ from orbifold.rewriting import (
     V2,
     check_associativity,
     check_dimension,
+    check_overlaps,
     normal_words,
     oracle_multiply,
     reduce,
@@ -159,6 +169,79 @@ class TestAssociativity:
     def test_degree_bound_guard(self):
         with pytest.raises(ValueError):
             check_associativity(running_rules(), 2)
+
+
+class TestOverlaps:
+    def test_solutions_resolve(self):
+        assert check_overlaps(rules_from_params(DeformationParams.zero(3))) == (True, None)
+        assert check_overlaps(running_rules()) == (True, None)
+
+    def test_nonsolution_witness(self):
+        rules = rules_from_params(build_candidate(ga(3, "g"), ga(3, "1-g")))
+        ok, witness = check_overlaps(rules)
+        assert not ok
+        assert set(witness) == {"x", "y", "z", "lhs", "rhs"}
+        assert witness["lhs"] != witness["rhs"]
+        # The bracket overlap g*v2*v1, where condition 2 fails.
+        assert (witness["x"], witness["y"], witness["z"]) == ("g^1", "v2", "v1")
+
+
+def elements(p):
+    return st.lists(st.integers(0, p - 1), min_size=p, max_size=p).map(
+        lambda coeffs: GA.from_coeffs(p, coeffs)
+    )
+
+
+@st.composite
+def class_and_b(draw, p):
+    """(k, b) with b of (g-1)-adic class k, every class 0..p equally likely."""
+    k = draw(st.integers(0, p))
+    unit = GA.one(p) + gminus1(p) * draw(elements(p))
+    return k, gminus1_power(p, k) * unit
+
+
+@st.composite
+def solved_with_coboundary(draw, p):
+    k, b = draw(class_and_b(p))
+    d = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    params = closed_form(b, d, draw(elements(p)))
+    return add_coboundary(params, CoboundaryData(draw(elements(p)), draw(elements(p))))
+
+
+@st.composite
+def near_miss(draw, p):
+    """A solution's candidate with one coefficient of a moved: mostly not PBW."""
+    k, b = draw(class_and_b(p))
+    d = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    coeffs = list(implied_a(b, d).coeffs)
+    coeffs[draw(st.integers(0, p - 1))] += draw(st.integers(1, p - 1))
+    return build_candidate(GA.from_coeffs(p, coeffs), b).with_kappaC(draw(elements(p)))
+
+
+def assert_certificates_agree(params):
+    rules = rules_from_params(params)
+    overlaps_ok, _ = check_overlaps(rules)
+    assert overlaps_ok == check_all(params).pbw == check_associativity(rules, 4)[0]
+
+
+class TestCertificatesAgree:
+    """The overlap certificate against the six conditions and the degree-4 sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements(3), elements(3), elements(3))
+    def test_random_candidates_p3(self, a, b, kappaC):
+        assert_certificates_agree(build_candidate(a, b).with_kappaC(kappaC))
+
+    @settings(max_examples=6, deadline=None)
+    @given(solved_with_coboundary(5))
+    def test_closed_form_with_coboundary_p5(self, params):
+        assert check_overlaps(rules_from_params(params)) == (True, None)
+        assert_certificates_agree(params)
+
+    @settings(max_examples=25, deadline=None)
+    @given(near_miss(5))
+    def test_near_misses_p5(self, params):
+        assert_certificates_agree(params)
 
 
 class TestDimension:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge, gminus1_power
+from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge, gminus1, gminus1_power
 from orbifold.solver import (
     a_from_c,
     c_from_ab,
@@ -159,6 +159,28 @@ class TestEnumeration:
         solo = enumerate_solutions(3, workers=1)
         pooled = enumerate_solutions(3, workers=2)
         assert solo == pooled
+
+
+class TestExactCoefficients:
+    """(-1) ** n is a float for negative n; no float may reach an element."""
+
+    @staticmethod
+    def all_int(elements):
+        return all(type(c) is int for e in elements for c in e.coeffs)
+
+    def test_enumeration_p5(self):
+        for rec in enumerate_solutions(5):
+            assert self.all_int([rec.b, rec.btilde, *rec.kernel_basis])
+            assert self.all_int([x for pair in rec.solutions for x in pair])
+
+    def test_kernel_basis_p7_every_class(self):
+        rng = random.Random(7)
+        for k in range(8):
+            unit = GA.one(7) + gminus1(7) * GA.random(rng, 7)
+            b = gminus1_power(7, k) * unit
+            basis = kernel_basis(b)
+            assert len(basis) == k
+            assert self.all_int([*basis, b.gminus1_factor().btilde])
 
 
 class TestCensus:
