@@ -23,6 +23,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 
+SWEEP_WORKERS = "worker processes for the b-value sweep"
+# check and chaincheck run in one process; they take --workers so that one
+# option list drives every sweep command.
+SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
+
 
 class UsageError(Exception):
     pass
@@ -39,19 +44,35 @@ def _add_common(sub: argparse.ArgumentParser, need_p: bool = True) -> None:
     sub.add_argument("--p", type=int, required=need_p, default=None,
                      help="odd prime order of the group")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes for sweeps")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    sub.add_argument("--degree", type=int, default=4,
-                     help="degree bound for the oracle's dimension rows and for chain checks")
 
 
-def _census_lines(p: int) -> list[str]:
-    rows = census(p)
-    total = sum(r.b_class_size * r.a_class_size_per_b for r in rows)
+def _add_workers(sub: argparse.ArgumentParser, help: str) -> None:
+    sub.add_argument("--workers", type=int, default=1, help=help)
+
+
+def _count_status(p: int, total: int) -> int:
+    """Exit status of a solution count, which must be p^(p+1)."""
+    expected = p ** (p + 1)
+    if total == expected:
+        return EXIT_OK
+    print(f"count mismatch: {total} != {expected}", file=sys.stderr)
+    return EXIT_MATH_FAIL
+
+
+def _census(p: int) -> tuple[list[dict], int]:
+    """The census rows as JSON objects, and the number of solutions they count."""
+    rows = [
+        {"k": r.k, "b_class_size": r.b_class_size, "a_per_b": r.a_class_size_per_b}
+        for r in census(p)
+    ]
+    return rows, sum(r["b_class_size"] * r["a_per_b"] for r in rows)
+
+
+def _census_lines(p: int, rows: list[dict], total: int) -> list[str]:
     lines = [f"census for p = {p} (total solutions: {total})"]
     for r in rows:
         lines.append(
-            f"k = {r.k}: {r.b_class_size} b-value(s), {r.a_class_size_per_b} solution(s) per b"
+            f"k = {r['k']}: {r['b_class_size']} b-value(s), {r['a_per_b']} solution(s) per b"
         )
     return lines
 
@@ -77,23 +98,16 @@ def cmd_enumerate(args) -> int:
     total = sum(len(r.solutions) for r in records)
     if args.format == "json":
         payload = records_to_json(p, records)
-        payload["census"] = [
-            {"k": r.k, "b_class_size": r.b_class_size, "a_per_b": r.a_class_size_per_b}
-            for r in census(p)
-        ]
+        payload["census"], _ = _census(p)
         payload["total"] = total
         print(json.dumps(payload))
     elif args.format == "csv":
         sys.stdout.write(records_to_csv(records))
     else:
-        for line in _census_lines(p):
+        for line in _census_lines(p, *_census(p)):
             print(line)
         sys.stdout.write(_table_text(p, records))
-    expected = p ** (p + 1)
-    if total != expected:
-        print(f"count mismatch: {total} != {expected}", file=sys.stderr)
-        return EXIT_MATH_FAIL
-    return EXIT_OK
+    return _count_status(p, total)
 
 
 def cmd_check(args) -> int:
@@ -209,25 +223,17 @@ def _parse_coboundary(p: int, text: str) -> CoboundaryData:
 
 def cmd_census(args) -> int:
     p = check_prime(args.p)
-    rows = census(p)
-    total = sum(r.b_class_size * r.a_class_size_per_b for r in rows)
+    rows, total = _census(p)
     if args.format == "json":
-        print(json.dumps({
-            "p": p,
-            "rows": [
-                {"k": r.k, "b_class_size": r.b_class_size, "a_per_b": r.a_class_size_per_b}
-                for r in rows
-            ],
-            "total": total,
-        }))
+        print(json.dumps({"p": p, "rows": rows, "total": total}))
     elif args.format == "csv":
         print("k,b_class_size,a_per_b")
         for r in rows:
-            print(f"{r.k},{r.b_class_size},{r.a_class_size_per_b}")
+            print(f"{r['k']},{r['b_class_size']},{r['a_per_b']}")
     else:
-        for line in _census_lines(p):
+        for line in _census_lines(p, rows, total):
             print(line)
-    return EXIT_OK if total == p ** (p + 1) else EXIT_MATH_FAIL
+    return _count_status(p, total)
 
 
 def cmd_kernel(args) -> int:
@@ -272,21 +278,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="enumerate all (a, b) solutions")
     _add_common(sp)
+    _add_workers(sp, SWEEP_WORKERS)
     sp.add_argument("--mode", choices=("closed_form", "brute_force"), default="closed_form")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("check", help="run the six-condition check on a parameter file")
     _add_common(sp, need_p=False)  # the parameter file carries p
+    _add_workers(sp, SERIAL_WORKERS)
+    sp.add_argument("--degree", type=int, default=4,
+                    help="degree bound for the oracle's dimension rows")
     sp.add_argument("params_file", help="JSON file with the parameter tables")
     sp.add_argument("--oracle", action="store_true", help="also run the rewriting oracle")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("table", help="print the solution table grouped by b-class")
     _add_common(sp)
+    _add_workers(sp, SWEEP_WORKERS)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("chaincheck", help="verify the resolution comparison maps")
     _add_common(sp)
+    _add_workers(sp, SERIAL_WORKERS)
+    sp.add_argument("--degree", type=int, default=4, help="highest homological degree checked")
     sp.set_defaults(func=cmd_chaincheck)
 
     sp = sub.add_parser("build", help="build parameter tables from (b, d, kappaC, f)")

@@ -126,16 +126,6 @@ def check_condition3(params: DeformationParams) -> list:
     return bad
 
 
-def check_condition4(params: DeformationParams) -> list:
-    """Constant pass: the dim-2 case satisfies this identity outright."""
-    return []
-
-
-def check_condition5(params: DeformationParams) -> list:
-    """Constant pass: the dim-2 case satisfies this identity outright."""
-    return []
-
-
 def check_condition6(params: DeformationParams) -> list:
     """kappa^L_g(u,v)(w - g.w) + cyclic = 0 in degree-2 polynomials,
     for every g^i and every ordered triple over {v1, v2}.
@@ -169,15 +159,12 @@ def check_condition6(params: DeformationParams) -> list:
 
 
 def check_all(params: DeformationParams) -> ConditionReport:
-    """Run all six checks; the parameter set is PBW exactly when all pass."""
-    checks = {
-        1: check_condition1,
-        2: check_condition2,
-        3: check_condition3,
-        4: check_condition4,
-        5: check_condition5,
-        6: check_condition6,
-    }
-    witnesses = {i: fn(params) for i, fn in checks.items()}
+    """Run all six checks; the parameter set is PBW exactly when all pass.
+
+    Conditions (4) and (5) hold identically for a two-dimensional V, so they
+    pass with no witnesses and carry DIM2_NOTE.
+    """
+    checks = {1: check_condition1, 2: check_condition2, 3: check_condition3, 6: check_condition6}
+    witnesses = {i: checks[i](params) if i in checks else [] for i in range(1, 7)}
     passed = {i: not w for i, w in witnesses.items()}
     return ConditionReport(passed, witnesses, notes={4: DIM2_NOTE, 5: DIM2_NOTE})

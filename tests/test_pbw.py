@@ -16,8 +16,6 @@ from orbifold.pbw import (
     check_condition1,
     check_condition2,
     check_condition3,
-    check_condition4,
-    check_condition5,
     check_condition6,
 )
 from orbifold.solver import enumerate_solutions, system_residual
@@ -105,13 +103,6 @@ class TestCondition3:
 
 
 class TestConditions456:
-    def test_4_and_5_constant_pass(self):
-        rng = random.Random(7)
-        for _ in range(10):
-            params = build_candidate(GA.random(rng, 3), GA.random(rng, 3))
-            assert check_condition4(params) == []
-            assert check_condition5(params) == []
-
     def test_6_zero_kappa_passes(self):
         assert check_condition6(DeformationParams.zero(3)) == []
 
