@@ -17,15 +17,21 @@ from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
 from .params import CoboundaryData, DeformationParams, add_coboundary, closed_form, implied_a
 from .pbw import check_all
 from .rewriting import check_dimension, check_overlaps, rules_from_params
-from .solver import SolutionRecord, census, enumerate_solutions, records_to_csv, records_to_json
+from .solver import (
+    SolutionRecord,
+    TextMemo,
+    census,
+    enumerate_solutions,
+    records_to_csv,
+    records_to_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 
-SWEEP_WORKERS = "worker processes for the b-value sweep"
-# check and chaincheck run in one process; they take --workers so that one
-# option list drives every sweep command.
+# Every command runs in one process; enumerate, table, check and chaincheck
+# take --workers so that one option list drives every sweep command.
 SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
 
 
@@ -46,8 +52,8 @@ def _add_common(sub: argparse.ArgumentParser, need_p: bool = True) -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
 
-def _add_workers(sub: argparse.ArgumentParser, help: str) -> None:
-    sub.add_argument("--workers", type=int, default=1, help=help)
+def _add_workers(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--workers", type=int, default=1, help=SERIAL_WORKERS)
 
 
 def _count_status(p: int, total: int) -> int:
@@ -80,6 +86,7 @@ def _census_lines(p: int, rows: list[dict], total: int) -> list[str]:
 def _table_text(p: int, records: list[SolutionRecord]) -> str:
     total = sum(len(r.solutions) for r in records)
     lines = [f"solution table for p = {p}: {total} (b, a) pairs"]
+    texts = TextMemo()
     by_k: dict[int, list[SolutionRecord]] = {}
     for rec in records:
         by_k.setdefault(rec.k, []).append(rec)
@@ -87,14 +94,14 @@ def _table_text(p: int, records: list[SolutionRecord]) -> str:
         group = by_k[k]
         lines.append(f"[k = {k}] {len(group)} b-value(s), {len(group[0].solutions)} solution(s) per b")
         for rec in group:
-            avals = " | ".join(a.to_text() for _c, a in rec.solutions)
-            lines.append(f"b = {rec.b.to_text()} :: a = {avals}")
+            avals = " | ".join(texts[a] for _c, a in rec.solutions)
+            lines.append(f"b = {texts[rec.b]} :: a = {avals}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_enumerate(args) -> int:
     p = check_prime(args.p)
-    records = enumerate_solutions(p, args.mode, workers=args.workers)
+    records = enumerate_solutions(p, args.mode)
     total = sum(len(r.solutions) for r in records)
     if args.format == "json":
         payload = records_to_json(p, records)
@@ -158,7 +165,7 @@ def cmd_check(args) -> int:
 
 def cmd_table(args) -> int:
     p = check_prime(args.p)
-    records = enumerate_solutions(p, "closed_form", workers=args.workers)
+    records = enumerate_solutions(p, "closed_form")
     if args.format == "json":
         print(json.dumps(records_to_json(p, records)))
     elif args.format == "csv":
@@ -278,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="enumerate all (a, b) solutions")
     _add_common(sp)
-    _add_workers(sp, SWEEP_WORKERS)
+    _add_workers(sp)
     sp.add_argument("--mode", choices=("closed_form", "brute_force"), default="closed_form")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("check", help="run the six-condition check on a parameter file")
     _add_common(sp, need_p=False)  # the parameter file carries p
-    _add_workers(sp, SERIAL_WORKERS)
+    _add_workers(sp)
     sp.add_argument("--degree", type=int, default=4,
                     help="degree bound for the oracle's dimension rows")
     sp.add_argument("params_file", help="JSON file with the parameter tables")
@@ -293,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="print the solution table grouped by b-class")
     _add_common(sp)
-    _add_workers(sp, SWEEP_WORKERS)
+    _add_workers(sp)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("chaincheck", help="verify the resolution comparison maps")
     _add_common(sp)
-    _add_workers(sp, SERIAL_WORKERS)
+    _add_workers(sp)
     sp.add_argument("--degree", type=int, default=4, help="highest homological degree checked")
     sp.set_defaults(func=cmd_chaincheck)
 

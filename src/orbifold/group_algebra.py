@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Sequence
 
 DEFAULT_PRIME_CEILING = 97
 
-#: Environment variable that overrides every guard ceiling (at your own risk).
+#: Environment variable that overrides the brute-force sweep guards (at your
+#: own risk); the prime ceiling of check_prime does not read it.
 GUARD_ENV_VAR = "ORBIFOLD_MAX_P"
 
 
@@ -37,10 +38,11 @@ def guard_ceiling(default: int) -> int:
     return int(value) if value else default
 
 
-def check_prime(p: int, ceiling: int | None = None) -> int:
-    """Validate that p is an odd prime in [3, ceiling] and return it."""
-    if ceiling is None:
-        ceiling = guard_ceiling(DEFAULT_PRIME_CEILING)
+def check_prime(p: int, ceiling: int = DEFAULT_PRIME_CEILING) -> int:
+    """Validate that p is an odd prime in [3, ceiling] and return it.
+
+    The ceiling is not a sweep guard, so ORBIFOLD_MAX_P does not move it.
+    """
     if not isinstance(p, int):
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:

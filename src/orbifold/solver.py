@@ -12,9 +12,16 @@ are the kernel of multiplication by b composed with the antipode.  That
 kernel is spanned by the powers (g-1)^(p-j) for 0 <= j <= k where k is the
 (g-1)-adic class of b, giving p^k solutions per b and p^(p+1) in total.
 
-Closed-form enumeration walks that description; brute-force enumeration
-sweeps all pairs against the system directly (vectorized with numpy, since
-the p = 5 sweep already has p^10 pairs) and serves as its independent check.
+Both enumeration modes work on integer arrays whose rows are coefficient
+vectors; row i of the p^p-row table is the element whose base-p value is i.
+The (g-1)-adic factorization of every b is one binomial matrix product.  The
+closed form uses that the kernel depends on b only through its class k and
+that a = c L + const(b) is affine in c: per class it spans the kernel once
+(its p^k lexicographic coordinate rows times the basis) and then maps it to
+the a rows of every b of the class with one broadcast.  Brute force sweeps
+all pairs against the system directly, one vectorized residual per b, and
+serves as the independent check.  Either way every element is built once per
+call and shared by all the records that mention it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -40,6 +47,9 @@ from .group_algebra import (
 KERNEL_BRUTEFORCE_MAX_P = 7
 #: Guard for the p^(2p) pair sweeps (5^10 is about 1e7 pairs).
 PAIR_SWEEP_MAX_P = 5
+#: The array path holds one row per element of F_pG, so p^p must stay
+#: within this many rows (p <= 7).
+MAX_COEFF_ROWS = 10**7
 
 EnumerationMode = Literal["closed_form", "brute_force"]
 
@@ -151,13 +161,56 @@ def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraEleme
 @lru_cache(maxsize=4)
 def _all_coeff_rows(p: int) -> np.ndarray:
     """All p^p coefficient vectors as an int64 array, lexicographic by row."""
-    if p ** p > 10**7:
-        raise TooLarge(f"p^p = {p**p} rows is past the enumeration cache limit")
+    if p ** p > MAX_COEFF_ROWS:
+        raise TooLarge(f"p^p = {p**p} coefficient rows is past the limit of {MAX_COEFF_ROWS}")
     cols = [
         np.repeat(np.tile(np.arange(p, dtype=np.int64), p**i), p ** (p - 1 - i))
         for i in range(p)
     ]
     return np.stack(cols, axis=1)
+
+
+def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
+    """The base-p value of each coefficient row: its index in _all_coeff_rows(p)."""
+    return rows @ (p ** np.arange(p - 1, -1, -1, dtype=np.int64))
+
+
+def _linear_rows(p: int, f: Callable[[GroupAlgebraElement], Sequence[int]]) -> np.ndarray:
+    """The matrix of an F_p-linear map f on F_pG, acting on coefficient rows
+    from the right: row i is f(g^i)."""
+    return np.array([f(GroupAlgebraElement.g(p, i)) for i in range(p)], dtype=np.int64)
+
+
+def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GroupAlgebraElement.gminus1_factor of every coefficient row: (k, btilde rows).
+
+    The (g-1)-adic coordinates z are one product with the matrix of
+    gminus1_coords, k is the first nonzero one (p for x = 0), and btilde is z
+    shifted down by k and taken back through from_gminus1_coords.  The zero
+    row gets the coordinates of 1, so its btilde is 1.
+    """
+    z = rows @ _linear_rows(p, GroupAlgebraElement.gminus1_coords) % p
+    nonzero = z != 0
+    k = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), p)
+    shifted = np.zeros_like(z)
+    for kk in range(p):
+        shifted[k == kk, : p - kk] = z[k == kk, kk:]
+    shifted[k == p, 0] = 1
+    from_z = _linear_rows(p, lambda z: GroupAlgebraElement.from_gminus1_coords(p, z.coeffs).coeffs)
+    return k, shifted @ from_z % p
+
+
+def _affine(
+    p: int, f: Callable[[GroupAlgebraElement, GroupAlgebraElement], GroupAlgebraElement],
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L, const) with f(x, b) = x L + const[i] for b = row i.
+
+    f is a_from_c or c_from_ab; both are F_p-linear in (x, b) jointly.
+    """
+    zero = GroupAlgebraElement.zero(p)
+    lin = _linear_rows(p, lambda x: f(x, zero).coeffs)
+    return lin, rows @ _linear_rows(p, lambda b: f(zero, b).coeffs) % p
 
 
 def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
@@ -179,8 +232,8 @@ def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
     return {GroupAlgebraElement(p, tuple(int(x) for x in rows[i])) for i in hits}
 
 
-def _brute_force_solutions(b: GroupAlgebraElement) -> list[GroupAlgebraElement]:
-    """All a with system_residual(a, b) = 0, by vectorized sweep over all a.
+def _brute_force_hits(b: GroupAlgebraElement) -> np.ndarray:
+    """Row indices of all a with system_residual(a, b) = 0, by vectorized sweep.
 
     The residual is affine in a: the coefficient of a_0 in r_l is b_l, the
     coefficient of a_j (j >= 1) is j * b_(l-j), and the constant part is
@@ -198,46 +251,71 @@ def _brute_force_solutions(b: GroupAlgebraElement) -> list[GroupAlgebraElement]:
             -sum(binom_mod(j + 1, 2, p) * b.coeffs[j] * b.coeffs[(l - j) % p] for j in range(p))
         ) % p
     residuals = (rows @ lin.T + const) % p
-    hits = np.flatnonzero(~residuals.any(axis=1))
-    return [GroupAlgebraElement(p, tuple(int(x) for x in rows[i])) for i in hits]
+    return np.flatnonzero(~residuals.any(axis=1))
 
 
-def _record_closed_form(b: GroupAlgebraElement) -> SolutionRecord:
-    fact = b.gminus1_factor()
-    basis = kernel_basis(b)
-    solutions = tuple((c, a_from_c(c, b)) for c in span(b.p, basis))
-    return SolutionRecord(b, fact.k, fact.btilde, basis, solutions)
+def _closed_form_pairs(
+    p: int, rows: np.ndarray, ks: np.ndarray, bases: list[tuple[GroupAlgebraElement, ...]],
+    lin: np.ndarray, const: np.ndarray,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """(c, a) row indices for every b in row order.
+
+    Per class k the kernel is spanned once, as its p^k lexicographic
+    coordinate rows times the basis, and a = c L + const(b) is one broadcast
+    over the b of the class.
+    """
+    c_index, a_index = [], []
+    for k, basis in enumerate(bases):
+        basis_rows = np.array([e.coeffs for e in basis], dtype=np.int64).reshape(k, p)
+        kernel = rows[: p**k, p - k:] @ basis_rows % p
+        c_index.append(_row_index(p, kernel).tolist())
+        a_rows = ((kernel @ lin)[None] + const[ks == k][:, None]) % p
+        a_index.append(iter(_row_index(p, a_rows)))
+    for k in ks.tolist():
+        yield c_index[k], next(a_index[k]).tolist()
 
 
-def _record_brute_force(b: GroupAlgebraElement) -> SolutionRecord:
-    fact = b.gminus1_factor()
-    solutions = tuple((c_from_ab(a, b), a) for a in _brute_force_solutions(b))
-    return SolutionRecord(b, fact.k, fact.btilde, kernel_basis(b), solutions)
+def _brute_force_pairs(
+    p: int, rows: np.ndarray, elems: list[GroupAlgebraElement],
+    lin: np.ndarray, const: np.ndarray,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """(c, a) row indices for every b in row order: a from the pair sweep,
+    c = a L + const(b)."""
+    for i, b in enumerate(elems):
+        hits = _brute_force_hits(b)
+        yield _row_index(p, (rows[hits] @ lin + const[i]) % p).tolist(), hits.tolist()
 
 
-def enumerate_solutions(
-    p: int, mode: EnumerationMode = "closed_form", workers: int = 1
-) -> list[SolutionRecord]:
+def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
     """One SolutionRecord per b in F_pG, b iterated lexicographically.
 
-    closed_form spans the kernel description; brute_force sweeps every
+    closed_form maps the kernel description; brute_force sweeps every
     (a, b) pair against the system and is guarded to p <= 5.  Both modes
     return the same solution sets (brute force orders solutions by a, the
-    closed form by kernel coordinates).
+    closed form by kernel coordinates).  Each element is one object, shared
+    by every record that mentions it.
     """
     check_prime(p)
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "brute_force" and p > guard_ceiling(PAIR_SWEEP_MAX_P):
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
-    build = _record_closed_form if mode == "closed_form" else _record_brute_force
-    bs = list(GroupAlgebraElement.all_elements(p))
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            return pool.map(build, bs, chunksize=max(1, len(bs) // (4 * workers)))
-    return [build(b) for b in bs]
+    rows = _all_coeff_rows(p)
+    # .tolist() keeps the coefficients Python ints.
+    elems = [GroupAlgebraElement(p, tuple(t)) for t in rows.tolist()]
+    ks, btilde_rows = gminus1_factor_rows(p, rows)
+    bases = [kernel_basis(gminus1_power(p, k)) for k in range(p + 1)]  # one per class
+    if mode == "closed_form":
+        pairs = _closed_form_pairs(p, rows, ks, bases, *_affine(p, a_from_c, rows))
+    else:
+        pairs = _brute_force_pairs(p, rows, elems, *_affine(p, c_from_ab, rows))
+    get = elems.__getitem__
+    return [
+        SolutionRecord(b, k, get(bt), bases[k], tuple(zip(map(get, c), map(get, a))))
+        for b, k, bt, (c, a) in zip(
+            elems, ks.tolist(), _row_index(p, btilde_rows).tolist(), pairs
+        )
+    ]
 
 
 def census(p: int) -> list[CensusRow]:
@@ -253,10 +331,19 @@ def records_to_json(p: int, records: Iterable[SolutionRecord]) -> dict:
     return {"p": p, "records": [r.to_json() for r in records]}
 
 
+class TextMemo(dict):
+    """element -> to_text(), each element rendered once per memo."""
+
+    def __missing__(self, x: GroupAlgebraElement) -> str:
+        text = self[x] = x.to_text()
+        return text
+
+
 def records_to_csv(records: Iterable[SolutionRecord]) -> str:
     """One (b, a) row per solution, in canonical text form."""
     lines = ["b,a"]
+    texts = TextMemo()
     for rec in records:
-        for _c, a in rec.solutions:
-            lines.append(f"{rec.b.to_text()},{a.to_text()}")
+        b = texts[rec.b]
+        lines.extend(f"{b},{texts[a]}" for _c, a in rec.solutions)
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -48,6 +49,38 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--p", "7", "--mode", "brute_force")
         assert code == 1
         assert "pair sweep" in err
+
+
+# sha256 of the stdout of each p = 5 command, so the outputs are pinned
+# without a golden file of about a megabyte each.
+P5_STDOUT_SHA256 = {
+    ("table", "--p", "5"):
+        "63fe8986c81c25e885fe00e2306499466ad0212d77fd6770666468ce3a0b51f5",
+    ("enumerate", "--p", "5", "--format", "json"):
+        "49106bede28fa91f002c4ec4bca6b20d61303e549578128b44331e22e4b40328",
+    ("enumerate", "--p", "5", "--format", "csv"):
+        "23dcd21ad3fb0c1aa1761d4821ea2af237ede1b432d13f51fd9d396f4f0393b2",
+    ("enumerate", "--p", "5", "--format", "text"):
+        "1db9ce2fd35bb75c104a5ed7abcf4b3290818e7e47c1145c92423fd5a9f1952e",
+    ("enumerate", "--p", "5", "--mode", "brute_force", "--format", "csv"):
+        "193d388a19e33e9a68dbc4cac27718a7c98bfba82fdf3958f28413e5bc089af6",
+}
+
+
+@pytest.mark.parametrize("argv", list(P5_STDOUT_SHA256), ids=" ".join)
+def test_p5_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == P5_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("command", ["table", "enumerate"])
+def test_p11_fails_at_once_naming_the_row_limit(capsys, command):
+    code, out, err = run(capsys, command, "--p", "11")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: p^p = 285311670611 coefficient rows")
+    assert "10000000" in err
 
 
 class TestCheck:

@@ -2,14 +2,24 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge, gminus1, gminus1_power
+from orbifold.group_algebra import (
+    GroupAlgebraElement as GA,
+    TooLarge,
+    check_prime,
+    gminus1,
+    gminus1_power,
+)
 from orbifold.solver import (
+    SolutionRecord,
     a_from_c,
     c_from_ab,
     census,
     enumerate_solutions,
+    gminus1_factor_rows,
     kernel_basis,
     kernel_bruteforce,
     phi_b,
@@ -155,11 +165,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_solutions(3, "guess")
 
-    def test_workers_partition_agrees(self):
-        solo = enumerate_solutions(3, workers=1)
-        pooled = enumerate_solutions(3, workers=2)
-        assert solo == pooled
-
 
 class TestExactCoefficients:
     """(-1) ** n is a float for negative n; no float may reach an element."""
@@ -224,3 +229,91 @@ def test_closed_form_coordinates_match_kernel_description():
                 c = c + gminus1_power(p, p - m).scale(dm)
             assert a_from_c(c, b) == implied_a(b, d)
             assert phi_b(b, c).is_zero()
+
+
+def elements(p):
+    return st.lists(st.integers(0, p - 1), min_size=p, max_size=p).map(
+        lambda coeffs: GA.from_coeffs(p, coeffs)
+    )
+
+
+@st.composite
+def b_of_any_class(draw, p):
+    """b of (g-1)-adic class k, every class 0..p equally likely."""
+    unit = GA.one(p) + gminus1(p) * draw(elements(p))
+    return gminus1_power(p, draw(st.integers(0, p))) * unit
+
+
+class TestArrayPath:
+    """The array enumeration against the element-level functions it replaces."""
+
+    @staticmethod
+    def assert_factors_agree(p, bs):
+        ks, btildes = gminus1_factor_rows(p, np.array([b.coeffs for b in bs], dtype=np.int64))
+        for b, k, btilde in zip(bs, ks.tolist(), btildes.tolist()):
+            fact = b.gminus1_factor()
+            assert (k, tuple(btilde)) == (fact.k, fact.btilde.coeffs)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_factor_rows_every_b(self, p):
+        self.assert_factors_agree(p, list(GA.all_elements(p)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(b_of_any_class(7), min_size=1, max_size=8))
+    def test_factor_rows_sample_p7(self, bs):
+        self.assert_factors_agree(7, bs)
+
+    @staticmethod
+    def reference_record(b):
+        fact = b.gminus1_factor()
+        basis = kernel_basis(b)
+        solutions = tuple((c, a_from_c(c, b)) for c in span(b.p, basis))
+        return SolutionRecord(b, fact.k, fact.btilde, basis, solutions)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_closed_form_equals_reference(self, p):
+        records = enumerate_solutions(p)
+        assert len(records) == p**p
+        for rec, b in zip(records, GA.all_elements(p)):
+            assert rec == self.reference_record(b)
+
+    def test_brute_force_pairs_p5(self):
+        closed = enumerate_solutions(5)
+        for rec, rc in zip(enumerate_solutions(5, "brute_force"), closed):
+            assert (rec.b, rec.k, rec.btilde, rec.kernel_basis) == (
+                rc.b, rc.k, rc.btilde, rc.kernel_basis
+            )
+            assert set(rec.solutions) == set(rc.solutions)
+            avals = [a.coeffs for _c, a in rec.solutions]
+            assert avals == sorted(avals)  # the sweep's row order
+            assert all(c == c_from_ab(a, rec.b) for c, a in rec.solutions)
+
+    def test_elements_are_shared(self):
+        records = enumerate_solutions(3)
+        by_value = {rec.b: rec.b for rec in records}
+        for rec in records:
+            assert rec.btilde is by_value[rec.btilde]
+            for c, a in rec.solutions:
+                assert c is by_value[c] and a is by_value[a]
+
+    def test_row_limit_fails_before_any_sweep(self):
+        with pytest.raises(TooLarge, match="p\\^p = 285311670611 .* 10000000"):
+            enumerate_solutions(11)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_round_trips(p):
+    @settings(max_examples=50, deadline=None)
+    @given(elements(p), elements(p))
+    def check(a, b):
+        assert a_from_c(c_from_ab(a, b), b) == a
+        assert GA.from_text(p, a.to_text()) == a
+
+    check()
+
+
+def test_guard_variable_moves_sweeps_not_the_prime_ceiling(monkeypatch):
+    monkeypatch.setenv("ORBIFOLD_MAX_P", "7")
+    assert check_prime(11) == 11
+    with pytest.raises(TooLarge):
+        kernel_bruteforce(GA.one(11))
