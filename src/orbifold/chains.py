@@ -13,6 +13,14 @@ numerically rather than assumed.  Transferring a 2-cochain along pi turns
 the distinguished deformation cocycles into the candidate parameter tables,
 which is the bridge this module exists to certify.
 
+A chain is a sparse map {label: coeff} mod p.  A bar label is an exponent
+tuple (i_0, ..., i_(n+1)); a periodic label is a pair (i, j) for
+g^i (x) g^j, and the image of m is labelled by the exponent k of g^k.  Each
+of the four maps (bar d, periodic d, pi, iota) is written once, on a single
+basis label, as a list of (label, coeff) pairs; ``_linear`` extends a label
+map linearly, reduces mod p and drops zeros.  The chain classes, the public
+maps and ``verify_chain_maps`` are all built on that one fold.
+
 The G-grading conventions: a bar tensor is graded by the sum of all its
 exponents; the degree-n component of the periodic resolution places
 g^i (x) g^j in grade i + j for n even and i + j + 1 for n odd.
@@ -22,170 +30,173 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .action import VGroupElement
-from .group_algebra import GroupAlgebraElement, check_prime
+from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
 from .params import CoboundaryData, DeformationParams
 
 MAX_CHAIN_DEGREE = 6
+# Bar tensors verify_chain_maps may sweep: p = 7 at degree 4 is 76,195.
+MAX_BAR_TENSORS = 200_000
+
+Terms = Iterable[tuple[Hashable, int]]
+
+
+def _linear(p: int, image: Callable[[Hashable], Terms], terms: Terms) -> dict:
+    """Extend the label map image linearly over terms, reduce mod p, drop zeros."""
+    out: dict = {}
+    for label, c in terms:
+        for key, c2 in image(label):
+            out[key] = out.get(key, 0) + c * c2
+    return {key: c % p for key, c in out.items() if c % p}
 
 
 @dataclass(frozen=True)
-class BarGroupChain:
-    """An element of F_pG (x) (reduced F_pG)^(x n) (x) F_pG with group-element slots.
-
-    Terms map exponent tuples (i_0, ..., i_(n+1)) to scalars; the outer
-    slots i_0, i_(n+1) are arbitrary, the inner slots lie in [1, p).
-    """
+class _Chain:
+    """A chain in one homological degree: sorted (label, coeff) terms, coeffs in [1, p)."""
 
     p: int
     degree: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    terms: tuple
 
-    @classmethod
-    def make(cls, p: int, degree: int, terms: dict[tuple[int, ...], int]) -> "BarGroupChain":
-        clean = {}
-        for t, c in terms.items():
-            if len(t) != degree + 2:
-                raise ValueError(f"degree-{degree} tensors need {degree + 2} slots, got {t}")
-            if any(not (1 <= e < p) for e in t[1:-1]):
-                raise ValueError(f"inner slots must lie in [1, p): {t}")
-            c %= p
-            if c:
-                clean[tuple(e % p for e in t)] = c
-        return cls(p, degree, tuple(sorted(clean.items())))
-
-    def term_dict(self) -> dict[tuple[int, ...], int]:
+    def term_dict(self) -> dict:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class PeriodicChain:
-    """An element of the degree-n component F_pG (x) F_pG of the periodic resolution."""
+class BarGroupChain(_Chain):
+    """An element of F_pG (x) (reduced F_pG)^(x n) (x) F_pG with group-element slots.
 
-    p: int
-    degree: int
-    matrix: tuple[tuple[int, ...], ...]  # [i][j] = coefficient of g^i (x) g^j
+    Terms map exponent tuples (i_0, ..., i_(n+1)) to scalars; the outer
+    slots i_0, i_(n+1) are arbitrary, the inner slots lie in [1, p).
+    """
+
+    @classmethod
+    def make(cls, p: int, degree: int, terms: dict[tuple[int, ...], int]) -> "BarGroupChain":
+        def label(t: tuple[int, ...]) -> Terms:
+            if len(t) != degree + 2:
+                raise ValueError(f"degree-{degree} tensors need {degree + 2} slots, got {t}")
+            if any(not (1 <= e < p) for e in t[1:-1]):
+                raise ValueError(f"inner slots must lie in [1, p): {t}")
+            return ((tuple(e % p for e in t), 1),)
+
+        return cls(p, degree, tuple(sorted(_linear(p, label, terms.items()).items())))
+
+
+class PeriodicChain(_Chain):
+    """An element of the degree-n component F_pG (x) F_pG of the periodic resolution.
+
+    Terms map pairs (i, j), standing for g^i (x) g^j, to scalars.
+    """
 
     @classmethod
     def make(cls, p: int, degree: int, entries: dict[tuple[int, int], int]) -> "PeriodicChain":
-        m = [[0] * p for _ in range(p)]
-        for (i, j), c in entries.items():
-            m[i % p][j % p] = (m[i % p][j % p] + c) % p
-        return cls(p, degree, tuple(tuple(row) for row in m))
+        def label(ij: tuple[int, int]) -> Terms:
+            return (((ij[0] % p, ij[1] % p), 1),)
+
+        return cls(p, degree, tuple(sorted(_linear(p, label, entries.items()).items())))
 
     @classmethod
     def basis(cls, p: int, degree: int, i: int, j: int) -> "PeriodicChain":
         return cls.make(p, degree, {(i, j): 1})
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
-        for i, row in enumerate(self.matrix):
-            for j, c in enumerate(row):
-                if c:
-                    yield i, j, c
-
-    def term_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.entries()}
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.matrix for c in row)
+        for (i, j), c in self.terms:
+            yield i, j, c
 
 
 def bar_basis(p: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All basis exponent tuples of the reduced bar in one homological degree."""
-    inner = [range(1, p)] * degree
-    for tup in itertools.product(range(p), *inner, range(p)):
-        yield tup
+    yield from itertools.product(range(p), *[range(1, p)] * degree, range(p))
+
+
+# -- the four maps on one basis label ------------------------------------------
+
+
+def _bar_d(p: int, t: tuple[int, ...]) -> list:
+    """Bar d on one tensor: the alternating sum of adjacent slot merges.
+
+    A face is dropped when the merged slot is inner and the product of
+    exponents is the identity (the reduced-bar quotient).
+    """
+    n = len(t) - 2
+    out = []
+    for m in range(n + 1):
+        s = (t[m] + t[m + 1]) % p
+        if s or m == 0 or m == n:
+            out.append((t[:m] + (s,) + t[m + 2:], -1 if m % 2 else 1))
+    return out
+
+
+def _periodic_d(p: int, n: int, ij: tuple[int, int]) -> list:
+    """Periodic d on g^i (x) g^j in degree n: m at 0, gamma at odd, eta at even n.
+
+    m lands on the exponent k of g^k; gamma acts by g.x - x.g and eta by
+    sum_l g^l . x . g^(p-1-l), both in the bimodule sense.
+    """
+    i, j = ij
+    if n == 0:
+        return [((i + j) % p, 1)]
+    if n % 2 == 1:
+        return [(((i + 1) % p, j), 1), ((i, (j + 1) % p), -1)]
+    return [(((i + l) % p, (j - 1 - l) % p), 1) for l in range(p)]
+
+
+def _pi(p: int, t: tuple[int, ...]) -> list:
+    """pi on one bar tensor g^a (x) g^(i_1) (x) ... (x) g^(i_n) (x) g^b.
+
+    Even n = 2k: the product over pair sums, prod_j (1 (x) g^(i_(2j-1)+i_(2j)-p)),
+    zero whenever a pair sum is below p.  Odd n = 2k+1: the extra factor
+    sum_(l=0)^(i_1-1) g^l (x) g^(i_1-l-1) in front of the even product over
+    the remaining pairs.  The outer slots g^a, g^b multiply in from both sides.
+    """
+    inner = t[1:-1]
+    first, rest = inner[:len(inner) % 2], inner[len(inner) % 2:]
+    e = 0
+    for s, r in zip(rest[::2], rest[1::2]):
+        if s + r < p:
+            return []
+        e += s + r - p
+    a, b = t[0], t[-1] + e
+    if not first:
+        return [((a % p, b % p), 1)]
+    return [(((a + l) % p, (b + first[0] - l - 1) % p), 1) for l in range(first[0])]
+
+
+def _iota(p: int, base: Terms, ij: tuple[int, int]) -> list:
+    """iota on g^i (x) g^j, given base = the terms of iota_group in its degree."""
+    i, j = ij
+    return [(((t[0] + i) % p,) + t[1:-1] + ((t[-1] + j) % p,), c) for t, c in base]
+
+
+# -- the maps on chains ------------------------------------------------------------
 
 
 def bar_differential(x: BarGroupChain) -> BarGroupChain:
-    """Alternating sum of adjacent slot multiplications.
-
-    A term is dropped whenever the merged slot is inner and the product of
-    exponents is the identity (the reduced-bar quotient).
-    """
+    """The bar differential, extended linearly from ``_bar_d``."""
     if x.degree < 1:
         raise ValueError("bar differential needs degree >= 1")
-    p, n = x.p, x.degree
-    out: dict[tuple[int, ...], int] = {}
-    for t, c in x.terms:
-        for m in range(n + 1):
-            s = (t[m] + t[m + 1]) % p
-            if s == 0 and 1 <= m <= n - 1:
-                continue  # inner slot became the identity
-            merged = t[:m] + (s,) + t[m + 2:]
-            out[merged] = out.get(merged, 0) + (-1) ** m * c
-    return BarGroupChain.make(p, n - 1, out)
+    return BarGroupChain.make(x.p, x.degree - 1, _linear(x.p, partial(_bar_d, x.p), x.terms))
 
 
 def periodic_differential(x: PeriodicChain) -> "PeriodicChain | GroupAlgebraElement":
-    """The periodic differential: m at degree 0, gamma at odd, eta at even degrees.
-
-    gamma acts by g.x - x.g and eta by sum_l g^l . x . g^(p-1-l), both in the
-    bimodule sense on F_pG (x) F_pG.
-    """
-    p = x.p
-    if x.degree == 0:
-        coeffs = [0] * p
-        for i, j, c in x.entries():
-            coeffs[(i + j) % p] = (coeffs[(i + j) % p] + c) % p
-        return GroupAlgebraElement.from_coeffs(p, coeffs)
-    out: dict[tuple[int, int], int] = {}
-    if x.degree % 2 == 1:
-        for i, j, c in x.entries():
-            out[((i + 1) % p, j)] = out.get(((i + 1) % p, j), 0) + c
-            out[(i, (j + 1) % p)] = out.get((i, (j + 1) % p), 0) - c
-    else:
-        for i, j, c in x.entries():
-            for l in range(p):
-                key = ((i + l) % p, (j + p - 1 - l) % p)
-                out[key] = out.get(key, 0) + c
-    return PeriodicChain.make(p, x.degree - 1, out)
-
-
-def _pi_core(p: int, inner: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """pi of 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1 as entries of F_pG (x) F_pG.
-
-    Even degree 2k: the product over pair sums, prod_j (1 (x) g^(i_(2j-1)+i_(2j)-p)),
-    zero whenever a pair sum is below p.  Odd degree 2k+1: the extra factor
-    sum_(l=0)^(i_1-1) g^l (x) g^(i_1-l-1) in front of the even product over
-    the remaining pairs.
-    """
-    n = len(inner)
+    """The periodic differential; at degree 0 it is m and lands in F_pG."""
+    p, n = x.p, x.degree
+    out = _linear(p, partial(_periodic_d, p, n), x.terms)
     if n == 0:
-        return {(0, 0): 1}
-    if n % 2 == 0:
-        pairs = [(inner[2 * j], inner[2 * j + 1]) for j in range(n // 2)]
-        first = None
-    else:
-        first = inner[0]
-        rest = inner[1:]
-        pairs = [(rest[2 * j], rest[2 * j + 1]) for j in range(len(rest) // 2)]
-    e = 0
-    for s, r in pairs:
-        if s + r < p:
-            return {}
-        e += s + r - p
-    if first is None:
-        return {(0, e % p): 1}
-    return {(l % p, (first - l - 1 + e) % p): 1 for l in range(first)}
+        return GroupAlgebraElement.from_coeffs(p, [out.get(k, 0) for k in range(p)])
+    return PeriodicChain.make(p, n - 1, out)
 
 
 def pi_group(n: int, x: BarGroupChain) -> PeriodicChain:
     """The chain map from the reduced bar to the periodic resolution."""
     if n != x.degree:
         raise ValueError(f"degree mismatch: {n} != {x.degree}")
-    p = x.p
-    out: dict[tuple[int, int], int] = {}
-    for t, c in x.terms:
-        for (i, j), c2 in _pi_core(p, t[1:-1]).items():
-            key = ((i + t[0]) % p, (j + t[-1]) % p)
-            out[key] = out.get(key, 0) + c * c2
-    return PeriodicChain.make(p, n, out)
+    return PeriodicChain.make(x.p, n, _linear(x.p, partial(_pi, x.p), x.terms))
 
 
 def iota_group(p: int, n: int) -> BarGroupChain:
@@ -197,28 +208,17 @@ def iota_group(p: int, n: int) -> BarGroupChain:
     graded of degree zero.
     """
     k = n // 2
-    out: dict[tuple[int, ...], int] = {}
+    out = {}
     for choice in itertools.product(range(1, p), repeat=k):
-        trailing = (k * p - sum(choice) - k) % p
-        inner: tuple[int, ...] = ()
-        if n % 2 == 1:
-            inner = (1,)
-        for idx in range(k - 1, -1, -1):
-            inner = inner + (choice[idx], 1)
-        out[(0,) + inner + (trailing,)] = 1
+        inner = (1,) * (n % 2) + sum(((i, 1) for i in reversed(choice)), ())
+        out[(0,) + inner + ((k * p - sum(choice) - k) % p,)] = 1
     return BarGroupChain.make(p, n, out)
 
 
 def iota_chain(x: PeriodicChain) -> BarGroupChain:
     """Extend iota to arbitrary chains by the bimodule action on the outer slots."""
-    p = x.p
-    base = iota_group(p, x.degree).terms
-    out: dict[tuple[int, ...], int] = {}
-    for i, j, c in x.entries():
-        for t, c2 in base:
-            key = ((t[0] + i) % p,) + t[1:-1] + ((t[-1] + j) % p,)
-            out[key] = out.get(key, 0) + c * c2
-    return BarGroupChain.make(p, x.degree, out)
+    base = iota_group(x.p, x.degree).terms
+    return BarGroupChain.make(x.p, x.degree, _linear(x.p, partial(_iota, x.p, base), x.terms))
 
 
 def bar_grade(t: tuple[int, ...], p: int) -> int:
@@ -242,22 +242,6 @@ CHAIN_IDENTITIES = (
 )
 
 
-def _terms(x: "BarGroupChain | PeriodicChain | GroupAlgebraElement") -> dict:
-    """Nonzero coefficients of a chain, or of the F_pG element that m lands in."""
-    if isinstance(x, GroupAlgebraElement):
-        return {k: c for k, c in enumerate(x.coeffs) if c}
-    return x.term_dict()
-
-
-def _extend(p: int, columns: dict, x: dict) -> dict:
-    """Apply the linear map with sparse columns {label: {label: coeff}} to x, mod p."""
-    out: dict = {}
-    for label, c in x.items():
-        for key, c2 in columns[label].items():
-            out[key] = (out.get(key, 0) + c * c2) % p
-    return {key: c for key, c in out.items() if c}
-
-
 def verify_chain_maps(p: int, max_degree: int) -> dict:
     """Numerically certify the comparison maps in degrees <= max_degree.
 
@@ -268,16 +252,26 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
     element in lexicographic order, (n, i, j) on the periodic side and
     (n, t) on the bar side.
 
-    Each degree-n map is applied once per basis element, periodic basis
-    first.  The degree n-1 maps an identity reaches down to are kept as
-    sparse columns and extended linearly; the top degree's bar-side columns
-    are never stored.
+    Each degree-n label map is applied once per basis element, periodic
+    basis first.  The degree n-1 maps an identity reaches down to are kept
+    as sparse columns {label: {label: coeff}} and extended by ``_linear``;
+    the top degree's bar-side columns are never stored.  The sweep is
+    refused up front (``TooLarge``) past MAX_BAR_TENSORS bar tensors.
     """
     check_prime(p)
     if not (0 <= max_degree <= MAX_CHAIN_DEGREE):
-        raise ValueError(f"degree bound must be in [0, {MAX_CHAIN_DEGREE}], got {max_degree}")
+        raise ValueError(
+            f"chain check degree must satisfy 0 <= degree <= {MAX_CHAIN_DEGREE}, got {max_degree}"
+        )
+    tensors = sum(p * p * (p - 1) ** n for n in range(max_degree + 1))  # bar basis sizes
+    if tensors > MAX_BAR_TENSORS:
+        raise TooLarge(
+            f"{tensors} bar tensors in degrees <= {max_degree} is past the limit of "
+            f"{MAX_BAR_TENSORS}"
+        )
     checks: list[dict] = []
-    below: dict[str, dict] = {}
+    below: dict[str, Callable] = {}
+    pi, bar_d = partial(_pi, p), partial(_bar_d, p)
     for n in range(max_degree + 1):
         first: dict[str, tuple | None] = {}  # identity -> first witness, None while passing
 
@@ -286,32 +280,37 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 first[identity] = witness
 
         cols: dict[str, dict] = {"iota": {}, "dp": {}, "pi": {}, "d": {}}
-        for i, j in itertools.product(range(p), repeat=2):
-            e = PeriodicChain.basis(p, n, i, j)
-            up, down = iota_chain(e), _terms(periodic_differential(e))
-            cols["iota"][i, j], cols["dp"][i, j] = up.term_dict(), down
-            h = periodic_grade(n, i, j, p)
-            check("pi_iota_identity", pi_group(n, up) == e, (n, i, j))
-            check("iota_graded", all(bar_grade(t, p) == h for t, _ in up.terms), (n, i, j))
+        iota = partial(_iota, p, iota_group(p, n).terms)
+        dp = partial(_periodic_d, p, n)
+        for ij in itertools.product(range(p), repeat=2):
+            e = ((ij, 1),)
+            up = cols["iota"][ij] = _linear(p, iota, e)
+            down = cols["dp"][ij] = _linear(p, dp, e)
+            h = periodic_grade(n, *ij, p)
+            witness = (n, *ij)
+            check("pi_iota_identity", _linear(p, pi, up.items()) == {ij: 1}, witness)
+            check("iota_graded", all(bar_grade(t, p) == h for t in up), witness)
             if n >= 1:
                 check("periodic_differential_squares_to_zero",
-                      not _extend(p, below["dp"], down), (n, i, j))
-                d_up = bar_differential(up).term_dict()
+                      not _linear(p, below["dp"], down.items()), witness)
                 check("iota_commutes_with_differentials",
-                      d_up == _extend(p, below["iota"], down), (n, i, j))
+                      _linear(p, bar_d, up.items()) == _linear(p, below["iota"], down.items()),
+                      witness)
         keep = n < max_degree
+        after_dp = _columns(cols["dp"])
         for t in bar_basis(p, n):
-            x = BarGroupChain.make(p, n, {t: 1})
-            image = pi_group(n, x).term_dict()
+            e = ((t, 1),)
+            image = _linear(p, pi, e)
             s = bar_grade(t, p)
             check("pi_graded", all(periodic_grade(n, i, j, p) == s for i, j in image), (n, t))
             if n >= 1:
-                dx = bar_differential(x).term_dict()
+                dx = _linear(p, bar_d, e)
                 if n >= 2:
                     check("bar_differential_squares_to_zero",
-                          not _extend(p, below["d"], dx), (n, t))
+                          not _linear(p, below["d"], dx.items()), (n, t))
                 check("pi_commutes_with_differentials",
-                      _extend(p, cols["dp"], image) == _extend(p, below["pi"], dx), (n, t))
+                      _linear(p, after_dp, image.items()) == _linear(p, below["pi"], dx.items()),
+                      (n, t))
                 if keep:
                     cols["d"][t] = dx
             if keep:
@@ -323,10 +322,15 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 if witness is not None:
                     entry["witness"] = witness
                 checks.append(entry)
-        below = cols
+        below = {name: _columns(col) for name, col in cols.items()}
 
     passed = all(c["passed"] for c in checks)
     return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
+
+
+def _columns(cols: dict) -> Callable[[Hashable], Terms]:
+    """The label map whose image of each label is its stored sparse column."""
+    return lambda label: cols[label].items()
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 
-from .chains import MAX_CHAIN_DEGREE, verify_chain_maps
+from .chains import verify_chain_maps
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
 from .params import CoboundaryData, DeformationParams, add_coboundary, closed_form, implied_a
 from .pbw import check_all
-from .rewriting import check_dimension, check_overlaps, rules_from_params
+from .rewriting import MAX_DIMENSION_DEGREE, check_dimension, check_overlaps, rules_from_params
 from .solver import (
     SolutionRecord,
     TextMemo,
@@ -34,6 +34,10 @@ EXIT_MATH_FAIL = 2
 # take --workers so that one option list drives every sweep command.
 SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
 
+# The solution listings also write CSV; the reports do not.
+TABLE_FORMATS = ("json", "csv", "text")
+REPORT_FORMATS = ("json", "text")
+
 
 class UsageError(Exception):
     pass
@@ -46,10 +50,10 @@ def _parse_element(p: int, text: str, what: str) -> GroupAlgebraElement:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def _add_common(sub: argparse.ArgumentParser, need_p: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, formats: tuple, need_p: bool = True) -> None:
     sub.add_argument("--p", type=int, required=need_p, default=None,
                      help="odd prime order of the group")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sub.add_argument("--format", choices=formats, default="text")
 
 
 def _add_workers(sub: argparse.ArgumentParser) -> None:
@@ -120,6 +124,8 @@ def cmd_enumerate(args) -> int:
 def cmd_check(args) -> int:
     if args.oracle and args.degree < 3:
         raise UsageError(f"degree bound must be >= 3, got {args.degree}")
+    if args.oracle and args.degree > MAX_DIMENSION_DEGREE:
+        raise UsageError(f"degree bound must be <= {MAX_DIMENSION_DEGREE}, got {args.degree}")
     try:
         with open(args.params_file) as fh:
             obj = json.load(fh)
@@ -176,10 +182,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_chaincheck(args) -> int:
-    p = check_prime(args.p)
-    if args.degree > MAX_CHAIN_DEGREE:
-        raise UsageError(f"chain check degree must be <= {MAX_CHAIN_DEGREE}, got {args.degree}")
-    report = verify_chain_maps(p, args.degree)
+    report = verify_chain_maps(check_prime(args.p), args.degree)
     if args.format == "json":
         print(json.dumps(report))
     else:
@@ -284,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("enumerate", help="enumerate all (a, b) solutions")
-    _add_common(sp)
+    _add_common(sp, TABLE_FORMATS)
     _add_workers(sp)
     sp.add_argument("--mode", choices=("closed_form", "brute_force"), default="closed_form")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("check", help="run the six-condition check on a parameter file")
-    _add_common(sp, need_p=False)  # the parameter file carries p
+    _add_common(sp, REPORT_FORMATS, need_p=False)  # the parameter file carries p
     _add_workers(sp)
     sp.add_argument("--degree", type=int, default=4,
                     help="degree bound for the oracle's dimension rows")
@@ -299,18 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("table", help="print the solution table grouped by b-class")
-    _add_common(sp)
+    _add_common(sp, TABLE_FORMATS)
     _add_workers(sp)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("chaincheck", help="verify the resolution comparison maps")
-    _add_common(sp)
+    _add_common(sp, REPORT_FORMATS)
     _add_workers(sp)
     sp.add_argument("--degree", type=int, default=4, help="highest homological degree checked")
     sp.set_defaults(func=cmd_chaincheck)
 
     sp = sub.add_parser("build", help="build parameter tables from (b, d, kappaC, f)")
-    _add_common(sp)
+    _add_common(sp, REPORT_FORMATS)
     sp.add_argument("--b", required=True, help='group-algebra element, e.g. "1-g"')
     sp.add_argument("--d", default="", help='comma-separated free coordinates, e.g. "-1" or "1,2"')
     sp.add_argument("--kappaC", default="", help="constant kappa part")
@@ -318,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_build, format="json")
 
     sp = sub.add_parser("census", help="print class sizes per (g-1)-adic class")
-    _add_common(sp)
+    _add_common(sp, TABLE_FORMATS)
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("kernel", help="kernel data for a fixed b")
-    _add_common(sp)
+    _add_common(sp, REPORT_FORMATS)
     sp.add_argument("--b", required=True, help='group-algebra element, e.g. "1-g"')
     sp.add_argument("--brute", action="store_true", help="cross-check with the exhaustive sweep")
     sp.set_defaults(func=cmd_kernel)

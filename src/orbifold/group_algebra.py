@@ -243,15 +243,13 @@ class GroupAlgebraElement:
         return Factorization(k, btilde)
 
     def invert(self) -> "GroupAlgebraElement":
-        """Multiplicative inverse, by solving the circulant system x*y = 1 over F_p."""
+        """Multiplicative inverse by Frobenius: x^p = aug(x) * 1 in F_pG, so
+        x^(-1) = aug(x)^(p-2) * x^(p-1)."""
         p = self.p
-        if self.augmentation() == 0:
+        aug = self.augmentation()
+        if aug == 0:
             raise NotAUnit(f"augmentation is 0: {self} is not a unit")
-        # Column j of the matrix is x shifted by g^j; solve M y = e_0.
-        rows = [[self.coeffs[(l - j) % p] for j in range(p)] + [1 if l == 0 else 0]
-                for l in range(p)]
-        y = _solve_mod_p(rows, p)
-        return GroupAlgebraElement(p, tuple(y))
+        return (self ** (p - 1)).scale(pow(aug, p - 2, p))
 
     # -- iteration over the whole algebra ---------------------------------
 
@@ -372,23 +370,3 @@ def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     return GroupAlgebraElement.from_coeffs(
         p, [(-1) ** ((k - j) % 2) * binom_mod(k, j, p) for j in range(p)]
     )
-
-
-def _solve_mod_p(rows: list[list[int]], p: int) -> list[int]:
-    """Gaussian elimination over F_p on an augmented matrix; returns the solution."""
-    n = len(rows)
-    rows = [[c % p for c in row] for row in rows]
-    col = 0
-    for row in range(n):
-        pivot = next((r for r in range(row, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise NotAUnit("singular convolution matrix")
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = pow(rows[row][col], p - 2, p)
-        rows[row] = [(c * inv) % p for c in rows[row]]
-        for r in range(n):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[row])]
-        col += 1
-    return [rows[i][n] for i in range(n)]

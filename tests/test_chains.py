@@ -6,6 +6,7 @@ import pytest
 
 from orbifold.action import VGroupElement
 from orbifold.chains import (
+    MAX_BAR_TENSORS,
     BarGroupChain,
     PeriodicChain,
     bar_basis,
@@ -20,7 +21,7 @@ from orbifold.chains import (
     transfer_cochain,
     verify_chain_maps,
 )
-from orbifold.group_algebra import GroupAlgebraElement as GA
+from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge
 from orbifold.params import CoboundaryData, DeformationParams, add_coboundary, build_candidate
 
 
@@ -54,6 +55,11 @@ class TestBarDifferential:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             bar_differential(BarGroupChain.make(3, 0, {(0, 0): 1}))
+
+    def test_make_sums_labels_equal_mod_p(self):
+        x = BarGroupChain.make(3, 0, {(4, 0): 1, (1, 0): 1})
+        assert x == BarGroupChain.make(3, 0, {(1, 0): 2})
+        assert BarGroupChain.make(3, 0, {(4, 0): 1, (1, 0): 2}).is_zero()
 
     def test_rejects_identity_inner_slot(self):
         with pytest.raises(ValueError):
@@ -144,22 +150,23 @@ def test_verify_guard():
         verify_chain_maps(3, 7)
 
 
+def test_verify_refuses_a_sweep_past_the_tensor_limit():
+    with pytest.raises(TooLarge, match=f"past the limit of {MAX_BAR_TENSORS}"):
+        verify_chain_maps(11, 4)
+
+
 def test_verify_names_first_witness_of_a_broken_pi(monkeypatch):
     # pi_2 gains a grade-0 term on the one tuple (0, 1, 1, 0), extended
     # linearly; every identity that reads pi_2 fails at its first element
     # in lexicographic order, the others still pass.
     import orbifold.chains as chains
 
-    real, bad = chains.pi_group, (0, 1, 1, 0)
+    real, bad = chains._pi, (0, 1, 1, 0)
 
-    def broken(n, x):
-        out = real(n, x)
-        c = x.term_dict().get(bad, 0) if n == 2 else 0
-        entries = {(i, j): v for i, j, v in out.entries()}
-        entries[0, 0] = entries.get((0, 0), 0) + c
-        return PeriodicChain.make(x.p, n, entries)
+    def broken(p, t):
+        return real(p, t) + ([((0, 0), 1)] if t == bad else [])
 
-    monkeypatch.setattr(chains, "pi_group", broken)
+    monkeypatch.setattr(chains, "_pi", broken)
     report = verify_chain_maps(3, 3)
     assert not report["passed"]
     failed = [

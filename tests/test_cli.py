@@ -127,6 +127,12 @@ class TestCheck:
         assert code == 1
         assert "degree bound must be >= 3" in err
 
+    def test_oracle_degree_ceiling(self, capsys, params_file):
+        code, out, err = run(capsys, "check", str(params_file), "--oracle", "--degree", "1500")
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree bound must be <= 16, got 1500\n"
+
     def test_nonsolution_exits_two_with_witness(self, capsys, tmp_path):
         from orbifold.params import build_candidate
 
@@ -185,6 +191,34 @@ class TestChaincheck:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert any(c["identity"] == "pi_iota_identity" for c in payload["checks"])
+
+    def test_tensor_limit_fails_at_once(self, capsys):
+        code, out, err = run(capsys, "chaincheck", "--p", "97", "--degree", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "bar tensors" in err
+        assert "past the limit of 200000" in err
+
+
+# sha256 of the stdout of chaincheck reports, so that every identity line and
+# witness is pinned.
+CHAINCHECK_STDOUT_SHA256 = {
+    ("--p", "3", "--degree", "6", "--format", "json"):
+        "1b151ac6a4a5baa41965e2ff83948c437c970cec60c826e2109e634c362c5007",
+    ("--p", "5", "--degree", "4", "--format", "json"):
+        "762462ec1bce887d0e1fe554a1ab347e3ee0989944b1f68b45c7a42cbb58546f",
+    ("--p", "7", "--degree", "3", "--format", "json"):
+        "cdd7ca64928862130786259d7a9f911ccca9557c1d5c7f838e822c60f697239c",
+    ("--p", "7", "--degree", "4", "--format", "text"):
+        "9589c8197d9274e39bae971e555176811eaed9d70c7470a5b315fa7f962e90ee",
+}
+
+
+@pytest.mark.parametrize("argv", list(CHAINCHECK_STDOUT_SHA256), ids=" ".join)
+def test_chaincheck_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "chaincheck", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAINCHECK_STDOUT_SHA256[argv]
 
 
 class TestBuild:
@@ -252,6 +286,16 @@ class TestCensusAndKernel:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--p", "3", "--b", "1-g"),
+        ("build", "--p", "3", "--b", "1-g", "--d", "-1"),
+    ])
+    def test_csv_is_rejected_where_no_csv_is_written(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'csv'" in err
 
 
 def run_module(*argv):

@@ -5,6 +5,7 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbifold.group_algebra import (
     GroupAlgebraElement as GA,
@@ -186,6 +187,19 @@ def test_invert_randomized_p5_p7():
                 continue
             assert x * x.invert() == GA.one(p)
             found += 1
+
+
+@st.composite
+def element_of_small_p(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    return GA.from_coeffs(p, draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_of_small_p())
+def test_frobenius_power_is_the_augmentation(x):
+    # In F_pG, x^p = aug(x) * 1: the identity invert rests on.
+    assert x ** x.p == GA.monomial(x.p, 0, x.augmentation())
 
 
 def test_gminus1_coords_examples():
