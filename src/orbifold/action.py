@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .group_algebra import GroupAlgebraElement
+from .group_algebra import GroupAlgebraElement, json_int
 
 QUAD_MONOMIALS = ("v1^2", "v1*v2", "v2^2")
 
@@ -111,8 +111,8 @@ class VGroupElement:
     @classmethod
     def from_json(cls, p: int, obj: dict) -> "VGroupElement":
         return cls(
-            GroupAlgebraElement.from_coeffs(p, obj["v1"]),
-            GroupAlgebraElement.from_coeffs(p, obj["v2"]),
+            GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v1"])),
+            GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v2"])),
         )
 
 

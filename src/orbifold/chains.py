@@ -15,11 +15,23 @@ which is the bridge this module exists to certify.
 
 A chain is a sparse map {label: coeff} mod p.  A bar label is an exponent
 tuple (i_0, ..., i_(n+1)); a periodic label is a pair (i, j) for
-g^i (x) g^j, and the image of m is labelled by the exponent k of g^k.  Each
-of the four maps (bar d, periodic d, pi, iota) is written once, on a single
-basis label, as a list of (label, coeff) pairs; ``_linear`` extends a label
-map linearly, reduces mod p and drops zeros.  The chain classes, the public
-maps and ``verify_chain_maps`` are all built on that one fold.
+g^i (x) g^j, and the image of m is labelled by the exponent k of g^k.  The
+first and last slots of a label are outer, the others inner.
+
+In degree n the bar resolution is a free F_pG-bimodule on the (p-1)^n
+tensors 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1 and the periodic one on
+1 (x) 1.  All four maps (bar d, periodic d, pi, iota) are bimodule maps, so,
+as Shepler and Witherspoon define chain maps of bimodule complexes, each is
+written once on the inner slots of a free generator (``_bar_d``,
+``_periodic_d``, ``_pi``, ``_iota``) as (label, coeff) pairs.  ``_shift``
+is g^a . label . g^b, ``_bimodule`` extends a generator map to every label
+by that shift, and ``_linear`` extends a label map linearly mod p.
+
+So ``verify_chain_maps`` checks the free generators only, and that is
+exact: each identity compares bimodule maps and each grading check moves by
+a + b on both sides, so an identity holds at g^a . x . g^b exactly when it
+holds at x.  Shifting is invertible, so the lexicographically first failing
+basis element, (0, 0) or (0, i_1, ..., i_n, 0), is always a generator.
 
 The G-grading conventions: a bar tensor is graded by the sum of all its
 exponents; the degree-n component of the periodic resolution places
@@ -30,16 +42,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .action import VGroupElement
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
 from .params import CoboundaryData, DeformationParams
 
-MAX_CHAIN_DEGREE = 6
-# Bar tensors verify_chain_maps may sweep: p = 7 at degree 4 is 76,195.
-MAX_BAR_TENSORS = 200_000
+# Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
+# sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4) take about 2.5 s on a
+# shared 2-core host.
+MAX_BAR_TENSORS = 30_000
 
 Terms = Iterable[tuple[Hashable, int]]
 
@@ -51,6 +63,23 @@ def _linear(p: int, image: Callable[[Hashable], Terms], terms: Terms) -> dict:
         for key, c2 in image(label):
             out[key] = out.get(key, 0) + c * c2
     return {key: c % p for key, c in out.items() if c % p}
+
+
+def _shift(p: int, label, a: int, b: int):
+    """g^a . label . g^b: a joins the first slot and b the last; g^k becomes g^(a+k+b)."""
+    if isinstance(label, int):
+        return (a + label + b) % p
+    return ((label[0] + a) % p,) + label[1:-1] + ((label[-1] + b) % p,)
+
+
+def _bimodule(p: int, generator: Callable[..., Terms], *args) -> Callable[[tuple], list]:
+    """The label map of the bimodule map with 1 (x) inner (x) 1 |-> generator(p, *args, inner)."""
+
+    def image(label: tuple) -> list:
+        a, b = label[0], label[-1]
+        return [(_shift(p, key, a, b), c) for key, c in generator(p, *args, label[1:-1])]
+
+    return image
 
 
 @dataclass(frozen=True)
@@ -114,16 +143,14 @@ def bar_basis(p: int, degree: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(range(p), *[range(1, p)] * degree, range(p))
 
 
-# -- the four maps on one basis label ------------------------------------------
+# -- the four maps on one free generator ------------------------------------------
 
 
-def _bar_d(p: int, t: tuple[int, ...]) -> list:
-    """Bar d on one tensor: the alternating sum of adjacent slot merges.
-
-    A face is dropped when the merged slot is inner and the product of
-    exponents is the identity (the reduced-bar quotient).
-    """
-    n = len(t) - 2
+def _bar_d(p: int, inner: tuple[int, ...]) -> list:
+    """Bar d on 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1: the alternating sum of
+    adjacent slot merges, without the faces whose merged inner slot is the
+    identity (the reduced-bar quotient)."""
+    t, n = (0, *inner, 0), len(inner)
     out = []
     for m in range(n + 1):
         s = (t[m] + t[m + 1]) % p
@@ -132,61 +159,54 @@ def _bar_d(p: int, t: tuple[int, ...]) -> list:
     return out
 
 
-def _periodic_d(p: int, n: int, ij: tuple[int, int]) -> list:
-    """Periodic d on g^i (x) g^j in degree n: m at 0, gamma at odd, eta at even n.
-
-    m lands on the exponent k of g^k; gamma acts by g.x - x.g and eta by
-    sum_l g^l . x . g^(p-1-l), both in the bimodule sense.
-    """
-    i, j = ij
+def _periodic_d(p: int, n: int, inner: tuple) -> list:
+    """Periodic d on 1 (x) 1 in degree n (no inner slots): m onto g^0 at n = 0,
+    gamma = g (x) 1 - 1 (x) g at odd n, eta = sum_l g^l (x) g^(p-1-l) at even n."""
     if n == 0:
-        return [((i + j) % p, 1)]
+        return [(0, 1)]
     if n % 2 == 1:
-        return [(((i + 1) % p, j), 1), ((i, (j + 1) % p), -1)]
-    return [(((i + l) % p, (j - 1 - l) % p), 1) for l in range(p)]
+        return [((1, 0), 1), ((0, 1), -1)]
+    return [((l, p - 1 - l), 1) for l in range(p)]
 
 
-def _pi(p: int, t: tuple[int, ...]) -> list:
-    """pi on one bar tensor g^a (x) g^(i_1) (x) ... (x) g^(i_n) (x) g^b.
+def _pi(p: int, inner: tuple[int, ...]) -> list:
+    """pi on 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1.
 
     Even n = 2k: the product over pair sums, prod_j (1 (x) g^(i_(2j-1)+i_(2j)-p)),
     zero whenever a pair sum is below p.  Odd n = 2k+1: the extra factor
     sum_(l=0)^(i_1-1) g^l (x) g^(i_1-l-1) in front of the even product over
-    the remaining pairs.  The outer slots g^a, g^b multiply in from both sides.
+    the remaining pairs.
     """
-    inner = t[1:-1]
     first, rest = inner[:len(inner) % 2], inner[len(inner) % 2:]
     e = 0
     for s, r in zip(rest[::2], rest[1::2]):
         if s + r < p:
             return []
         e += s + r - p
-    a, b = t[0], t[-1] + e
     if not first:
-        return [((a % p, b % p), 1)]
-    return [(((a + l) % p, (b + first[0] - l - 1) % p), 1) for l in range(first[0])]
+        return [((0, e % p), 1)]
+    return [((l, (e + first[0] - l - 1) % p), 1) for l in range(first[0])]
 
 
-def _iota(p: int, base: Terms, ij: tuple[int, int]) -> list:
-    """iota on g^i (x) g^j, given base = the terms of iota_group in its degree."""
-    i, j = ij
-    return [(((t[0] + i) % p,) + t[1:-1] + ((t[-1] + j) % p,), c) for t, c in base]
+def _iota(p: int, n: int, inner: tuple) -> Terms:
+    """iota on 1 (x) 1 in degree n (no inner slots): the terms of iota_group."""
+    return iota_group(p, n).terms
 
 
 # -- the maps on chains ------------------------------------------------------------
 
 
 def bar_differential(x: BarGroupChain) -> BarGroupChain:
-    """The bar differential, extended linearly from ``_bar_d``."""
+    """The bar differential, the bimodule extension of ``_bar_d``."""
     if x.degree < 1:
         raise ValueError("bar differential needs degree >= 1")
-    return BarGroupChain.make(x.p, x.degree - 1, _linear(x.p, partial(_bar_d, x.p), x.terms))
+    return BarGroupChain.make(x.p, x.degree - 1, _linear(x.p, _bimodule(x.p, _bar_d), x.terms))
 
 
 def periodic_differential(x: PeriodicChain) -> "PeriodicChain | GroupAlgebraElement":
     """The periodic differential; at degree 0 it is m and lands in F_pG."""
     p, n = x.p, x.degree
-    out = _linear(p, partial(_periodic_d, p, n), x.terms)
+    out = _linear(p, _bimodule(p, _periodic_d, n), x.terms)
     if n == 0:
         return GroupAlgebraElement.from_coeffs(p, [out.get(k, 0) for k in range(p)])
     return PeriodicChain.make(p, n - 1, out)
@@ -196,7 +216,7 @@ def pi_group(n: int, x: BarGroupChain) -> PeriodicChain:
     """The chain map from the reduced bar to the periodic resolution."""
     if n != x.degree:
         raise ValueError(f"degree mismatch: {n} != {x.degree}")
-    return PeriodicChain.make(x.p, n, _linear(x.p, partial(_pi, x.p), x.terms))
+    return PeriodicChain.make(x.p, n, _linear(x.p, _bimodule(x.p, _pi), x.terms))
 
 
 def iota_group(p: int, n: int) -> BarGroupChain:
@@ -216,9 +236,9 @@ def iota_group(p: int, n: int) -> BarGroupChain:
 
 
 def iota_chain(x: PeriodicChain) -> BarGroupChain:
-    """Extend iota to arbitrary chains by the bimodule action on the outer slots."""
-    base = iota_group(x.p, x.degree).terms
-    return BarGroupChain.make(x.p, x.degree, _linear(x.p, partial(_iota, x.p, base), x.terms))
+    """iota on arbitrary chains, the bimodule extension of ``iota_group``."""
+    iota = _bimodule(x.p, _iota, x.degree)
+    return BarGroupChain.make(x.p, x.degree, _linear(x.p, iota, x.terms))
 
 
 def bar_grade(t: tuple[int, ...], p: int) -> int:
@@ -252,26 +272,23 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
     element in lexicographic order, (n, i, j) on the periodic side and
     (n, t) on the bar side.
 
-    Each degree-n label map is applied once per basis element, periodic
-    basis first.  The degree n-1 maps an identity reaches down to are kept
-    as sparse columns {label: {label: coeff}} and extended by ``_linear``;
-    the top degree's bar-side columns are never stored.  The sweep is
-    refused up front (``TooLarge``) past MAX_BAR_TENSORS bar tensors.
+    Per degree n only the free generators are checked (see the module
+    docstring), 1 (x) 1 and the (p-1)^n bar tensors (0, i_1, ..., i_n, 0).
+    The sweep is refused up front (``TooLarge``) past MAX_BAR_TENSORS of them.
     """
     check_prime(p)
-    if not (0 <= max_degree <= MAX_CHAIN_DEGREE):
-        raise ValueError(
-            f"chain check degree must satisfy 0 <= degree <= {MAX_CHAIN_DEGREE}, got {max_degree}"
-        )
-    tensors = sum(p * p * (p - 1) ** n for n in range(max_degree + 1))  # bar basis sizes
-    if tensors > MAX_BAR_TENSORS:
-        raise TooLarge(
-            f"{tensors} bar tensors in degrees <= {max_degree} is past the limit of "
-            f"{MAX_BAR_TENSORS}"
-        )
+    if max_degree < 0:
+        raise ValueError(f"chain check degree must be >= 0, got {max_degree}")
+    generators = 0
+    for n in range(max_degree + 1):
+        generators += (p - 1) ** n
+        if generators > MAX_BAR_TENSORS:
+            raise TooLarge(
+                f"chain check to degree {max_degree} is past the limit of {MAX_BAR_TENSORS} "
+                f"bar tensors (free generators): degrees <= {n} already hold {generators}"
+            )
     checks: list[dict] = []
-    below: dict[str, Callable] = {}
-    pi, bar_d = partial(_pi, p), partial(_bar_d, p)
+    bar_d, pi = _bimodule(p, _bar_d), _bimodule(p, _pi)
     for n in range(max_degree + 1):
         first: dict[str, tuple | None] = {}  # identity -> first witness, None while passing
 
@@ -279,26 +296,19 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
             if first.setdefault(identity, None) is None and not passed:
                 first[identity] = witness
 
-        cols: dict[str, dict] = {"iota": {}, "dp": {}, "pi": {}, "d": {}}
-        iota = partial(_iota, p, iota_group(p, n).terms)
-        dp = partial(_periodic_d, p, n)
-        for ij in itertools.product(range(p), repeat=2):
-            e = ((ij, 1),)
-            up = cols["iota"][ij] = _linear(p, iota, e)
-            down = cols["dp"][ij] = _linear(p, dp, e)
-            h = periodic_grade(n, *ij, p)
-            witness = (n, *ij)
-            check("pi_iota_identity", _linear(p, pi, up.items()) == {ij: 1}, witness)
-            check("iota_graded", all(bar_grade(t, p) == h for t in up), witness)
-            if n >= 1:
-                check("periodic_differential_squares_to_zero",
-                      not _linear(p, below["dp"], down.items()), witness)
-                check("iota_commutes_with_differentials",
-                      _linear(p, bar_d, up.items()) == _linear(p, below["iota"], down.items()),
-                      witness)
-        keep = n < max_degree
-        after_dp = _columns(cols["dp"])
-        for t in bar_basis(p, n):
+        iota, dp = _bimodule(p, _iota, n), _bimodule(p, _periodic_d, n)
+        e = (((0, 0), 1),)
+        up, down = _linear(p, iota, e), _linear(p, dp, e)
+        h, witness = periodic_grade(n, 0, 0, p), (n, 0, 0)
+        check("pi_iota_identity", _linear(p, pi, up.items()) == {(0, 0): 1}, witness)
+        check("iota_graded", all(bar_grade(t, p) == h for t in up), witness)
+        if n >= 1:
+            check("periodic_differential_squares_to_zero",
+                  not _linear(p, dp_below, down.items()), witness)
+            check("iota_commutes_with_differentials",
+                  _linear(p, bar_d, up.items()) == _linear(p, iota_below, down.items()), witness)
+        for inner in itertools.product(range(1, p), repeat=n):
+            t = (0, *inner, 0)
             e = ((t, 1),)
             image = _linear(p, pi, e)
             s = bar_grade(t, p)
@@ -307,14 +317,9 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 dx = _linear(p, bar_d, e)
                 if n >= 2:
                     check("bar_differential_squares_to_zero",
-                          not _linear(p, below["d"], dx.items()), (n, t))
+                          not _linear(p, bar_d, dx.items()), (n, t))
                 check("pi_commutes_with_differentials",
-                      _linear(p, after_dp, image.items()) == _linear(p, below["pi"], dx.items()),
-                      (n, t))
-                if keep:
-                    cols["d"][t] = dx
-            if keep:
-                cols["pi"][t] = image
+                      _linear(p, dp, image.items()) == _linear(p, pi, dx.items()), (n, t))
         for identity in CHAIN_IDENTITIES:
             if identity in first:
                 witness = first[identity]
@@ -322,15 +327,10 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 if witness is not None:
                     entry["witness"] = witness
                 checks.append(entry)
-        below = {name: _columns(col) for name, col in cols.items()}
+        iota_below, dp_below = iota, dp
 
     passed = all(c["passed"] for c in checks)
     return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
-
-
-def _columns(cols: dict) -> Callable[[Hashable], Terms]:
-    """The label map whose image of each label is its stored sparse column."""
-    return lambda label: cols[label].items()
 
 
 @dataclass(frozen=True)

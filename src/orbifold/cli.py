@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, check, table, chaincheck, build, census, kernel.
 Exit codes: 0 = pass, 2 = mathematical failure (not PBW / count mismatch),
-1 = usage or I/O error.  The ORBIFOLD_MAX_P environment variable raises the
-brute-force guard ceilings, at your own risk.
+1 = usage or I/O error.  Every sweep has a fixed guard and fails at once,
+with exit 1, past it.
 """
 
 from __future__ import annotations

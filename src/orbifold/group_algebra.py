@@ -10,7 +10,6 @@ the whole solver, so it lives here next to the basic ring operations.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,10 +17,6 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_PRIME_CEILING = 97
-
-#: Environment variable that overrides the brute-force sweep guards (at your
-#: own risk); the prime ceiling of check_prime does not read it.
-GUARD_ENV_VAR = "ORBIFOLD_MAX_P"
 
 
 class NotAUnit(ValueError):
@@ -32,16 +27,17 @@ class TooLarge(ValueError):
     """Raised when a brute-force sweep would exceed its guard ceiling."""
 
 
-def guard_ceiling(default: int) -> int:
-    """The effective ceiling for a p-guard: the env override if set, else default."""
-    value = os.environ.get(GUARD_ENV_VAR)
-    return int(value) if value else default
+def json_int(value) -> int:
+    """value, if it is a JSON integer: an int and not a bool (no float, NaN or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def check_prime(p: int, ceiling: int = DEFAULT_PRIME_CEILING) -> int:
     """Validate that p is an odd prime in [3, ceiling] and return it.
 
-    The ceiling is not a sweep guard, so ORBIFOLD_MAX_P does not move it.
+    The ceiling bounds p only; each sweep has its own guard.
     """
     if not isinstance(p, int):
         raise ValueError(f"p must be an integer, got {p!r}")
@@ -351,11 +347,11 @@ class GroupAlgebraElement:
     def from_json(cls, obj: dict) -> "GroupAlgebraElement":
         if not isinstance(obj, dict) or "p" not in obj or "coeffs" not in obj:
             raise ValueError(f"expected {{'p':..., 'coeffs':...}}, got {obj!r}")
-        p = check_prime(int(obj["p"]))
+        p = check_prime(json_int(obj["p"]))
         coeffs = obj["coeffs"]
         if len(coeffs) != p:
             raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-        return cls(p, tuple(int(c) % p for c in coeffs))
+        return cls.from_coeffs(p, map(json_int, coeffs))
 
 
 def gminus1(p: int) -> GroupAlgebraElement:

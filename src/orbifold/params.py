@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action import VGroupElement
-from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, scalar_inv
+from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, json_int, scalar_inv
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class DeformationParams:
         if not isinstance(obj, dict):
             raise ValueError(f"expected a parameter object, got {type(obj).__name__}")
         try:
-            p = check_prime(int(obj["p"]))
+            p = check_prime(json_int(obj["p"]))
             lam = tuple(
                 (
-                    GroupAlgebraElement.from_coeffs(p, row[0]),
-                    GroupAlgebraElement.from_coeffs(p, row[1]),
+                    GroupAlgebraElement.from_coeffs(p, map(json_int, row[0])),
+                    GroupAlgebraElement.from_coeffs(p, map(json_int, row[1])),
                 )
                 for row in obj["lambda"]
             )
-            kappaC = GroupAlgebraElement.from_coeffs(p, obj["kappaC"])
+            kappaC = GroupAlgebraElement.from_coeffs(p, map(json_int, obj["kappaC"]))
             kappaL = VGroupElement.from_json(p, obj["kappaL"])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed parameter JSON: {exc}") from exc

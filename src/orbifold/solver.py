@@ -39,12 +39,9 @@ from .group_algebra import (
     binom_mod,
     check_prime,
     gminus1_power,
-    guard_ceiling,
     scalar_inv,
 )
 
-#: Guard for the p^p kernel sweeps (7^7 is about 8e5 candidates).
-KERNEL_BRUTEFORCE_MAX_P = 7
 #: Guard for the p^(2p) pair sweeps (5^10 is about 1e7 pairs).
 PAIR_SWEEP_MAX_P = 5
 #: The array path holds one row per element of F_pG, so p^p must stay
@@ -218,11 +215,9 @@ def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
 
     The sweep is vectorized: phi_b is linear in c with matrix
     M[l, m] = b_((m+l) mod p), so one matrix product tests every candidate.
-    Guarded to p <= 7.
+    Guarded by MAX_COEFF_ROWS, so p <= 7.
     """
     p = b.p
-    if p > guard_ceiling(KERNEL_BRUTEFORCE_MAX_P):
-        raise TooLarge(f"kernel sweep needs p <= {KERNEL_BRUTEFORCE_MAX_P}, got {p}")
     rows = _all_coeff_rows(p)
     matrix = np.array(
         [[b.coeffs[(m + l) % p] for m in range(p)] for l in range(p)], dtype=np.int64
@@ -298,7 +293,7 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     check_prime(p)
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "brute_force" and p > guard_ceiling(PAIR_SWEEP_MAX_P):
+    if mode == "brute_force" and p > PAIR_SWEEP_MAX_P:
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
     rows = _all_coeff_rows(p)
     # .tolist() keeps the coefficients Python ints.

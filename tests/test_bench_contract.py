@@ -1,0 +1,83 @@
+"""What the benchmark in perfbench/ needs from the package.
+
+perfbench/ is only read here.  Its tracer names functions of the package by
+"module:attribute" targets, and its workloads drive the command line with
+fixed argument lists; a change to the package that drops a traced name or
+an option the workloads pass fails here, before the benchmark breaks.
+"""
+
+import ast
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import orbifold.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TARGET = re.compile(r"[a-z_]+:[A-Za-z_][\w.]*")
+
+
+def perfbench_module(name):
+    """Import a perfbench script as a module, with perfbench/ on the path while it loads."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+layertrace = perfbench_module("layertrace")
+
+
+def traced_targets():
+    """Every "module:attribute" string in layertrace.py: the spans and the counters."""
+    tree = ast.parse((PERFBENCH / "layertrace.py").read_text())
+    return sorted({
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and TARGET.fullmatch(node.value)
+    })
+
+
+def test_every_traced_target_resolves():
+    targets = traced_targets()
+    spans = {t for ts in layertrace.SPANS.values() for t in ts}
+    assert spans < set(targets)  # the counters' targets come on top
+    missing = []
+    for target in targets:
+        try:
+            layertrace._resolve(target)
+        except (KeyError, AttributeError):
+            missing.append(target)
+    assert not missing
+
+
+def test_tracer_installs_and_restores():
+    main = cli.main
+    with layertrace.Tracer().installed():
+        assert cli.main is not main
+    assert cli.main is main
+
+
+def test_every_workload_command_parses(tmp_path):
+    workloads = perfbench_module("workloads")
+    warm, files = tmp_path / "warmup", tmp_path / "params"
+    warm.mkdir()
+    files.mkdir()
+    workloads.write_certify_warmups(str(warm))
+    built = [
+        workloads.enumerate_workload(warmup_dir=str(warm)),
+        workloads.certify_workload(1, str(files), warmup_dir=str(warm)),
+        workloads.chains_workload(warmup_dir=str(warm)),
+    ]
+    parser = cli.build_parser()
+    for workload in built:
+        assert workload.ops and workload.warmups
+        for op in workload.warmups + workload.ops:
+            try:
+                parser.parse_args(op.argv)
+            except SystemExit:
+                pytest.fail(f"{workload.name}: {op.argv} does not parse")

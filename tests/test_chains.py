@@ -1,21 +1,26 @@
 """Resolutions, comparison maps, and the cochain-transfer bridge."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbifold.action import VGroupElement
 from orbifold.chains import (
+    CHAIN_IDENTITIES,
     MAX_BAR_TENSORS,
     BarGroupChain,
     PeriodicChain,
     bar_basis,
     bar_differential,
+    bar_grade,
     coboundary_cochain,
     distinguished_cocycle,
     iota_chain,
     iota_group,
     periodic_differential,
+    periodic_grade,
     pi_group,
     rep_to_params,
     transfer_cochain,
@@ -145,38 +150,127 @@ def test_verify_chain_maps_degree6_p3():
     assert report["passed"]
 
 
+def full_sweep(p, max_degree):
+    """verify_chain_maps' report, from the public maps on every basis element.
+
+    Every periodic g^i (x) g^j and every bar tensor, outer slots included,
+    is checked, not only the free generators.
+    """
+    checks = []
+    for n in range(max_degree + 1):
+        first = {}
+
+        def check(identity, passed, witness):
+            if first.setdefault(identity, None) is None and not passed:
+                first[identity] = witness
+
+        for i, j in itertools.product(range(p), repeat=2):
+            x = PeriodicChain.basis(p, n, i, j)
+            up, witness = iota_chain(x), (n, i, j)
+            check("pi_iota_identity", pi_group(n, up) == x, witness)
+            check("iota_graded",
+                  all(bar_grade(t, p) == periodic_grade(n, i, j, p) for t, _ in up.terms),
+                  witness)
+            if n >= 1:
+                down = periodic_differential(x)
+                check("periodic_differential_squares_to_zero",
+                      periodic_differential(down).is_zero(), witness)
+                check("iota_commutes_with_differentials",
+                      bar_differential(up) == iota_chain(down), witness)
+        for t in bar_basis(p, n):
+            x = BarGroupChain.make(p, n, {t: 1})
+            image = pi_group(n, x)
+            check("pi_graded",
+                  all(periodic_grade(n, i, j, p) == bar_grade(t, p) for i, j, _ in image.entries()),
+                  (n, t))
+            if n >= 1:
+                dx = bar_differential(x)
+                if n >= 2:
+                    check("bar_differential_squares_to_zero",
+                          bar_differential(dx).is_zero(), (n, t))
+                check("pi_commutes_with_differentials",
+                      periodic_differential(image) == pi_group(n - 1, dx), (n, t))
+        for identity in CHAIN_IDENTITIES:
+            if identity in first:
+                entry = {"identity": identity, "degree": n, "passed": first[identity] is None}
+                if first[identity] is not None:
+                    entry["witness"] = first[identity]
+                checks.append(entry)
+    passed = all(c["passed"] for c in checks)
+    return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
+
+
+@pytest.mark.parametrize("p, max_degree", [(3, 4), (5, 4), (7, 4), (3, 6)])
+def test_generator_sweep_equals_the_full_sweep(p, max_degree):
+    assert verify_chain_maps(p, max_degree) == full_sweep(p, max_degree)
+
+
+def shifted(x, a, b):
+    """g^a . x . g^b, for a chain or for an element of F_pG."""
+    if isinstance(x, GA):
+        return x.shift(a + b)
+    terms = {(t[0] + a,) + t[1:-1] + (t[-1] + b,): c for t, c in x.terms}
+    return type(x).make(x.p, x.degree, terms)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_public_maps_commute_with_the_outer_shift(p):
+    slot, inner_slot, coeff = st.integers(0, p - 1), st.integers(1, p - 1), st.integers(1, p - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 4), slot, slot)
+    def check(data, n, a, b):
+        bar_labels = st.tuples(slot, *[inner_slot] * n, slot)
+        x = BarGroupChain.make(p, n, data.draw(st.dictionaries(bar_labels, coeff, max_size=6)))
+        y = PeriodicChain.make(p, n, data.draw(st.dictionaries(st.tuples(slot, slot), coeff,
+                                                                max_size=6)))
+        assert pi_group(n, shifted(x, a, b)) == shifted(pi_group(n, x), a, b)
+        assert iota_chain(shifted(y, a, b)) == shifted(iota_chain(y), a, b)
+        assert periodic_differential(shifted(y, a, b)) == shifted(periodic_differential(y), a, b)
+        if n >= 1:
+            assert bar_differential(shifted(x, a, b)) == shifted(bar_differential(x), a, b)
+
+    check()
+
+
 def test_verify_guard():
-    with pytest.raises(ValueError):
-        verify_chain_maps(3, 7)
+    with pytest.raises(ValueError, match=">= 0"):
+        verify_chain_maps(3, -1)
+    # At p = 3 degrees <= d hold 2^(d+1) - 1 generators.
+    past = next(d for d in itertools.count() if 2 ** (d + 1) - 1 > MAX_BAR_TENSORS)
+    with pytest.raises(TooLarge, match="bar tensors"):
+        verify_chain_maps(3, past)
 
 
 def test_verify_refuses_a_sweep_past_the_tensor_limit():
     with pytest.raises(TooLarge, match=f"past the limit of {MAX_BAR_TENSORS}"):
-        verify_chain_maps(11, 4)
+        verify_chain_maps(17, 4)
 
 
 def test_verify_names_first_witness_of_a_broken_pi(monkeypatch):
-    # pi_2 gains a grade-0 term on the one tuple (0, 1, 1, 0), extended
-    # linearly; every identity that reads pi_2 fails at its first element
-    # in lexicographic order, the others still pass.
+    # pi_2 gains a grade-0 term on the generator 1 (x) g (x) g (x) 1, and so
+    # on every (a, 1, 1, b) by the bimodule extension.  Every identity that
+    # reads pi_2 fails at its first element in lexicographic order, which is
+    # a generator; the others still pass.  The full sweep agrees.
     import orbifold.chains as chains
 
-    real, bad = chains._pi, (0, 1, 1, 0)
+    real = chains._pi
 
-    def broken(p, t):
-        return real(p, t) + ([((0, 0), 1)] if t == bad else [])
+    def broken(p, inner):
+        return real(p, inner) + ([((0, 0), 1)] if inner == (1, 1) else [])
 
     monkeypatch.setattr(chains, "_pi", broken)
     report = verify_chain_maps(3, 3)
+    assert report == full_sweep(3, 3)
     assert not report["passed"]
     failed = [
         (c["identity"], c["degree"], c["witness"]) for c in report["checks"] if not c["passed"]
     ]
     assert failed == [
-        ("pi_iota_identity", 2, (2, 0, 2)),
+        ("pi_iota_identity", 2, (2, 0, 0)),
         ("pi_graded", 2, (2, (0, 1, 1, 0))),
         ("pi_commutes_with_differentials", 2, (2, (0, 1, 1, 0))),
-        ("pi_commutes_with_differentials", 3, (3, (0, 1, 1, 1, 2))),
+        ("pi_commutes_with_differentials", 3, (3, (0, 1, 1, 1, 0))),
     ]
     assert len(report["checks"]) == 3 + 6 + 7 + 7
 

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
 from orbifold.params import DeformationParams, closed_form
@@ -152,6 +154,20 @@ class TestCheck:
         assert code == 1
         assert "cannot load" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(kappaC=[0.5, 0, 0]),
+        lambda obj: obj["lambda"][1][0].__setitem__(0, float("nan")),
+        lambda obj: obj.update(p=3.7),
+    ], ids=["float_coefficient", "nan_coefficient", "float_p"])
+    def test_non_integer_numbers_exit_one(self, capsys, tmp_path, edit):
+        obj = closed_form(GA.from_text(3, "1-g"), [-1]).to_json()
+        edit(obj)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(path), "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("cannot load parameters: ")
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 1
@@ -181,9 +197,14 @@ class TestChaincheck:
         assert "chain maps: ok" in out
 
     def test_degree_guard(self, capsys):
-        code, _, err = run(capsys, "chaincheck", "--p", "3", "--degree", "7")
-        assert code == 1
-        assert "<= 6" in err
+        code, out, err = run(capsys, "chaincheck", "--p", "3", "--degree", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: chain check degree must be >= 0, got -1\n"
+        # At p = 3 degrees <= d hold 2^(d+1) - 1 generators.
+        past = next(d for d in itertools.count() if 2 ** (d + 1) - 1 > MAX_BAR_TENSORS)
+        code, out, err = run(capsys, "chaincheck", "--p", "3", "--degree", str(past))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "bar tensors" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "chaincheck", "--p", "3", "--degree", "2", "--format", "json")
@@ -197,7 +218,7 @@ class TestChaincheck:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "bar tensors" in err
-        assert "past the limit of 200000" in err
+        assert f"past the limit of {MAX_BAR_TENSORS}" in err
 
 
 # sha256 of the stdout of chaincheck reports, so that every identity line and

@@ -1,6 +1,7 @@
 """The compatibility system, its linearization, kernels, enumeration, census."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from orbifold.group_algebra import (
     GroupAlgebraElement as GA,
     TooLarge,
-    check_prime,
     gminus1,
     gminus1_power,
 )
@@ -312,8 +312,13 @@ def test_round_trips(p):
     check()
 
 
-def test_guard_variable_moves_sweeps_not_the_prime_ceiling(monkeypatch):
-    monkeypatch.setenv("ORBIFOLD_MAX_P", "7")
-    assert check_prime(11) == 11
-    with pytest.raises(TooLarge):
+def test_guard_variable_has_no_effect(monkeypatch):
+    # The sweep guards are fixed: ORBIFOLD_MAX_P in the environment moves
+    # neither, and both sweeps are refused before any work.
+    monkeypatch.setenv("ORBIFOLD_MAX_P", "11")
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="coefficient rows"):
         kernel_bruteforce(GA.one(11))
+    with pytest.raises(TooLarge, match="pair sweep needs p <= 5, got 7"):
+        enumerate_solutions(7, "brute_force")
+    assert time.perf_counter() - start < 1
