@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .group_algebra import GroupAlgebraElement, json_int
 
-QUAD_MONOMIALS = ("v1^2", "v1*v2", "v2^2")
-
 
 @dataclass(frozen=True)
 class Vector:
@@ -94,10 +92,6 @@ class VGroupElement:
     def is_zero(self) -> bool:
         return self.row1.is_zero() and self.row2.is_zero()
 
-    def column(self, i: int) -> Vector:
-        """The V-part of the g^i component."""
-        return Vector(self.p, self.row1.coeffs[i], self.row2.coeffs[i])
-
     def to_text(self) -> str:
         parts = []
         for name, row in (("v1", self.row1), ("v2", self.row2)):
@@ -114,15 +108,6 @@ class VGroupElement:
             GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v1"])),
             GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v2"])),
         )
-
-
-def act_ga(x: VGroupElement, h: int) -> VGroupElement:
-    """Apply g^h to the V-part of every group-basis column.
-
-    g^h fixes v1 and maps v2 to h*v1 + v2, so the v1-row gains h times the
-    v2-row and the v2-row is unchanged.
-    """
-    return VGroupElement(x.row1 + x.row2.scale(h), x.row2)
 
 
 @dataclass(frozen=True)

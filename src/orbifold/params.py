@@ -27,6 +27,17 @@ from .action import VGroupElement
 from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, json_int, scalar_inv
 
 
+def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    """Refuse anything but a JSON object whose keys are all in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a {what} object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(
+                f"unexpected key {key!r} in the {what} object; expected {', '.join(keys)}"
+            )
+
+
 @dataclass(frozen=True)
 class DeformationParams:
     """Tables (lambda, kappa^C, kappa^L) over a fixed prime p.
@@ -94,22 +105,26 @@ class DeformationParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DeformationParams":
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a parameter object, got {type(obj).__name__}")
+        """Read the tables of to_json; an entry the tables do not use is an error."""
+        _only_keys(obj, ("p", "lambda", "kappaC", "kappaL"), "parameter")
         try:
             p = check_prime(json_int(obj["p"]))
-            lam = tuple(
-                (
-                    GroupAlgebraElement.from_coeffs(p, map(json_int, row[0])),
-                    GroupAlgebraElement.from_coeffs(p, map(json_int, row[1])),
-                )
-                for row in obj["lambda"]
-            )
+            lam = []
+            for i, row in enumerate(obj["lambda"]):
+                if not (isinstance(row, list) and len(row) == 2
+                        and all(isinstance(x, list) for x in row)):
+                    raise ValueError(
+                        f"lambda row at g^{i} must be two coefficient lists, got {row!r}"
+                    )
+                lam.append(tuple(
+                    GroupAlgebraElement.from_coeffs(p, map(json_int, x)) for x in row
+                ))
             kappaC = GroupAlgebraElement.from_coeffs(p, map(json_int, obj["kappaC"]))
+            _only_keys(obj["kappaL"], ("v1", "v2"), "kappaL")
             kappaL = VGroupElement.from_json(p, obj["kappaL"])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed parameter JSON: {exc}") from exc
-        return cls(p, lam, kappaC, kappaL)
+        return cls(p, tuple(lam), kappaC, kappaL)
 
     def to_text(self) -> str:
         """Stable multi-line rendering used by golden-file tests."""

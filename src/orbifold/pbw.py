@@ -1,10 +1,19 @@
-"""Direct evaluation of the six lifting conditions on a parameter set.
+"""The six lifting conditions on a parameter set, as identities on its tables.
 
 A parameter pair (lambda, kappa) defines a filtered quotient of T(V) x| G;
 the quotient has the expected monomial basis exactly when six compatibility
-conditions hold.  Conditions (1), (3), (6) are cocycle conditions, (2) is
-the bracket condition coupling lambda to itself and to kappa^L, and (4), (5)
-hold identically when dim V = 2, which is the only case built here.
+conditions hold (Shepler-Witherspoon, PBW deformations of skew group algebras
+in positive characteristic).  Here V = F_p^2 and g is the transvection
+v1 -> v1, v2 -> v1 + v2, written into the formulas:
+
+* (1), the cocycle condition on lambda, compares coefficients of F_pG;
+* (2), the bracket condition coupling lambda to itself and to kappa^L, is
+  one product identity in the commutative ring F_pG at each g^i;
+* (3), the equivariance of kappa^L against lambda, is one scalar identity
+  at each (g^i, g^n), because every power of g fixes v1 and has
+  determinant 1;
+* (4), (5) and (6) are alternating in three vectors of V, so they hold
+  identically when dim V = 2, which is the only case built here.
 
 Each check returns its list of residual witnesses in a deterministic
 (lexicographic) order; a condition passes exactly when its list is empty.
@@ -14,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .action import Vector, act, sym_mul, v1, v2
 from .params import DeformationParams
 
 DIM2_NOTE = "holds identically for a two-dimensional V; nothing to evaluate"
@@ -77,92 +85,76 @@ def check_condition1(params: DeformationParams) -> list:
 
 
 def check_condition2(params: DeformationParams) -> list:
-    """The bracket condition at (u, v) = (v1, v2) for every g^i.
+    """The bracket condition at (u, v) = (v1, v2), one identity in F_pG per g^i.
 
-    RHS = lambda(lambda(g,v2), v1) - lambda(lambda(g,v1), v2)
-          + sum_m lambda(g, kappa^L_m(v1,v2)) g^m,
-    LHS = kappa^C(g.v1, g.v2) g - g kappa^C(v1, v2), which vanishes here
-    because every power of the transvection has determinant 1.  Other
-    input pairs are redundant by bilinearity and antisymmetry.
+    The residual at g^i is
+
+        lambda(lambda(g^i, v2), v1) - lambda(lambda(g^i, v1), v2)
+        + lambda(g^i, v1) kappa^L_1 + lambda(g^i, v2) kappa^L_2,
+
+    where kappa^L_j is the v_j row of kappa^L: the sum over m of
+    lambda(g^i, kappa^L_m(v1, v2)) g^m is this product because F_pG is
+    commutative.  The kappa^C side, kappa^C(g.v1, g.v2) g - g kappa^C(v1, v2),
+    is (det g^i - 1) kappa^C g^i = 0, because every power of the transvection
+    has determinant 1.  Other input pairs are redundant by bilinearity and
+    antisymmetry.  Witnesses are (i, residual coefficients).
     """
-    p = params.p
+    kappa1, kappa2 = params.kappaL.row1, params.kappaL.row2
     bad = []
-    e1, e2 = v1(p), v2(p)
-    for i in range(p):
-        rhs = params.lam_ga(params.lam[i][1], 1) - params.lam_ga(params.lam[i][0], 2)
-        for m in range(p):
-            col = params.kappaL.column(m)
-            if not col.is_zero():
-                rhs = rhs + params.lam_v(i, col.x1, col.x2).shift(m)
-        det = _wedge_coeff(act(i, e1), act(i, e2))
-        lhs = params.kappaC.scale(det).shift(i) - params.kappaC.shift(i)
-        residual = rhs - lhs
+    for i, (lam1, lam2) in enumerate(params.lam):
+        residual = (
+            params.lam_ga(lam2, 1) - params.lam_ga(lam1, 2) + lam1 * kappa1 + lam2 * kappa2
+        )
         if not residual.is_zero():
             bad.append((i, list(residual.coeffs)))
     return bad
 
 
 def check_condition3(params: DeformationParams) -> list:
-    """g.(kappa^L at g^-1 h) - (kappa^L at h g^-1)(g.u, g.v) matches the
-    lambda coefficient pairing, at (u, v) = (v1, v2) for all g^i, h = g^n.
+    """g.kappa^L_(g^-1 h)(u, v) - kappa^L_(h g^-1)(g.u, g.v)
+    = (h.v - g.v) lambda_h(g, u) - (h.u - g.u) lambda_h(g, v)
+    at (u, v) = (v1, v2) for all g = g^i and h = g^n, where lambda_h(g, u)
+    is the coefficient of h in lambda(g, u).
 
-    Witnesses are (i, n) pairs with the residual vector in V.
+    g^i fixes v1, sends v2 to v2 + i v1 and has determinant 1, so both sides
+    are multiples of v1 and the residual is r v1 with
+
+        r = i kappa^L_2[n - i] - (n - i) lambda(g^i, v1)[n].
+
+    Witnesses are (i, n) pairs with the residual vector [r, 0] in V.
     """
     p = params.p
+    kappa2 = params.kappaL.row2.coeffs
     bad = []
-    e1, e2 = v1(p), v2(p)
     for i in range(p):
-        gu, gv = act(i, e1), act(i, e2)
+        lam1 = params.lam[i][0].coeffs
         for n in range(p):
-            m = (n - i) % p
-            col = params.kappaL.column(m)
-            lhs = act(i, col) - col.scale(_wedge_coeff(gu, gv))
-            rhs = (act(n, e2) - gv).scale(params.lam[i][0].coeffs[n]) - (
-                act(n, e1) - gu
-            ).scale(params.lam[i][1].coeffs[n])
-            residual = lhs - rhs
-            if not residual.is_zero():
-                bad.append(((i, n), [residual.x1, residual.x2]))
+            r = (i * kappa2[(n - i) % p] - (n - i) * lam1[n]) % p
+            if r:
+                bad.append(((i, n), [r, 0]))
     return bad
 
 
 def check_condition6(params: DeformationParams) -> list:
-    """kappa^L_g(u,v)(w - g.w) + cyclic = 0 in degree-2 polynomials,
-    for every g^i and every ordered triple over {v1, v2}.
+    """kappa^L_g(u, v)(w - g.w) + cyclic = 0 in S(V)_2 (x) F_pG, for every
+    g^i and u, v, w in V.  It holds for every parameter set.
 
-    Witnesses are (i, (u, v, w)) with the residual monomial coefficients.
+    The cyclic sum is trilinear in (u, v, w) and invariant under cyclic
+    permutation.  It vanishes when u = v, since kappa^L_g(u, u) = 0 and the
+    other two terms cancel by antisymmetry, so it vanishes whenever two
+    arguments are equal.  Over the basis {v1, v2} every triple repeats a
+    vector, so the sum is zero for a two-dimensional V, just as conditions
+    (4) and (5) are.
     """
-    p = params.p
-    bad = []
-    basis = {1: v1(p), 2: v2(p)}
-    for i in range(p):
-        col = params.kappaL.column(i)
-        for mu in (1, 2):
-            for mv in (1, 2):
-                for mw in (1, 2):
-                    u, v, w = basis[mu], basis[mv], basis[mw]
-                    total = sym_mul(col.scale(_wedge_coeff(u, v)), w - act(i, w))
-                    total = total + sym_mul(col.scale(_wedge_coeff(v, w)), u - act(i, u))
-                    total = total + sym_mul(col.scale(_wedge_coeff(w, u)), v - act(i, v))
-                    if not total.is_zero():
-                        bad.append(
-                            (
-                                (i, (mu, mv, mw)),
-                                [
-                                    total.q11.coeffs[0],
-                                    total.q12.coeffs[0],
-                                    total.q22.coeffs[0],
-                                ],
-                            )
-                        )
-    return bad
+    return []
 
 
 def check_all(params: DeformationParams) -> ConditionReport:
     """Run all six checks; the parameter set is PBW exactly when all pass.
 
-    Conditions (4) and (5) hold identically for a two-dimensional V, so they
-    pass with no witnesses and carry DIM2_NOTE.
+    Conditions (4), (5) and (6) hold identically for a two-dimensional V:
+    (4) and (5) pass with no witnesses and carry DIM2_NOTE, and (6) is
+    check_condition6, which returns no witnesses.
     """
     checks = {1: check_condition1, 2: check_condition2, 3: check_condition3, 6: check_condition6}
     witnesses = {i: checks[i](params) if i in checks else [] for i in range(1, 7)}

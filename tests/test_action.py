@@ -2,8 +2,7 @@
 
 import random
 
-from orbifold.action import Vector, VGroupElement, act, act_ga, sym_mul, v1, v2
-from orbifold.group_algebra import GroupAlgebraElement as GA
+from orbifold.action import Vector, act, sym_mul, v1, v2
 
 
 def test_act_on_v2():
@@ -50,30 +49,6 @@ def test_action_matrix_has_determinant_one():
             c1, c2 = act(i, v1(p)), act(i, v2(p))
             det = (c1.x1 * c2.x2 - c1.x2 * c2.x1) % p
             assert det == 1
-
-
-def test_act_ga_identity_column_wise():
-    p = 3
-    x = VGroupElement(GA.from_text(p, "1+g"), GA.from_text(p, "g^2"))
-    assert act_ga(x, 0) == x
-
-
-def test_act_ga_on_v2_tensor_one():
-    p = 3
-    x = VGroupElement(GA.zero(p), GA.one(p))  # v2 (x) 1
-    assert act_ga(x, 1) == VGroupElement(GA.one(p), GA.one(p))  # (v1+v2) (x) 1
-
-
-def test_act_ga_linear():
-    p = 5
-    rng = random.Random(7)
-    for _ in range(30):
-        x = VGroupElement(GA.random(rng, p), GA.random(rng, p))
-        y = VGroupElement(GA.random(rng, p), GA.random(rng, p))
-        h = rng.randrange(p)
-        c = rng.randrange(p)
-        assert act_ga(x + y, h) == act_ga(x, h) + act_ga(y, h)
-        assert act_ga(x.scale(c), h) == act_ga(x, h).scale(c)
 
 
 def test_sym_mul_cross_term():

@@ -2,12 +2,14 @@
 
 perfbench/ is only read here.  Its tracer names functions of the package by
 "module:attribute" targets, and its workloads drive the command line with
-fixed argument lists; a change to the package that drops a traced name or
-an option the workloads pass fails here, before the benchmark breaks.
+fixed argument lists and parameter files; a change to the package that drops
+a traced name or an option the workloads pass, or refuses a file they write,
+fails here, before the benchmark breaks.
 """
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import orbifold.cli as cli
+from orbifold.params import DeformationParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TARGET = re.compile(r"[a-z_]+:[A-Za-z_][\w.]*")
@@ -62,7 +65,10 @@ def test_tracer_installs_and_restores():
     assert cli.main is main
 
 
-def test_every_workload_command_parses(tmp_path):
+@pytest.fixture()
+def written(tmp_path):
+    """The three workloads, and the directories of parameter files that the
+    certify workload and the warm-ups write."""
     workloads = perfbench_module("workloads")
     warm, files = tmp_path / "warmup", tmp_path / "params"
     warm.mkdir()
@@ -73,6 +79,11 @@ def test_every_workload_command_parses(tmp_path):
         workloads.certify_workload(1, str(files), warmup_dir=str(warm)),
         workloads.chains_workload(warmup_dir=str(warm)),
     ]
+    return built, (warm, files)
+
+
+def test_every_workload_command_parses(written):
+    built, _ = written
     parser = cli.build_parser()
     for workload in built:
         assert workload.ops and workload.warmups
@@ -81,3 +92,16 @@ def test_every_workload_command_parses(tmp_path):
                 parser.parse_args(op.argv)
             except SystemExit:
                 pytest.fail(f"{workload.name}: {op.argv} does not parse")
+
+
+def test_every_params_file_loads(written):
+    """The parameter reader refuses entries it would ignore; the files the
+    benchmark writes have none.  A file holding null stands for a failed op."""
+    _, (warm, files) = written
+    loaded = []
+    for path in sorted(warm.glob("*.json")) + sorted(files.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if obj is not None:
+            DeformationParams.from_json(obj)
+            loaded.append(path.parent.name)
+    assert loaded.count("warmup") == 2 and "params" in loaded

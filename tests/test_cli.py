@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from orbifold.action import VGroupElement
 from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
-from orbifold.params import DeformationParams, closed_form
+from orbifold.params import DeformationParams, build_candidate, closed_form
 from orbifold.solver import enumerate_solutions, records_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,8 +105,6 @@ class TestCheck:
         assert "oracle (degree 4): pass" in out
 
     def test_oracle_json_key_set(self, capsys, params_file, tmp_path):
-        from orbifold.params import build_candidate
-
         keys = {"degree", "associative", "witness", "dimension", "dimension_rows"}
         code, out, _ = run(capsys, "check", str(params_file), "--oracle", "--format", "json")
         assert code == 0
@@ -136,8 +135,6 @@ class TestCheck:
         assert err == "error: degree bound must be <= 16, got 1500\n"
 
     def test_nonsolution_exits_two_with_witness(self, capsys, tmp_path):
-        from orbifold.params import build_candidate
-
         params = build_candidate(GA.from_text(3, "g"), GA.from_text(3, "1-g"))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(params.to_json()))
@@ -167,6 +164,23 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path), "--format", "json")
         assert code == 1 and out == ""
         assert err.startswith("cannot load parameters: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["lambda"][1].append([2, 2, 2]),
+         "lambda row at g^1 must be two coefficient lists, got "
+         "[[0, 1, 2], [1, 0, 1], [2, 2, 2]]"),
+        (lambda obj: obj["kappaL"].update(v3=[1, 1, 1]),
+         "unexpected key 'v3' in the kappaL object; expected v1, v2"),
+        (lambda obj: obj.update(comment="x"),
+         "unexpected key 'comment' in the parameter object; expected p, lambda, kappaC, kappaL"),
+    ], ids=["third_lambda_list", "kappaL_key", "top_level_key"])
+    def test_ignored_entries_exit_one_naming_them(self, capsys, tmp_path, edit, message):
+        obj = closed_form(GA.from_text(3, "1-g"), [-1]).to_json()
+        edit(obj)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(path), "--oracle")
+        assert (code, out, err) == (1, "", f"cannot load parameters: {message}\n")
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
@@ -240,6 +254,67 @@ def test_chaincheck_stdout_is_pinned(capsys, argv):
     code, out, _ = run(capsys, "chaincheck", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CHAINCHECK_STDOUT_SHA256[argv]
+
+
+def check_files(p=3):
+    """A PBW parameter set and one that fails each of conditions 1, 2 and 3 first."""
+    z = GA.zero(p)
+    return {
+        "pbw": closed_form(GA.from_text(p, "1-g"), [-1]),
+        "condition1": DeformationParams(
+            p, ((z, z), (GA.one(p), z)) + ((z, z),) * (p - 2), z, VGroupElement.zero(p)
+        ),
+        "condition2": build_candidate(GA.g(p), GA.from_text(p, "1-g")),
+        "condition3": DeformationParams(p, ((z, z),) * p, z, VGroupElement(z, GA.one(p))),
+    }
+
+
+# sha256 of the stdout of check on each file of check_files, so that every
+# condition line and witness is pinned; the exit code is 0 for the PBW file
+# and 2 for the others, and stderr is empty.
+CHECK_STDOUT_SHA256 = {
+    ("pbw", "json", False): "170866a3fba86818e460c9d1bf32e32d010797a6bc7b5baadde61dbf056df700",
+    ("pbw", "json", True): "216c7a02c95eb09bfb1cc9226b483da49dac2adbb3e57b1a5c002d1fc852ff86",
+    ("pbw", "text", False): "7a308cc89d404d362e924577c0bcaf0fce7e8293af163f9a4c039d44912f5344",
+    ("pbw", "text", True): "0adae3fd82814687f9c2ceedfad1f6062b56d0e6f513dac775e46e1f8bec9be6",
+    ("condition1", "json", False):
+        "042f25c89d543cd6b62346aacf3655f6b1424a10099cadaff27381089fbd9abe",
+    ("condition1", "json", True):
+        "61490591da645cf8f20a3935a497108dff86b23f8c42abe943a008215464ef97",
+    ("condition1", "text", False):
+        "6ddf53d2e77783515f1d862dcc1803acc3d4efa23f8ee356b50529a2ebb076ed",
+    ("condition1", "text", True):
+        "45dbefde5cce79f2cc60b5a2743ea2de2baea545aba74a1a0716a5122b57fa8c",
+    ("condition2", "json", False):
+        "e677fa6029265d59b915f9990625b26a5122fe911f0c449a594a7b42ef49cecd",
+    ("condition2", "json", True):
+        "700596c4d1e01ce04f3a0aa1c04db55fce105c5496060ecd3aab7abe72d1f2e2",
+    ("condition2", "text", False):
+        "5863954240daa30aed7ed47df1b7159e31273d7f6f9a11bf07cd8bd9cb77ec96",
+    ("condition2", "text", True):
+        "adf66c624c88d2b5446c2d6a54a7f32365d1c3e1a4e3a15a79afe92fc26fa67d",
+    ("condition3", "json", False):
+        "a4e945b8c698a7a318a989f45e64ca66c3d98f4a1e2b0e400a8d7ac5107ac188",
+    ("condition3", "json", True):
+        "3400bcd83ed9f97f5126b1258904e540e9210d59c22495f9d17e8f1eba12beb4",
+    ("condition3", "text", False):
+        "b213ce21617e929d65dae50460f86f0647258296f02310088f3697ae3b7cdb91",
+    ("condition3", "text", True):
+        "282cb8d9c6e92683f52ba9d4092d7d2fec2c1a006961e34c37f1802969de3536",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(CHECK_STDOUT_SHA256),
+    ids=lambda case: f"{case[0]}-{case[1]}{'-oracle' if case[2] else ''}",
+)
+def test_check_stdout_is_pinned(capsys, tmp_path, case):
+    name, fmt, oracle = case
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(check_files()[name].to_json()))
+    code, out, err = run(capsys, "check", str(path), "--format", fmt, *(["--oracle"] if oracle else []))
+    assert (code, err) == ((0 if name == "pbw" else 2), "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT_SHA256[case]
 
 
 class TestBuild:

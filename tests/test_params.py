@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -205,6 +206,27 @@ class TestSerialization:
             DeformationParams.from_json({"p": 3})
         with pytest.raises(ValueError):
             DeformationParams.from_json("nope")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["lambda"][1].append([2, 2, 2]),
+         "lambda row at g^1 must be two coefficient lists"),
+        (lambda obj: obj["lambda"][2].pop(), "lambda row at g^2 must be two coefficient lists"),
+        (lambda obj: obj["lambda"][1].__setitem__(1, 0),
+         "lambda row at g^1 must be two coefficient lists"),
+        (lambda obj: obj["kappaL"].update(v3=[1, 1, 1]),
+         "unexpected key 'v3' in the kappaL object; expected v1, v2"),
+        (lambda obj: obj.update(kappaL=[[0, 0, 0], [0, 0, 0]]),
+         "expected a kappaL object, got list"),
+        (lambda obj: obj.update(comment="x"),
+         "unexpected key 'comment' in the parameter object; expected p, lambda, kappaC, kappaL"),
+    ], ids=["third_lambda_list", "one_lambda_list", "lambda_scalar", "kappaL_v3",
+            "kappaL_list", "top_level_key"])
+    def test_from_json_rejects_entries_it_would_ignore(self, edit, message):
+        obj = closed_form(ga(3, "1-g"), [-1]).to_json()
+        DeformationParams.from_json(obj)
+        edit(obj)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeformationParams.from_json(obj)
 
     def test_identity_row_enforced(self):
         p = 3

@@ -2,7 +2,9 @@
 
 import random
 
-from orbifold.action import VGroupElement
+from hypothesis import given, settings, strategies as st
+
+from orbifold.action import Vector, VGroupElement, act, sym_mul, v1, v2
 from orbifold.group_algebra import GroupAlgebraElement as GA
 from orbifold.params import (
     CoboundaryData,
@@ -29,6 +31,109 @@ def all_pairs(p):
     for a in GA.all_elements(p):
         for b in GA.all_elements(p):
             yield a, b
+
+
+# -- reference ---------------------------------------------------------------
+# Conditions 2, 3 and 6 evaluated through the action on V, as pbw.py did
+# before it wrote the transvection into the formulas; kept as a cross-check.
+
+
+def wedge_coeff(u, w):
+    """The coefficient of (v1, v2) in the antisymmetric extension at (u, w)."""
+    return (u.x1 * w.x2 - u.x2 * w.x1) % u.p
+
+
+def kappa_column(params, m):
+    """The V-part of the g^m component of kappa^L(v1, v2)."""
+    return Vector(params.p, params.kappaL.row1.coeffs[m], params.kappaL.row2.coeffs[m])
+
+
+def reference_condition2(params):
+    p = params.p
+    bad = []
+    e1, e2 = v1(p), v2(p)
+    for i in range(p):
+        rhs = params.lam_ga(params.lam[i][1], 1) - params.lam_ga(params.lam[i][0], 2)
+        for m in range(p):
+            col = kappa_column(params, m)
+            if not col.is_zero():
+                rhs = rhs + params.lam_v(i, col.x1, col.x2).shift(m)
+        det = wedge_coeff(act(i, e1), act(i, e2))
+        lhs = params.kappaC.scale(det).shift(i) - params.kappaC.shift(i)
+        residual = rhs - lhs
+        if not residual.is_zero():
+            bad.append((i, list(residual.coeffs)))
+    return bad
+
+
+def reference_condition3(params):
+    p = params.p
+    bad = []
+    e1, e2 = v1(p), v2(p)
+    for i in range(p):
+        gu, gv = act(i, e1), act(i, e2)
+        for n in range(p):
+            col = kappa_column(params, (n - i) % p)
+            lhs = act(i, col) - col.scale(wedge_coeff(gu, gv))
+            rhs = (act(n, e2) - gv).scale(params.lam[i][0].coeffs[n]) - (
+                act(n, e1) - gu
+            ).scale(params.lam[i][1].coeffs[n])
+            residual = lhs - rhs
+            if not residual.is_zero():
+                bad.append(((i, n), [residual.x1, residual.x2]))
+    return bad
+
+
+def reference_condition6(params):
+    p = params.p
+    bad = []
+    basis = {1: v1(p), 2: v2(p)}
+    for i in range(p):
+        col = kappa_column(params, i)
+        for mu in (1, 2):
+            for mv in (1, 2):
+                for mw in (1, 2):
+                    u, v, w = basis[mu], basis[mv], basis[mw]
+                    total = sym_mul(col.scale(wedge_coeff(u, v)), w - act(i, w))
+                    total = total + sym_mul(col.scale(wedge_coeff(v, w)), u - act(i, u))
+                    total = total + sym_mul(col.scale(wedge_coeff(w, u)), v - act(i, v))
+                    if not total.is_zero():
+                        bad.append((
+                            (i, (mu, mv, mw)),
+                            [total.q11.coeffs[0], total.q12.coeffs[0], total.q22.coeffs[0]],
+                        ))
+    return bad
+
+
+@st.composite
+def tables(draw):
+    """Arbitrary tables (lambda, kappa^C, kappa^L) at p = 3, 5 or 7, about half
+    of their coefficients zero so that some conditions hold at some g^i."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    coeff = st.just(0) | st.integers(0, p - 1)
+    element = st.lists(coeff, min_size=p, max_size=p).map(lambda c: GA.from_coeffs(p, c))
+    z = GA.zero(p)
+    lam = ((z, z),) + tuple((draw(element), draw(element)) for _ in range(p - 1))
+    return DeformationParams(p, lam, draw(element), VGroupElement(draw(element), draw(element)))
+
+
+class TestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_conditions_equal_the_reference_on_arbitrary_tables(self, params):
+        assert check_condition2(params) == reference_condition2(params)
+        assert check_condition3(params) == reference_condition3(params)
+        assert check_condition6(params) == reference_condition6(params) == []
+
+    def test_conditions_equal_the_reference_on_shifted_candidates(self):
+        rng = random.Random(19)
+        for p in (3, 5, 7):
+            for _ in range(20):
+                params = build_candidate(GA.random(rng, p), GA.random(rng, p))
+                f = CoboundaryData(GA.random(rng, p), GA.random(rng, p))
+                params = add_coboundary(params, f).with_kappaC(GA.random(rng, p))
+                assert check_condition2(params) == reference_condition2(params)
+                assert check_condition3(params) == reference_condition3(params) == []
 
 
 class TestCondition1:
