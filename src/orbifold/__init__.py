@@ -5,7 +5,6 @@ from .action import Quad2GroupElement, Vector, VGroupElement, act, sym_mul, v1, 
 from .chains import (
     BarGroupChain,
     PeriodicChain,
-    TwistedCochain2,
     bar_differential,
     iota_chain,
     iota_group,
@@ -30,6 +29,7 @@ from .params import (
     add_coboundary,
     build_candidate,
     closed_form,
+    coboundary,
     implied_a,
     mu,
     params_to_ab,

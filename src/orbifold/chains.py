@@ -46,7 +46,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from .action import VGroupElement
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
-from .params import CoboundaryData, DeformationParams
+from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
 # sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4) take about 2.5 s on a
@@ -89,9 +89,6 @@ class _Chain:
     p: int
     degree: int
     terms: tuple
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -333,32 +330,15 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
     return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
 
 
-@dataclass(frozen=True)
-class TwistedCochain2:
-    """A graded 2-cochain on the bar-twisted resolution of the skew group algebra.
-
-    Graded degree -1 forces the value on pairs of group elements to vanish;
-    the group-vector slot takes values in F_pG and the wedge slot in
-    V (x) F_pG.
-    """
-
-    p: int
-    on_group_vector: tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], ...]
-    on_wedge: VGroupElement
-
-    def group_vector(self, i: int, m: int) -> GroupAlgebraElement:
-        """Value on g^i (x) v_m."""
-        return self.on_group_vector[i][m - 1]
-
-
 def transfer_cochain(
     lambda_prime: tuple[GroupAlgebraElement, GroupAlgebraElement],
     alpha: VGroupElement,
-) -> TwistedCochain2:
+) -> DeformationParams:
     """Pull a 2-cochain on the periodic-twisted resolution back along pi.
 
-    The result vanishes on group pairs, takes sum_(l=0)^(i-1)
-    lambda'(g^l . v) g^(i-1) on (g^i, v), and restricts to alpha on the wedge.
+    The result has graded degree -1, so it vanishes on group pairs and is a
+    parameter set with kappa^C = 0: lambda(g^i, v) = sum_(l=0)^(i-1)
+    lambda'(g^l . v) g^(i-1), and kappa^L is alpha, its value on the wedge.
     """
     lp1, lp2 = lambda_prime
     p = lp1.p
@@ -371,7 +351,7 @@ def transfer_cochain(
             val1 = val1 + lp1
             val2 = val2 + lp1.scale(l) + lp2
         table.append((val1.shift(i - 1) if i else val1, val2.shift(i - 1) if i else val2))
-    return TwistedCochain2(p, tuple(table), alpha)
+    return DeformationParams(p, tuple(table), GroupAlgebraElement.zero(p), alpha)
 
 
 def distinguished_cocycle(
@@ -393,7 +373,7 @@ def distinguished_cocycle(
 
 
 def rep_to_params(a: GroupAlgebraElement, b: GroupAlgebraElement) -> DeformationParams:
-    """Transfer the distinguished cocycle of (a, b) and package it as parameters.
+    """Transfer the distinguished cocycle of (a, b) to parameter tables.
 
     The output must coincide with the directly constructed candidate tables;
     that agreement is the bridge between the resolution on which cohomology
@@ -401,24 +381,4 @@ def rep_to_params(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformation
     """
     if a.p != b.p:
         raise ValueError("mismatched primes")
-    lambda_prime, alpha = distinguished_cocycle(a, b)
-    cochain = transfer_cochain(lambda_prime, alpha)
-    return DeformationParams(
-        a.p, cochain.on_group_vector, GroupAlgebraElement.zero(a.p), cochain.on_wedge
-    )
-
-
-def coboundary_cochain(f: CoboundaryData) -> TwistedCochain2:
-    """The coboundary of a linear map f: V -> F_pG, as a 2-cochain.
-
-    Vanishes on group pairs and on (g^i, v1); takes -i f(v1) g^i on
-    (g^i, v2) and sum_j j f_j(v1) v1 g^j on the wedge.
-    """
-    p = f.p
-    zero = GroupAlgebraElement.zero(p)
-    table = tuple((zero, -f.f1.scale(i).shift(i)) for i in range(p))
-    wedge = VGroupElement(
-        GroupAlgebraElement.from_coeffs(p, tuple(j * c for j, c in enumerate(f.f1.coeffs))),
-        zero,
-    )
-    return TwistedCochain2(p, table, wedge)
+    return transfer_cochain(*distinguished_cocycle(a, b))

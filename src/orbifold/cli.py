@@ -219,16 +219,19 @@ def cmd_build(args) -> int:
 
 def _parse_coboundary(p: int, text: str) -> CoboundaryData:
     """Parse "v1:ELEM" or "v1:ELEM,v2:ELEM" into a linear map V -> F_pG."""
-    values = {"v1": GroupAlgebraElement.zero(p), "v2": GroupAlgebraElement.zero(p)}
+    values = {}
     for piece in text.split(","):
         if ":" not in piece:
             raise UsageError(f"bad --f entry {piece!r}: expected v1:ELEM or v2:ELEM")
         name, _, elem = piece.partition(":")
         name = name.strip()
-        if name not in values:
+        if name not in ("v1", "v2"):
             raise UsageError(f"bad --f entry {piece!r}: unknown vector {name!r}")
+        if name in values:
+            raise UsageError(f"bad --f entry {piece!r}: repeated vector {name!r}")
         values[name] = _parse_element(p, elem, f"--f {name}")
-    return CoboundaryData(values["v1"], values["v2"])
+    zero = GroupAlgebraElement.zero(p)
+    return CoboundaryData(values.get("v1", zero), values.get("v2", zero))
 
 
 def cmd_census(args) -> int:

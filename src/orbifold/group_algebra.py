@@ -298,7 +298,7 @@ class GroupAlgebraElement:
 
     _TERM_RE = re.compile(
         r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)\s*\*?\s*(?:g(?:\^(?P<exp1>\d+))?)?"
+        r"(?P<coeff>\d+)(?:\s*\*?\s*g(?:\^(?P<exp1>\d+))?)?"
         r"|g(?:\^(?P<exp2>\d+))?"
         r")"
     )
@@ -307,7 +307,8 @@ class GroupAlgebraElement:
     def from_text(cls, p: int, text: str) -> "GroupAlgebraElement":
         """Parse the textual grammar: signed terms like "2*g^2", "g", "-1".
 
-        Accepts both "2*g" and "2g".  Exponents must lie in [0, p).
+        Accepts both "2*g" and "2g"; a "*" must be followed by g.  Exponents
+        must lie in [0, p).
         Raises ValueError with the offending position on bad input.
         """
         coeffs = [0] * p
@@ -363,6 +364,4 @@ def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     """(g-1)^k; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
     if k >= p:
         return GroupAlgebraElement.zero(p)
-    return GroupAlgebraElement.from_coeffs(
-        p, [(-1) ** ((k - j) % 2) * binom_mod(k, j, p) for j in range(p)]
-    )
+    return GroupAlgebraElement.from_gminus1_coords(p, [int(i == k) for i in range(p)])

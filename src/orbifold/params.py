@@ -8,9 +8,13 @@ the cohomologically admissible families:
 
 * ``build_candidate(a, b)`` -- the two-parameter family of cocycle
   representatives indexed by a pair of group-algebra elements,
-* ``add_coboundary`` -- the shift induced by a linear map f: V -> F_pG,
+* ``coboundary(f)`` -- the shift induced by a linear map f: V -> F_pG,
+  which ``add_coboundary`` adds to a parameter set,
 * ``closed_form(b, d, kappa_c)`` -- the fully solved family in which the
-  remaining degrees of freedom are the (g-1)-adic class data of b.
+  remaining degrees of freedom are the (g-1)-adic class data of b: the
+  candidate at (implied_a(b, d), b) with kappa^C added.
+
+Each family is written out once; the others are sums of these tables.
 
 lambda is stored on (group element, basis vector) pairs only; evaluation on
 general arguments is by bilinear extension, left-linear in the group-algebra
@@ -183,25 +187,26 @@ def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformati
     return DeformationParams(p, tuple(lam), GroupAlgebraElement.zero(p), kappaL)
 
 
-def add_coboundary(params: DeformationParams, f: CoboundaryData) -> DeformationParams:
-    """Shift params by the coboundary of f.  Only f(v1) matters; kappa^C is unchanged.
+def coboundary(f: CoboundaryData) -> DeformationParams:
+    """The parameter shift induced by f.  Only f(v1) matters; kappa^C = 0.
 
     lambda_cob(g^i, v1) = 0
     lambda_cob(g^i, v2) = -i * f(v1) * g^i
     kappa^L_cob(v1,v2)  = sum_j j * f_j(v1) * v1 g^j
     """
-    if params.p != f.p:
-        raise ValueError("mismatched primes")
-    p = params.p
-    lam = tuple(
-        (params.lam[i][0], params.lam[i][1] - f.f1.scale(i).shift(i)) for i in range(p)
-    )
+    p = f.p
+    zero = GroupAlgebraElement.zero(p)
+    lam = tuple((zero, -f.f1.scale(i).shift(i)) for i in range(p))
     kappaL = VGroupElement(
-        params.kappaL.row1
-        + GroupAlgebraElement.from_coeffs(p, tuple(j * c for j, c in enumerate(f.f1.coeffs))),
-        params.kappaL.row2,
+        GroupAlgebraElement.from_coeffs(p, tuple(j * c for j, c in enumerate(f.f1.coeffs))),
+        zero,
     )
-    return DeformationParams(p, lam, params.kappaC, kappaL)
+    return DeformationParams(p, lam, zero, kappaL)
+
+
+def add_coboundary(params: DeformationParams, f: CoboundaryData) -> DeformationParams:
+    """Shift params by the coboundary of f; kappa^C is unchanged."""
+    return params + coboundary(f)
 
 
 def mu(p: int, d: Sequence[int], j: int) -> int:
@@ -241,6 +246,7 @@ def closed_form(
                       + i sum_j j^(p-2) mu(d, j) g^(i+j)
     kappa(v1, v2)   = (d_1 - d_2 + ... +- d_k) v1 + sum_j j b_j v2 g^j + kappa^C
 
+    These are the candidate tables at (implied_a(b, d), b) plus kappa^C.
     len(d) must equal the (g-1)-adic class k of b.
     """
     p = b.p
@@ -251,26 +257,7 @@ def closed_form(
         kappaC = GroupAlgebraElement.zero(p)
     if kappaC.p != p:
         raise ValueError("mismatched primes")
-    d = [x % p for x in d]
-    mu_part = GroupAlgebraElement.from_coeffs(
-        p, tuple(scalar_inv(j, p) * mu(p, d, j) for j in range(p))
-    )
-    lam = []
-    for i in range(p):
-        row_v2 = GroupAlgebraElement.from_coeffs(
-            p,
-            tuple(
-                (binom_mod(i, 2, p) + i * scalar_inv(j, p) * binom_mod(j + 1, 2, p)) * bj
-                for j, bj in enumerate(b.coeffs)
-            ),
-        ).shift(i) + mu_part.scale(i).shift(i)
-        lam.append((b.scale(i).shift(i), row_v2))
-    alt = sum((-1) ** (m + 1) * dm for m, dm in enumerate(d, start=1)) % p
-    kappaL = VGroupElement(
-        GroupAlgebraElement.monomial(p, 0, alt),
-        GroupAlgebraElement.from_coeffs(p, tuple(j * bj for j, bj in enumerate(b.coeffs))),
-    )
-    return DeformationParams(p, tuple(lam), kappaC, kappaL)
+    return build_candidate(implied_a(b, d), b).with_kappaC(kappaC)
 
 
 def params_to_ab(

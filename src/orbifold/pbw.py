@@ -54,11 +54,6 @@ class ConditionReport:
         }
 
 
-def _wedge_coeff(u: Vector, w: Vector) -> int:
-    """The coefficient of (v1, v2) in the antisymmetric extension at (u, w)."""
-    return (u.x1 * w.x2 - u.x2 * w.x1) % u.p
-
-
 def check_condition1(params: DeformationParams) -> list:
     """lambda(g h, v) = lambda(g, h.v) h + g lambda(h, v) for all g, h, v.
 

@@ -353,7 +353,12 @@ def irreducible_words(rules: RuleSet, max_degree: int) -> list[Word]:
 
 def check_dimension(rules: RuleSet, degree_bound: int) -> tuple[bool, list[dict]]:
     """Compare irreducible-word counts against p * C(d+2, 2) for d <= degree_bound,
-    and confirm that reduce fixes each irreducible word, in one pass over the words."""
+    and confirm that reduce fixes each irreducible word, in one pass over the words.
+
+    The rows depend only on p: every RuleSet has the same left-hand sides, so
+    the same words are irreducible and reduce fixes each of them.  They cannot
+    fail on a parameter file; the overlap certificate alone decides PBW.
+    """
     p = rules.p
     counts = [0] * (degree_bound + 1)
     first_moved = degree_bound + 1  # lowest degree of a word that reduce moves

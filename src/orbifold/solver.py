@@ -213,16 +213,12 @@ def _affine(
 def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
     """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates.
 
-    The sweep is vectorized: phi_b is linear in c with matrix
-    M[l, m] = b_((m+l) mod p), so one matrix product tests every candidate.
-    Guarded by MAX_COEFF_ROWS, so p <= 7.
+    The sweep is vectorized: phi_b is linear in c, so one product with its
+    matrix tests every candidate.  Guarded by MAX_COEFF_ROWS, so p <= 7.
     """
     p = b.p
     rows = _all_coeff_rows(p)
-    matrix = np.array(
-        [[b.coeffs[(m + l) % p] for m in range(p)] for l in range(p)], dtype=np.int64
-    )
-    residuals = (rows @ matrix.T) % p
+    residuals = rows @ _linear_rows(p, lambda c: phi_b(b, c).coeffs) % p
     hits = np.flatnonzero(~residuals.any(axis=1))
     return {GroupAlgebraElement(p, tuple(int(x) for x in rows[i])) for i in hits}
 

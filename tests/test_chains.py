@@ -15,7 +15,6 @@ from orbifold.chains import (
     bar_basis,
     bar_differential,
     bar_grade,
-    coboundary_cochain,
     distinguished_cocycle,
     iota_chain,
     iota_group,
@@ -27,7 +26,13 @@ from orbifold.chains import (
     verify_chain_maps,
 )
 from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge
-from orbifold.params import CoboundaryData, DeformationParams, add_coboundary, build_candidate
+from orbifold.params import (
+    CoboundaryData,
+    DeformationParams,
+    add_coboundary,
+    build_candidate,
+    coboundary,
+)
 
 
 def ga(p, text):
@@ -281,16 +286,16 @@ class TestTransfer:
         alpha = VGroupElement(ga(p, "1+g"), ga(p, "g^2"))
         zero = GA.zero(p)
         cochain = transfer_cochain((zero, zero), alpha)
-        assert cochain.on_wedge == alpha
+        assert cochain.kappaL == alpha
         assert all(
-            cochain.group_vector(i, m).is_zero() for i in range(p) for m in (1, 2)
+            cochain.lam[i][m - 1].is_zero() for i in range(p) for m in (1, 2)
         )
 
     def test_identity_slot_is_empty_sum(self):
         p = 3
         cochain = transfer_cochain((ga(p, "1+g"), ga(p, "g")), VGroupElement.zero(p))
-        assert cochain.group_vector(0, 1).is_zero()
-        assert cochain.group_vector(0, 2).is_zero()
+        assert cochain.lam[0][0].is_zero()
+        assert cochain.lam[0][1].is_zero()
 
     def test_distinguished_cocycle_transfer_formulas(self):
         p = 3
@@ -301,10 +306,10 @@ class TestTransfer:
             cochain = transfer_cochain(lambda_prime, alpha)
             a_tail = GA.from_coeffs(p, (0,) + a.coeffs[1:])
             for i in range(p):
-                assert cochain.group_vector(i, 1) == b.scale(i).shift(i)
+                assert cochain.lam[i][0] == b.scale(i).shift(i)
                 binom = i * (i - 1) // 2
                 expected = b.scale(binom).shift(i) + a_tail.scale(i).shift(i)
-                assert cochain.group_vector(i, 2) == expected
+                assert cochain.lam[i][1] == expected
 
 
 class TestBridge:
@@ -329,16 +334,32 @@ class TestBridge:
         assert params.kappaL == VGroupElement(ga(p, "-1"), ga(p, "-g"))
 
 
+def reference_coboundary(f):
+    """The coboundary of f as a 2-cochain, written out: it vanishes on
+    (g^i, v1), takes -i f(v1) g^i on (g^i, v2) and sum_j j f_j(v1) v1 g^j on
+    the wedge."""
+    p = f.p
+    zero = GA.zero(p)
+    table = tuple((zero, -f.f1.scale(i).shift(i)) for i in range(p))
+    wedge = VGroupElement(
+        GA.from_coeffs(p, tuple(j * c for j, c in enumerate(f.f1.coeffs))), zero
+    )
+    return table, wedge
+
+
 class TestCoboundaryCochain:
     def test_matches_add_coboundary_on_every_slot(self):
         rng = random.Random(9)
         for p in (3, 5):
             for _ in range(30):
                 f = CoboundaryData(GA.random(rng, p), GA.random(rng, p))
-                cochain = coboundary_cochain(f)
+                cochain = coboundary(f)
+                table, wedge = reference_coboundary(f)
+                assert cochain == DeformationParams(p, table, GA.zero(p), wedge)
                 base = build_candidate(GA.random(rng, p), GA.random(rng, p))
                 shifted = add_coboundary(base, f)
                 for i in range(p):
-                    assert shifted.lam[i][0] - base.lam[i][0] == cochain.group_vector(i, 1)
-                    assert shifted.lam[i][1] - base.lam[i][1] == cochain.group_vector(i, 2)
-                assert shifted.kappaL - base.kappaL == cochain.on_wedge
+                    assert shifted.lam[i][0] - base.lam[i][0] == table[i][0]
+                    assert shifted.lam[i][1] - base.lam[i][1] == table[i][1]
+                assert shifted.kappaL - base.kappaL == wedge
+                assert shifted.kappaC == base.kappaC

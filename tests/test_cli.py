@@ -317,6 +317,67 @@ def test_check_stdout_is_pinned(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT_SHA256[case]
 
 
+# sha256 of the stdout of build, with the implied-a line it writes to stderr,
+# so that every table entry is pinned: unit and non-unit b, empty and
+# non-empty d, with and without kappa^C and a coboundary map.
+BUILD_STDOUT_SHA256 = {
+    ("--p", "3", "--b", "1+g", "--format", "json"): (
+        "implied a = g",
+        "0fa72cfc0bd836032b4f1a5506ea0df209d24cd33f82650c97152b87a2a4e289"),
+    ("--p", "3", "--b", "1+g", "--format", "text"): (
+        "implied a = g",
+        "4772ae1b3cd7616e76f039dc0b5f3120d5421a2fec26a7200ba8fd409ad84c39"),
+    ("--p", "3", "--b", "1-g", "--d", "-1", "--format", "json"): (
+        "implied a = -1 + g + g^2",
+        "ddc71e8b205251734969237b0b5df729275b77a22f82efe7394739394ac59b83"),
+    ("--p", "3", "--b", "1-g", "--d", "-1", "--format", "text"): (
+        "implied a = -1 + g + g^2",
+        "5c6e43fe5dbcdcc7d849d54e8a8c0ec80f3826fa06ce09bba563b9b29bf12544"),
+    ("--p", "3", "--b", "1-g", "--d", "-1", "--kappaC", "1+g", "--f", "v1:g",
+     "--format", "json"): (
+        "implied a = -1 + g + g^2",
+        "da5390370c3cf130c47e832459c6f119f9f8ab99f731b5ec752a489d834e0682"),
+    ("--p", "3", "--b", "1-g", "--d", "-1", "--kappaC", "1+g", "--f", "v1:g",
+     "--format", "text"): (
+        "implied a = -1 + g + g^2",
+        "08226434bc18e6112676eff14c38267e33394943e33cd72e76ac390995a2be13"),
+    ("--p", "3", "--b", "0", "--d", "1,2,1", "--f", "v1:1-g^2,v2:g", "--format", "json"): (
+        "implied a = g",
+        "a029c239a063583c7f9e1e01666650593c34e6287e807e0dfe623906f2f00b27"),
+    ("--p", "3", "--b", "0", "--d", "1,2,1", "--f", "v1:1-g^2,v2:g", "--format", "text"): (
+        "implied a = g",
+        "33c3a815c911aa5d71cf69c10be164cd22cd1020309e080c45748915f0bb5e5f"),
+    ("--p", "5", "--b", "2+g^3", "--kappaC", "1-g^4", "--format", "json"): (
+        "implied a = 2*g^3",
+        "635fe01e1168b80ac15741ffa519c5bc0c37bf92195c5a0d0963e71770485bda"),
+    ("--p", "5", "--b", "2+g^3", "--kappaC", "1-g^4", "--format", "text"): (
+        "implied a = 2*g^3",
+        "656b4b6a919d0b133d2ccb0f53423ef84b5c3c947bdadb835efdc4b2918d167f"),
+    ("--p", "5", "--b", "1-2g+g^2", "--d", "1,3", "--f", "v1:2g^3+1", "--format", "json"): (
+        "implied a = -2 - g + g^2 - g^3",
+        "4d72911dd9b6bcd425b91f52274990bd9d08bd713f560094fb2702401c963992"),
+    ("--p", "5", "--b", "1-2g+g^2", "--d", "1,3", "--f", "v1:2g^3+1", "--format", "text"): (
+        "implied a = -2 - g + g^2 - g^3",
+        "8c560c7dbf0389dc957e3b4c549b06bd2faa8c09ea7310c17b79ebebced83b5f"),
+    ("--p", "5", "--b", "g^2-g^3", "--d", "4", "--kappaC", "2g", "--f", "v1:g+g^4,v2:3",
+     "--format", "json"): (
+        "implied a = -1 - g + g^2 + g^3 + g^4",
+        "a265c5bc03cec91bd412f28c6deedec74cd651bd53f65ce11c580130a494de82"),
+    ("--p", "5", "--b", "g^2-g^3", "--d", "4", "--kappaC", "2g", "--f", "v1:g+g^4,v2:3",
+     "--format", "text"): (
+        "implied a = -1 - g + g^2 + g^3 + g^4",
+        "b3a1f5bf254674f914e2d7022e8eff3ed898035d80951bb37cb2f9490c3cb737"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BUILD_STDOUT_SHA256), ids=" ".join)
+def test_build_stdout_is_pinned(capsys, argv):
+    implied, digest = BUILD_STDOUT_SHA256[argv]
+    code, out, err = run(capsys, "build", *argv)
+    assert (code, err) == (0, implied + "\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBuild:
     def test_running_example(self, capsys):
         code, out, err = run(capsys, "build", "--p", "3", "--b", "1-g", "--d", "-1")
@@ -345,6 +406,22 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--p", "3", "--b", "1-q", "--d", "")
         assert code == 1
         assert "--b" in err
+
+    @pytest.mark.parametrize("text", ["2*", "2*+g"])
+    def test_dangling_star_exits_one(self, capsys, text):
+        code, out, err = run(capsys, "build", "--p", "3", "--b", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad --b: parse error at position 1")
+
+    @pytest.mark.parametrize("f, message", [
+        ("v1:g,v1:1", "bad --f entry 'v1:1': repeated vector 'v1'"),
+        ("v2:g, v2:1", "bad --f entry ' v2:1': repeated vector 'v2'"),
+        ("v1:g,v3:1", "bad --f entry 'v3:1': unknown vector 'v3'"),
+    ])
+    def test_bad_coboundary_entry_exits_one_naming_it(self, capsys, f, message):
+        code, out, err = run(capsys, "build", "--p", "3", "--b", "1-g", "--d", "-1", "--f", f)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestCensusAndKernel:

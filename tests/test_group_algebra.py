@@ -265,6 +265,12 @@ def test_text_parse_errors():
         GA.from_text(3, "1 1")
 
 
+@pytest.mark.parametrize("text", ["2*", "2*+g", "2 *", "g*", "*g"])
+def test_text_parse_refuses_a_star_without_g(text):
+    with pytest.raises(ValueError, match="parse error at position"):
+        GA.from_text(3, text)
+
+
 def test_json_round_trip():
     rng = random.Random(31)
     for p in (3, 5):

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from orbifold.action import VGroupElement
-from orbifold.group_algebra import GroupAlgebraElement as GA
+from orbifold.group_algebra import GroupAlgebraElement as GA, binom_mod, gminus1_power, scalar_inv
 from orbifold.params import (
     CoboundaryData,
     DeformationParams,
@@ -23,6 +23,35 @@ from orbifold.params import (
 
 def ga(p, text):
     return GA.from_text(p, text)
+
+
+def reference_closed_form(b, d, kappaC):
+    """The closed form written out term by term, as closed_form's docstring states it:
+
+    lambda(g^i, v1) = i b g^i
+    lambda(g^i, v2) = sum_j (C(i,2) + i j^(p-2) C(j+1,2)) b_j g^(i+j)
+                      + i sum_j j^(p-2) mu(d, j) g^(i+j)
+    kappa(v1, v2)   = (d_1 - d_2 + ... +- d_k) v1 + sum_j j b_j v2 g^j + kappa^C
+    """
+    p = b.p
+    d = [x % p for x in d]
+    mu_part = GA.from_coeffs(p, tuple(scalar_inv(j, p) * mu(p, d, j) for j in range(p)))
+    lam = []
+    for i in range(p):
+        row_v2 = GA.from_coeffs(
+            p,
+            tuple(
+                (binom_mod(i, 2, p) + i * scalar_inv(j, p) * binom_mod(j + 1, 2, p)) * bj
+                for j, bj in enumerate(b.coeffs)
+            ),
+        ).shift(i) + mu_part.scale(i).shift(i)
+        lam.append((b.scale(i).shift(i), row_v2))
+    alt = sum((-1) ** (m + 1) * dm for m, dm in enumerate(d, start=1)) % p
+    kappaL = VGroupElement(
+        GA.monomial(p, 0, alt),
+        GA.from_coeffs(p, tuple(j * bj for j, bj in enumerate(b.coeffs))),
+    )
+    return DeformationParams(p, tuple(lam), kappaC, kappaL)
 
 
 def running_example():
@@ -165,6 +194,26 @@ class TestClosedForm:
                 direct = closed_form(b, d, kappaC)
                 via_candidate = build_candidate(implied_a(b, d), b).with_kappaC(kappaC)
                 assert direct == via_candidate
+
+    def test_equals_reference_every_b_p3(self):
+        p = 3
+        rng = random.Random(17)
+        for b in GA.all_elements(p):
+            k = b.gminus1_factor().k
+            for d in itertools.product(range(-1, p - 1), repeat=k):
+                kappaC = GA.random(rng, p)
+                assert closed_form(b, list(d), kappaC) == reference_closed_form(b, d, kappaC)
+            assert closed_form(b, [0] * k) == reference_closed_form(b, [0] * k, GA.zero(p))
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_equals_reference_random(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            b = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
+            k = b.gminus1_factor().k
+            d = [rng.randrange(-p, 2 * p) for _ in range(k)]
+            kappaC = GA.random(rng, p)
+            assert closed_form(b, d, kappaC) == reference_closed_form(b, d, kappaC)
 
     def test_d_length_must_match_class(self):
         b = ga(3, "1-g")  # k = 1
