@@ -50,6 +50,21 @@ def _parse_element(p: int, text: str, what: str) -> GroupAlgebraElement:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write "--d -2,-1" as "--d=-2,-1" for the options whose values may start
+    with "-" (elements such as -g, d lists): argparse reads a separate value
+    that starts with "-" and is not a number as an option, an attached one as
+    the value."""
+    out: list[str] = []
+    for arg in argv:
+        after_value_option = out and out[-1] in ("--b", "--d", "--kappaC", "--f")
+        if after_value_option and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_common(sub: argparse.ArgumentParser, formats: tuple, need_p: bool = True) -> None:
     sub.add_argument("--p", type=int, required=need_p, default=None,
                      help="odd prime order of the group")
@@ -113,7 +128,7 @@ def cmd_enumerate(args) -> int:
         payload["total"] = total
         print(json.dumps(payload))
     elif args.format == "csv":
-        sys.stdout.write(records_to_csv(records))
+        records_to_csv(records, sys.stdout)
     else:
         for line in _census_lines(p, *_census(p)):
             print(line)
@@ -175,7 +190,7 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print(json.dumps(records_to_json(p, records)))
     elif args.format == "csv":
-        sys.stdout.write(records_to_csv(records))
+        records_to_csv(records, sys.stdout)
     else:
         sys.stdout.write(_table_text(p, records))
     return EXIT_OK
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

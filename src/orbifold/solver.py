@@ -18,10 +18,12 @@ The (g-1)-adic factorization of every b is one binomial matrix product.  The
 closed form uses that the kernel depends on b only through its class k and
 that a = c L + const(b) is affine in c: per class it spans the kernel once
 (its p^k lexicographic coordinate rows times the basis) and then maps it to
-the a rows of every b of the class with one broadcast.  Brute force sweeps
-all pairs against the system directly, one vectorized residual per b, and
-serves as the independent check.  Either way every element is built once per
-call and shared by all the records that mention it.
+the a rows of every b of the class with one broadcast.  Brute force, the
+independent check, compares every pair (a, b) with the system itself as one
+split comparison: a prefix and a suffix of a each give a packed part of the
+residual, and one broadcast equality of the parts tests all pairs of a chunk
+of b.  Either way every element is built once per call and shared by all the
+records that mention it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -47,6 +49,9 @@ PAIR_SWEEP_MAX_P = 5
 #: The array path holds one row per element of F_pG, so p^p must stay
 #: within this many rows (p <= 7).
 MAX_COEFF_ROWS = 10**7
+#: Pairs compared per broadcast of the pair sweep, which keeps its transient
+#: arrays to a few MB.
+SWEEP_CHUNK_PAIRS = 5**8
 
 EnumerationMode = Literal["closed_form", "brute_force"]
 
@@ -213,36 +218,57 @@ def _affine(
 def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
     """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates.
 
-    The sweep is vectorized: phi_b is linear in c, so one product with its
-    matrix tests every candidate.  Guarded by MAX_COEFF_ROWS, so p <= 7.
+    phi_b is linear in c, so this is the pair sweep of _sweep_hits with the
+    matrix of phi_b and no constant.  Guarded by MAX_COEFF_ROWS, so p <= 7.
     """
     p = b.p
     rows = _all_coeff_rows(p)
-    residuals = rows @ _linear_rows(p, lambda c: phi_b(b, c).coeffs) % p
-    hits = np.flatnonzero(~residuals.any(axis=1))
+    lin = _linear_rows(p, lambda c: phi_b(b, c).coeffs)
+    _, hits = _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))
     return {GroupAlgebraElement(p, tuple(int(x) for x in rows[i])) for i in hits}
 
 
-def _brute_force_hits(b: GroupAlgebraElement) -> np.ndarray:
-    """Row indices of all a with system_residual(a, b) = 0, by vectorized sweep.
+def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lin, const) with system_residual(a, b) = a lin[i] + const[i] mod p
+    for b = row i.
 
     The residual is affine in a: the coefficient of a_0 in r_l is b_l, the
     coefficient of a_j (j >= 1) is j * b_(l-j), and the constant part is
-    -sum_j C(j+1,2) b_j b_(l-j).  Rows are swept in lexicographic order.
+    -sum_j C(j+1,2) b_j b_(l-j).
     """
-    p = b.p
+    shifted = rows[:, (np.arange(p) - np.arange(p)[:, None]) % p]  # [i, j, l] = b_(l-j)
+    lin = shifted * np.arange(p)[:, None]
+    lin[:, 0] = rows
+    binom = np.array([binom_mod(j + 1, 2, p) for j in range(p)], dtype=np.int64)
+    const = -np.einsum("ij,ijl->il", rows * binom, shifted)
+    return lin % p, const % p
+
+
+def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All (i, x) with x lin[i] + const[i] = 0 mod p, as row-index arrays
+    ordered by i, then x.
+
+    Every pair is compared, meet-in-the-middle: x splits after h = p // 2
+    coordinates into x_hi and x_lo, and the residual vanishes exactly when
+    -(const + lin_hi x_hi) = lin_lo x_lo mod p.  Packing both sides into their
+    base-p values makes that one integer equality, and one broadcast tests the
+    p^h * p^(p-h) splits of every row i in a chunk.
+    """
+    h = p // 2
     rows = _all_coeff_rows(p)
-    lin = np.empty((p, p), dtype=np.int64)
-    const = np.empty(p, dtype=np.int64)
-    for l in range(p):
-        lin[l, 0] = b.coeffs[l]
-        for j in range(1, p):
-            lin[l, j] = (j * b.coeffs[(l - j) % p]) % p
-        const[l] = (
-            -sum(binom_mod(j + 1, 2, p) * b.coeffs[j] * b.coeffs[(l - j) % p] for j in range(p))
-        ) % p
-    residuals = (rows @ lin.T + const) % p
-    return np.flatnonzero(~residuals.any(axis=1))
+    x_hi, x_lo = rows[: p**h, p - h:], rows[: p ** (p - h), h:]
+    chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
+    found_i, found_x = [], []
+    for start in range(0, len(lin), chunk):
+        part = lin[start:start + chunk]
+        left = -(const[start:start + chunk, None] + x_hi @ part[:, :h])
+        right = x_lo @ part[:, h:]
+        i, hi, lo = np.nonzero(
+            _row_index(p, left % p)[:, :, None] == _row_index(p, right % p)[:, None, :]
+        )
+        found_i.append(i + start)
+        found_x.append(hi * p ** (p - h) + lo)
+    return np.concatenate(found_i), np.concatenate(found_x)
 
 
 def _closed_form_pairs(
@@ -267,14 +293,16 @@ def _closed_form_pairs(
 
 
 def _brute_force_pairs(
-    p: int, rows: np.ndarray, elems: list[GroupAlgebraElement],
-    lin: np.ndarray, const: np.ndarray,
+    p: int, rows: np.ndarray, lin: np.ndarray, const: np.ndarray,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """(c, a) row indices for every b in row order: a from the pair sweep,
-    c = a L + const(b)."""
-    for i, b in enumerate(elems):
-        hits = _brute_force_hits(b)
-        yield _row_index(p, (rows[hits] @ lin + const[i]) % p).tolist(), hits.tolist()
+    c = a L + const(b), all in one product."""
+    b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
+    c_index = _row_index(p, (rows[a_index] @ lin + const[b_index]) % p)
+    ends = np.cumsum(np.bincount(b_index, minlength=len(rows))).tolist()
+    c_list, a_list = c_index.tolist(), a_index.tolist()
+    for start, end in itertools.pairwise([0, *ends]):
+        yield c_list[start:end], a_list[start:end]
 
 
 def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
@@ -299,7 +327,7 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     if mode == "closed_form":
         pairs = _closed_form_pairs(p, rows, ks, bases, *_affine(p, a_from_c, rows))
     else:
-        pairs = _brute_force_pairs(p, rows, elems, *_affine(p, c_from_ab, rows))
+        pairs = _brute_force_pairs(p, rows, *_affine(p, c_from_ab, rows))
     get = elems.__getitem__
     return [
         SolutionRecord(b, k, get(bt), bases[k], tuple(zip(map(get, c), map(get, a))))
@@ -330,11 +358,11 @@ class TextMemo(dict):
         return text
 
 
-def records_to_csv(records: Iterable[SolutionRecord]) -> str:
-    """One (b, a) row per solution, in canonical text form."""
-    lines = ["b,a"]
+def records_to_csv(records: Iterable[SolutionRecord], out: TextIO) -> None:
+    """Write one (b, a) row per solution to out, in canonical text form, one
+    record at a time."""
+    out.write("b,a\n")
     texts = TextMemo()
     for rec in records:
         b = texts[rec.b]
-        lines.extend(f"{b},{texts[a]}" for _c, a in rec.solutions)
-    return "\n".join(lines) + "\n"
+        out.write("".join(f"{b},{texts[a]}\n" for _c, a in rec.solutions))

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -67,6 +68,8 @@ P5_STDOUT_SHA256 = {
         "1db9ce2fd35bb75c104a5ed7abcf4b3290818e7e47c1145c92423fd5a9f1952e",
     ("enumerate", "--p", "5", "--mode", "brute_force", "--format", "csv"):
         "193d388a19e33e9a68dbc4cac27718a7c98bfba82fdf3958f28413e5bc089af6",
+    ("enumerate", "--p", "5", "--mode", "brute_force", "--format", "json"):
+        "21041e844c94fa93560a476cc4216dcce0b2726ae8f88249960fc9825f721582",
 }
 
 
@@ -75,6 +78,22 @@ def test_p5_stdout_is_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == P5_STDOUT_SHA256[argv]
+
+
+# The brute-force listings at p = 3; the JSON carries the c of every pair.
+P3_BRUTE_FORCE_STDOUT_SHA256 = {
+    ("enumerate", "--p", "3", "--mode", "brute_force", "--format", "csv"):
+        "ba41ea54d4c84c5cbe9e7e8b1b61120a56bab0caa943e96ee70e204ea7089641",
+    ("enumerate", "--p", "3", "--mode", "brute_force", "--format", "json"):
+        "51bd5b82dd97f263609016428b6e5e787394a346e74d2bc88468dec0582cbd32",
+}
+
+
+@pytest.mark.parametrize("argv", list(P3_BRUTE_FORCE_STDOUT_SHA256), ids=" ".join)
+def test_p3_brute_force_stdout_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == P3_BRUTE_FORCE_STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("command", ["table", "enumerate"])
@@ -196,7 +215,9 @@ class TestTable:
     def test_csv_matches_exporter(self, capsys):
         code, out, _ = run(capsys, "table", "--p", "3", "--format", "csv")
         assert code == 0
-        assert out == records_to_csv(enumerate_solutions(3))
+        exported = io.StringIO()
+        records_to_csv(enumerate_solutions(3), exported)
+        assert out == exported.getvalue()
 
     def test_p5_generates(self, capsys):
         code, out, _ = run(capsys, "table", "--p", "5", "--format", "csv")
@@ -422,6 +443,45 @@ class TestBuild:
         code, out, err = run(capsys, "build", "--p", "3", "--b", "1-g", "--d", "-1", "--f", f)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+
+# Values that start with "-" read as they do attached with "=": a separate
+# "--d -2,-1" or "--b -g" used to stop argparse with "expected one argument".
+# Each command maps to its exit code.
+DASH_VALUES = {
+    ("build", "--p", "3", "--b", "1-g", "--d", "-2,-1"): 1,  # k = 1 takes one d-value
+    ("build", "--p", "3", "--b", "1+g+g^2", "--d", "-2,-1"): 0,
+    ("build", "--p", "3", "--b", "-g", "--format", "text"): 0,
+    ("build", "--p", "3", "--b", "1-g", "--d", "-1", "--kappaC", "-g-g^2"): 0,
+    ("build", "--p", "3", "--b", "1-g", "--d", "-1", "--f", "-v1:g"): 1,  # no vector -v1
+    ("kernel", "--p", "3", "--b", "-g", "--brute"): 0,
+    ("kernel", "--p", "3", "--b", "-g^2", "--brute", "--format", "json"): 0,
+}
+
+
+def attached(argv):
+    """argv with each value that starts with "-" attached to its option by "="."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--b", "--d", "--kappaC", "--f") and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("argv", list(DASH_VALUES), ids=" ".join)
+def test_dash_values_read_as_attached(capsys, argv):
+    result = run(capsys, *argv)
+    assert result == run(capsys, *attached(argv))
+    assert result[0] == DASH_VALUES[argv]
+    assert "expected one argument" not in result[2]
+
+
+def test_option_without_value_still_fails(capsys):
+    code, out, err = run(capsys, "kernel", "--p", "3", "--b", "--brute")
+    assert (code, out) == (1, "")
+    assert "argument --b: expected one argument" in err
 
 
 class TestCensusAndKernel:

@@ -1,5 +1,6 @@
 """The compatibility system, its linearization, kernels, enumeration, census."""
 
+import io
 import random
 import time
 
@@ -10,11 +11,15 @@ from hypothesis import given, settings, strategies as st
 from orbifold.group_algebra import (
     GroupAlgebraElement as GA,
     TooLarge,
+    binom_mod,
     gminus1,
     gminus1_power,
 )
 from orbifold.solver import (
     SolutionRecord,
+    _all_coeff_rows,
+    _sweep_hits,
+    _system_tables,
     a_from_c,
     c_from_ab,
     census,
@@ -208,7 +213,9 @@ class TestCensus:
 
 def test_csv_export_shape():
     records = enumerate_solutions(3)
-    lines = records_to_csv(records).strip().splitlines()
+    out = io.StringIO()
+    records_to_csv(records, out)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "b,a"
     assert len(lines) == 82
 
@@ -299,6 +306,70 @@ class TestArrayPath:
     def test_row_limit_fails_before_any_sweep(self):
         with pytest.raises(TooLarge, match="p\\^p = 285311670611 .* 10000000"):
             enumerate_solutions(11)
+
+
+def reference_brute_force_hits(b):
+    """Row indices of all a with system_residual(a, b) = 0: one residual
+    product per b, with the affine coefficients written out by hand (the
+    sweep before the split comparison)."""
+    p = b.p
+    rows = _all_coeff_rows(p)
+    lin = np.empty((p, p), dtype=np.int64)
+    const = np.empty(p, dtype=np.int64)
+    for l in range(p):
+        lin[l, 0] = b.coeffs[l]
+        for j in range(1, p):
+            lin[l, j] = (j * b.coeffs[(l - j) % p]) % p
+        const[l] = (
+            -sum(binom_mod(j + 1, 2, p) * b.coeffs[j] * b.coeffs[(l - j) % p] for j in range(p))
+        ) % p
+    residuals = (rows @ lin.T + const) % p
+    return np.flatnonzero(~residuals.any(axis=1))
+
+
+def sweep_hits(p, bs):
+    """The split comparison's hits for each b in bs, as one row-index array per b."""
+    b_index, a_index = _sweep_hits(
+        p, *_system_tables(p, np.array([b.coeffs for b in bs], dtype=np.int64))
+    )
+    return np.split(a_index, np.cumsum(np.bincount(b_index, minlength=len(bs)))[:-1])
+
+
+class TestPairSweep:
+    """The split comparison against the per-b residual sweep and the system itself."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_equals_reference_every_b(self, p):
+        bs = list(GA.all_elements(p))
+        for b, hits in zip(bs, sweep_hits(p, bs)):
+            assert np.array_equal(hits, reference_brute_force_hits(b)), b
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_tables_give_the_residual(self, p):
+        # The residual values, not only their zeros: b_(l+j) in place of
+        # b_(l-j) has the same zero set, since the antipode g -> g^-1 maps
+        # the annihilator of b onto itself.
+        @settings(max_examples=40, deadline=None)
+        @given(elements(p), b_of_any_class(p))
+        def check(a, b):
+            lin, const = _system_tables(p, np.array([b.coeffs], dtype=np.int64))
+            residual = (np.array(a.coeffs) @ lin[0] + const[0]) % p
+            assert tuple(residual.tolist()) == system_residual(a, b).coeffs
+
+        check()
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_hits_are_the_solutions(self, p):
+        @settings(max_examples=12, deadline=None)
+        @given(b_of_any_class(p))
+        def check(b):
+            [hits] = sweep_hits(p, [b])
+            solutions = [
+                i for i, a in enumerate(GA.all_elements(p)) if system_residual(a, b).is_zero()
+            ]
+            assert hits.tolist() == solutions
+
+        check()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
