@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chains import verify_chain_maps
@@ -22,6 +23,8 @@ from .solver import (
     TextMemo,
     census,
     enumerate_solutions,
+    kernel_agrees,
+    kernel_basis,
     records_to_csv,
     records_to_json,
 )
@@ -123,10 +126,8 @@ def cmd_enumerate(args) -> int:
     records = enumerate_solutions(p, args.mode)
     total = sum(len(r.solutions) for r in records)
     if args.format == "json":
-        payload = records_to_json(p, records)
-        payload["census"], _ = _census(p)
-        payload["total"] = total
-        print(json.dumps(payload))
+        rows, _ = _census(p)
+        records_to_json(p, records, sys.stdout, {"census": rows, "total": total})
     elif args.format == "csv":
         records_to_csv(records, sys.stdout)
     else:
@@ -188,7 +189,7 @@ def cmd_table(args) -> int:
     p = check_prime(args.p)
     records = enumerate_solutions(p, "closed_form")
     if args.format == "json":
-        print(json.dumps(records_to_json(p, records)))
+        records_to_json(p, records, sys.stdout, {})
     elif args.format == "csv":
         records_to_csv(records, sys.stdout)
     else:
@@ -265,8 +266,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .solver import kernel_basis, kernel_bruteforce, span
-
     p = check_prime(args.p)
     b = _parse_element(p, args.b, "--b")
     fact = b.gminus1_factor()
@@ -281,8 +280,7 @@ def cmd_kernel(args) -> int:
     }
     brute_ok = True
     if args.brute:
-        brute = kernel_bruteforce(b)
-        brute_ok = brute == set(span(p, basis))
+        brute_ok = kernel_agrees(b)
         payload["bruteforce_agrees"] = brute_ok
     if args.format == "json":
         print(json.dumps(payload))
@@ -358,7 +356,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered to devnull, so
+        # that the flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -94,7 +94,7 @@ class GroupAlgebraElement:
     def __post_init__(self):
         if len(self.coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
-        if any(not (0 <= c < self.p) for c in self.coeffs):
+        if min(self.coeffs) < 0 or max(self.coeffs) >= self.p:
             object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
 
     # -- constructors ---------------------------------------------------

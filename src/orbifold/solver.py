@@ -24,14 +24,18 @@ split comparison: a prefix and a suffix of a each give a packed part of the
 residual, and one broadcast equality of the parts tests all pairs of a chunk
 of b.  Either way every element is built once per call and shared by all the
 records that mention it.
+
+The listings write one record at a time and render each element's text
+once per call; the JSON is the text json.dumps would give, with no payload.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -65,17 +69,6 @@ class SolutionRecord:
     btilde: GroupAlgebraElement
     kernel_basis: tuple[GroupAlgebraElement, ...]
     solutions: tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], ...]  # (c, a)
-
-    def to_json(self) -> dict:
-        return {
-            "b": list(self.b.coeffs),
-            "k": self.k,
-            "btilde": list(self.btilde.coeffs),
-            "kernel": [list(e.coeffs) for e in self.kernel_basis],
-            "solutions": [
-                {"c": list(c.coeffs), "a": list(a.coeffs)} for c, a in self.solutions
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -149,15 +142,15 @@ def kernel_basis(b: GroupAlgebraElement) -> tuple[GroupAlgebraElement, ...]:
 
 def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraElement]:
     """All F_p-linear combinations, coordinates iterated lexicographically."""
-    basis = list(basis)
-    out = []
-    for coords in itertools.product(range(p), repeat=len(basis)):
-        acc = GroupAlgebraElement.zero(p)
-        for t, e in zip(coords, basis):
-            if t:
-                acc = acc + e.scale(t)
-        out.append(acc)
-    return out
+    return [GroupAlgebraElement(p, tuple(row)) for row in _span_rows(p, list(basis)).tolist()]
+
+
+def _lex_rows(p: int, k: int) -> np.ndarray:
+    """All p^k vectors in [0, p)^k as an int64 array, lexicographic by row:
+    row i holds the k base-p digits of i."""
+    if p**k > MAX_COEFF_ROWS:
+        raise TooLarge(f"p^{k} = {p**k} coordinate rows is past the limit of {MAX_COEFF_ROWS}")
+    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
 @lru_cache(maxsize=4)
@@ -165,11 +158,14 @@ def _all_coeff_rows(p: int) -> np.ndarray:
     """All p^p coefficient vectors as an int64 array, lexicographic by row."""
     if p ** p > MAX_COEFF_ROWS:
         raise TooLarge(f"p^p = {p**p} coefficient rows is past the limit of {MAX_COEFF_ROWS}")
-    cols = [
-        np.repeat(np.tile(np.arange(p, dtype=np.int64), p**i), p ** (p - 1 - i))
-        for i in range(p)
-    ]
-    return np.stack(cols, axis=1)
+    return _lex_rows(p, p)
+
+
+def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
+    """The rows of span(p, basis): the p^k lexicographic coordinate rows
+    times the k basis rows."""
+    basis_rows = np.array([e.coeffs for e in basis], dtype=np.int64).reshape(len(basis), p)
+    return _lex_rows(p, len(basis)) @ basis_rows % p
 
 
 def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
@@ -215,17 +211,30 @@ def _affine(
     return lin, rows @ _linear_rows(p, lambda b: f(zero, b).coeffs) % p
 
 
-def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
-    """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates.
+def _kernel_hits(b: GroupAlgebraElement) -> np.ndarray:
+    """The row indices of {c : phi_b(c) = 0}, ascending, by exhaustive sweep
+    over all p^p candidates.
 
     phi_b is linear in c, so this is the pair sweep of _sweep_hits with the
     matrix of phi_b and no constant.  Guarded by MAX_COEFF_ROWS, so p <= 7.
     """
     p = b.p
-    rows = _all_coeff_rows(p)
     lin = _linear_rows(p, lambda c: phi_b(b, c).coeffs)
-    _, hits = _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))
-    return {GroupAlgebraElement(p, tuple(int(x) for x in rows[i])) for i in hits}
+    return _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))[1]
+
+
+def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
+    """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates (p <= 7)."""
+    rows = _all_coeff_rows(b.p)[_kernel_hits(b)].tolist()
+    return {GroupAlgebraElement(b.p, tuple(row)) for row in rows}
+
+
+def kernel_agrees(b: GroupAlgebraElement) -> bool:
+    """kernel_bruteforce(b) == set(span(b.p, kernel_basis(b))), compared as
+    row indices without building either set's elements."""
+    hits = _kernel_hits(b)
+    spanned = _row_index(b.p, _span_rows(b.p, kernel_basis(b)))
+    return np.array_equal(hits, np.unique(spanned))
 
 
 def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +281,7 @@ def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray,
 
 
 def _closed_form_pairs(
-    p: int, rows: np.ndarray, ks: np.ndarray, bases: list[tuple[GroupAlgebraElement, ...]],
+    p: int, ks: np.ndarray, bases: list[tuple[GroupAlgebraElement, ...]],
     lin: np.ndarray, const: np.ndarray,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """(c, a) row indices for every b in row order.
@@ -283,8 +292,7 @@ def _closed_form_pairs(
     """
     c_index, a_index = [], []
     for k, basis in enumerate(bases):
-        basis_rows = np.array([e.coeffs for e in basis], dtype=np.int64).reshape(k, p)
-        kernel = rows[: p**k, p - k:] @ basis_rows % p
+        kernel = _span_rows(p, basis)
         c_index.append(_row_index(p, kernel).tolist())
         a_rows = ((kernel @ lin)[None] + const[ks == k][:, None]) % p
         a_index.append(iter(_row_index(p, a_rows)))
@@ -325,7 +333,7 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     ks, btilde_rows = gminus1_factor_rows(p, rows)
     bases = [kernel_basis(gminus1_power(p, k)) for k in range(p + 1)]  # one per class
     if mode == "closed_form":
-        pairs = _closed_form_pairs(p, rows, ks, bases, *_affine(p, a_from_c, rows))
+        pairs = _closed_form_pairs(p, ks, bases, *_affine(p, a_from_c, rows))
     else:
         pairs = _brute_force_pairs(p, rows, *_affine(p, c_from_ab, rows))
     get = elems.__getitem__
@@ -346,16 +354,36 @@ def census(p: int) -> list[CensusRow]:
     return rows
 
 
-def records_to_json(p: int, records: Iterable[SolutionRecord]) -> dict:
-    return {"p": p, "records": [r.to_json() for r in records]}
-
-
 class TextMemo(dict):
-    """element -> to_text(), each element rendered once per memo."""
+    """element -> render(element), to_text() by default, each element
+    rendered once per memo."""
+
+    def __init__(self, render: Callable[[GroupAlgebraElement], str] = lambda x: x.to_text()):
+        super().__init__()
+        self.render = render
 
     def __missing__(self, x: GroupAlgebraElement) -> str:
-        text = self[x] = x.to_text()
+        text = self[x] = self.render(x)
         return text
+
+
+def records_to_json(
+    p: int, records: Iterable[SolutionRecord], out: TextIO, tail: Mapping[str, object],
+) -> None:
+    """Write {"p": p, "records": [...], **tail} and a newline to out, as
+    json.dumps would, one record at a time; each element's coefficient list
+    is rendered once, and only the tail values go through json.dumps."""
+    texts = TextMemo(lambda x: f"[{', '.join(map(str, x.coeffs))}]")
+    out.write(f'{{"p": {p}, "records": [')
+    for i, rec in enumerate(records):
+        kernel = ", ".join(map(texts.__getitem__, rec.kernel_basis))
+        solutions = ", ".join(f'{{"c": {texts[c]}, "a": {texts[a]}}}' for c, a in rec.solutions)
+        out.write(
+            f'{", " if i else ""}{{"b": {texts[rec.b]}, "k": {rec.k}, '
+            f'"btilde": {texts[rec.btilde]}, "kernel": [{kernel}], "solutions": [{solutions}]}}'
+        )
+    tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail.items())
+    out.write(f"]{tail_text}}}\n")
 
 
 def records_to_csv(records: Iterable[SolutionRecord], out: TextIO) -> None:

@@ -70,6 +70,10 @@ P5_STDOUT_SHA256 = {
         "193d388a19e33e9a68dbc4cac27718a7c98bfba82fdf3958f28413e5bc089af6",
     ("enumerate", "--p", "5", "--mode", "brute_force", "--format", "json"):
         "21041e844c94fa93560a476cc4216dcce0b2726ae8f88249960fc9825f721582",
+    ("table", "--p", "5", "--format", "json"):
+        "ff532492bb36f9b65904ce97b41be6cef48a8d495f59ecde44cc084916fa93ac",
+    ("table", "--p", "5", "--format", "csv"):
+        "23dcd21ad3fb0c1aa1761d4821ea2af237ede1b432d13f51fd9d396f4f0393b2",
 }
 
 
@@ -94,6 +98,14 @@ def test_p3_brute_force_stdout_is_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == P3_BRUTE_FORCE_STDOUT_SHA256[argv]
+
+
+def test_p3_json_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "enumerate", "--p", "3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f7018eb4131b64ce3a97f186660ef94e12d0b2d05442846ebcf8457b8ef616a"
+    )
 
 
 @pytest.mark.parametrize("command", ["table", "enumerate"])
@@ -531,16 +543,31 @@ class TestCensusAndKernel:
         assert "invalid choice: 'csv'" in err
 
 
-def run_module(*argv):
+def module_command(*argv):
     # The child sees the package through PYTHONPATH, as pytest's own
     # pythonpath setting only reaches this process.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "orbifold.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return [sys.executable, "-m", "orbifold.cli", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
+    command, env = module_command(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_pipe_exits_one_without_traceback(fmt):
+    # A reader that stops early, as `| head -c 10` does: the listing is about
+    # 1 MB, far past what the pipe holds, so later writes find it closed.
+    command, env = module_command("enumerate", "--p", "5", "--format", fmt)
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert head.startswith(b"b,a\n" if fmt == "csv" else b'{"p": 5, ')
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
 
 
 def test_module_entry_point_runs():

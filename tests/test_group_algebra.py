@@ -33,6 +33,16 @@ def test_check_prime_rejects(bad):
         check_prime(bad)
 
 
+@pytest.mark.parametrize("coeffs, reduced", [
+    ((4, -1, 7), (1, 2, 1)),
+    ((3, 0, -3), (0, 0, 0)),
+    ((-7, 2, 0), (2, 2, 0)),
+    ((0, 1, 2), (0, 1, 2)),
+])
+def test_construction_reduces_coefficients_mod_p(coeffs, reduced):
+    assert GA(3, coeffs).coeffs == reduced
+
+
 def test_add_componentwise():
     assert ga(3, "1+g") + ga(3, "g+g^2") == ga(3, "1+2*g+g^2")
 

@@ -1,6 +1,8 @@
 """The compatibility system, its linearization, kernels, enumeration, census."""
 
 import io
+import itertools
+import json
 import random
 import time
 
@@ -25,10 +27,12 @@ from orbifold.solver import (
     census,
     enumerate_solutions,
     gminus1_factor_rows,
+    kernel_agrees,
     kernel_basis,
     kernel_bruteforce,
     phi_b,
     records_to_csv,
+    records_to_json,
     span,
     system_residual,
 )
@@ -132,6 +136,35 @@ class TestKernel:
         with pytest.raises(TooLarge):
             kernel_bruteforce(GA.one(11))
 
+    def test_agrees_on_every_b(self):
+        for p in (3, 5):
+            assert all(kernel_agrees(b) is True for b in GA.all_elements(p))
+
+    def test_agrees_sees_a_wrong_basis(self, monkeypatch):
+        import orbifold.solver as solver
+
+        monkeypatch.setattr(solver, "kernel_basis", lambda b: (gminus1_power(b.p, b.p - 2),))
+        assert not kernel_agrees(ga(5, "1-g"))
+
+    @staticmethod
+    def reference_span(p, basis):
+        """span as one element sum per coordinate tuple, the way it was first
+        written."""
+        out = []
+        for coords in itertools.product(range(p), repeat=len(basis)):
+            acc = GA.zero(p)
+            for t, e in zip(coords, basis):
+                acc = acc + e.scale(t)
+            out.append(acc)
+        return out
+
+    # Past p^p > 10^7 (p = 11) and past k = p (a dependent list) too.
+    @pytest.mark.parametrize("p, k", [(3, 0), (3, 2), (3, 4), (5, 3), (7, 2), (11, 1)])
+    def test_span_equals_reference(self, p, k):
+        rng = random.Random(10 * p + k)
+        basis = [GA.random(rng, p) for _ in range(k)]
+        assert span(p, iter(basis)) == self.reference_span(p, basis)
+
 
 class TestEnumeration:
     def test_p3_total(self):
@@ -209,6 +242,47 @@ class TestCensus:
         for p in (3, 5, 7):
             assert sum(r.b_class_size * r.a_class_size_per_b for r in census(p)) == p ** (p + 1)
             assert sum(r.b_class_size for r in census(p)) == p**p
+
+
+def reference_records_json(p, records, tail):
+    """The listing as one payload dict through json.dumps, the way the JSON
+    output was first written; records_to_json must write the same text."""
+    payload = {"p": p, "records": [
+        {
+            "b": list(r.b.coeffs),
+            "k": r.k,
+            "btilde": list(r.btilde.coeffs),
+            "kernel": [list(e.coeffs) for e in r.kernel_basis],
+            "solutions": [{"c": list(c.coeffs), "a": list(a.coeffs)} for c, a in r.solutions],
+        }
+        for r in records
+    ]}
+    payload.update(tail)
+    return json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("mode", ["closed_form", "brute_force"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_json_writer_equals_json_dumps(p, mode, with_tail):
+    records = enumerate_solutions(p, mode)
+    tail = {"census": [{"k": r.k, "n": r.b_class_size} for r in census(p)], "total": 7}
+    tail = tail if with_tail else {}
+    out = io.StringIO()
+    records_to_json(p, records, out, tail)
+    assert out.getvalue() == reference_records_json(p, records, tail)
+
+
+def test_json_writer_writes_once_per_record(monkeypatch):
+    # The writer takes a one-pass iterator and writes once per record, plus
+    # the head and the tail.
+    records = enumerate_solutions(3)
+    writes = []
+    out = io.StringIO()
+    monkeypatch.setattr(out, "write", writes.append)
+    records_to_json(3, iter(records), out, {})
+    assert len(writes) == len(records) + 2
+    assert json.loads("".join(writes))["records"][0]["k"] == 3
 
 
 def test_csv_export_shape():
