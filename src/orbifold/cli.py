@@ -19,22 +19,23 @@ from .params import CoboundaryData, DeformationParams, add_coboundary, closed_fo
 from .pbw import check_all
 from .rewriting import MAX_DIMENSION_DEGREE, check_dimension, check_overlaps, rules_from_params
 from .solver import (
-    SolutionRecord,
-    TextMemo,
+    Listing,
+    build_listing,
     census,
-    enumerate_solutions,
     kernel_agrees,
     kernel_basis,
     records_to_csv,
     records_to_json,
+    records_to_text,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH_FAIL = 2
 
-# Every command runs in one process; enumerate, table, check and chaincheck
-# take --workers so that one option list drives every sweep command.
+# Every command runs in one process.  enumerate, table, check and chaincheck
+# still accept --workers only because the benchmark workloads in perfbench/
+# pass it; the option can go once they stop passing it.
 SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
 
 # The solution listings also write CSV; the reports do not.
@@ -105,36 +106,24 @@ def _census_lines(p: int, rows: list[dict], total: int) -> list[str]:
     return lines
 
 
-def _table_text(p: int, records: list[SolutionRecord]) -> str:
-    total = sum(len(r.solutions) for r in records)
-    lines = [f"solution table for p = {p}: {total} (b, a) pairs"]
-    texts = TextMemo()
-    by_k: dict[int, list[SolutionRecord]] = {}
-    for rec in records:
-        by_k.setdefault(rec.k, []).append(rec)
-    for k in sorted(by_k):
-        group = by_k[k]
-        lines.append(f"[k = {k}] {len(group)} b-value(s), {len(group[0].solutions)} solution(s) per b")
-        for rec in group:
-            avals = " | ".join(texts[a] for _c, a in rec.solutions)
-            lines.append(f"b = {texts[rec.b]} :: a = {avals}")
-    return "\n".join(lines) + "\n"
+def _write_listing(listing: Listing, fmt: str, json_tail: dict, text_head: list[str]) -> None:
+    """Write the listing of enumerate or table; text_head precedes the text table."""
+    if fmt == "json":
+        records_to_json(listing, sys.stdout, json_tail)
+    elif fmt == "csv":
+        records_to_csv(listing, sys.stdout)
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in text_head))
+        records_to_text(listing, sys.stdout)
 
 
 def cmd_enumerate(args) -> int:
     p = check_prime(args.p)
-    records = enumerate_solutions(p, args.mode)
-    total = sum(len(r.solutions) for r in records)
-    if args.format == "json":
-        rows, _ = _census(p)
-        records_to_json(p, records, sys.stdout, {"census": rows, "total": total})
-    elif args.format == "csv":
-        records_to_csv(records, sys.stdout)
-    else:
-        for line in _census_lines(p, *_census(p)):
-            print(line)
-        sys.stdout.write(_table_text(p, records))
-    return _count_status(p, total)
+    listing = build_listing(p, args.mode)
+    rows, census_total = _census(p)
+    tail = {"census": rows, "total": listing.total}
+    _write_listing(listing, args.format, tail, _census_lines(p, rows, census_total))
+    return _count_status(p, listing.total)
 
 
 def cmd_check(args) -> int:
@@ -186,14 +175,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    p = check_prime(args.p)
-    records = enumerate_solutions(p, "closed_form")
-    if args.format == "json":
-        records_to_json(p, records, sys.stdout, {})
-    elif args.format == "csv":
-        records_to_csv(records, sys.stdout)
-    else:
-        sys.stdout.write(_table_text(p, records))
+    _write_listing(build_listing(check_prime(args.p)), args.format, {}, [])
     return EXIT_OK
 
 

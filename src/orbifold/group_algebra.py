@@ -278,23 +278,9 @@ class GroupAlgebraElement:
         Coefficients use balanced representatives in (-p/2, p/2) so the
         common small elements print the way they are written by hand.
         """
-        p = self.p
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            s = c if c <= (p - 1) // 2 else c - p
-            mag, neg = abs(s), s < 0
-            if i == 0:
-                body = str(mag)
-            else:
-                gpart = "g" if i == 1 else f"g^{i}"
-                body = gpart if mag == 1 else f"{mag}*{gpart}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts) if parts else "0"
+        text = "".join([terms[c] for terms, c in zip(_term_texts(self.p), self.coeffs)])
+        # The leading term drops its " + ", or writes " - " as "-".
+        return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
     _TERM_RE = re.compile(
         r"\s*(?P<sign>[+-])?\s*(?:"
@@ -353,6 +339,18 @@ class GroupAlgebraElement:
         if len(coeffs) != p:
             raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
         return cls.from_coeffs(p, map(json_int, coeffs))
+
+
+@lru_cache(maxsize=8)
+def _term_texts(p: int) -> list[list[str]]:
+    """[i][c] is the term c g^i of to_text as it follows another term:
+    " + body" or " - body", with c balanced into (-p/2, p/2); "" for c = 0."""
+    out = []
+    for i in range(p):
+        g = "g" if i == 1 else f"g^{i}"
+        bodies = [str(m) if i == 0 else g if m == 1 else f"{m}*{g}" for m in range(1, p // 2 + 1)]
+        out.append(["", *(f" + {x}" for x in bodies), *(f" - {x}" for x in reversed(bodies))])
+    return out
 
 
 def gminus1(p: int) -> GroupAlgebraElement:

@@ -359,6 +359,8 @@ def check_dimension(rules: RuleSet, degree_bound: int) -> tuple[bool, list[dict]
     the same words are irreducible and reduce fixes each of them.  They cannot
     fail on a parameter file; the overlap certificate alone decides PBW.
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     p = rules.p
     counts = [0] * (degree_bound + 1)
     first_moved = degree_bound + 1  # lowest degree of a word that reduce moves

@@ -14,19 +14,22 @@ kernel is spanned by the powers (g-1)^(p-j) for 0 <= j <= k where k is the
 
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
-The (g-1)-adic factorization of every b is one binomial matrix product.  The
-closed form uses that the kernel depends on b only through its class k and
-that a = c L + const(b) is affine in c: per class it spans the kernel once
-(its p^k lexicographic coordinate rows times the basis) and then maps it to
-the a rows of every b of the class with one broadcast.  Brute force, the
+An enumeration is one Listing, the same for both modes: the class k and the
+btilde row of every b, the p + 1 class kernel bases, and flat c and a
+row-index arrays in b-row order with cumulative offsets.  The (g-1)-adic
+factorization of every b is one binomial matrix product.  The closed form
+uses that the kernel depends on b only through its class k and that
+a = c L + const(b) is affine in c: per class it spans the kernel once (its
+p^k lexicographic coordinate rows times the basis) and then maps it to the
+a rows of every b of the class with one broadcast.  Brute force, the
 independent check, compares every pair (a, b) with the system itself as one
 split comparison: a prefix and a suffix of a each give a packed part of the
 residual, and one broadcast equality of the parts tests all pairs of a chunk
-of b.  Either way every element is built once per call and shared by all the
-records that mention it.
+of b; its offsets count the hits.
 
-The listings write one record at a time and render each element's text
-once per call; the JSON is the text json.dumps would give, with no payload.
+The writers render each row's text once per call and write once per b; the
+JSON is the text json.dumps would give.  enumerate_solutions turns a Listing
+into SolutionRecords for library callers.
 """
 
 from __future__ import annotations
@@ -280,47 +283,42 @@ def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray,
     return np.concatenate(found_i), np.concatenate(found_x)
 
 
-def _closed_form_pairs(
-    p: int, ks: np.ndarray, bases: list[tuple[GroupAlgebraElement, ...]],
-    lin: np.ndarray, const: np.ndarray,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """(c, a) row indices for every b in row order.
+@dataclass(frozen=True, eq=False)
+class Listing:
+    """Every (a, b) solution as integer arrays indexed by b's row.
 
-    Per class k the kernel is spanned once, as its p^k lexicographic
-    coordinate rows times the basis, and a = c L + const(b) is one broadcast
-    over the b of the class.
+    Row i of k and btilde belongs to the b of row i; bases[k] is the kernel
+    basis of class k.  The solutions of b = row i are c[ends[i-1]:ends[i]]
+    and a[ends[i-1]:ends[i]] (from 0 for i = 0), as row indices.
     """
-    c_index, a_index = [], []
-    for k, basis in enumerate(bases):
-        kernel = _span_rows(p, basis)
-        c_index.append(_row_index(p, kernel).tolist())
-        a_rows = ((kernel @ lin)[None] + const[ks == k][:, None]) % p
-        a_index.append(iter(_row_index(p, a_rows)))
-    for k in ks.tolist():
-        yield c_index[k], next(a_index[k]).tolist()
+
+    p: int
+    k: np.ndarray
+    btilde: np.ndarray
+    bases: tuple[tuple[GroupAlgebraElement, ...], ...]
+    ends: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+
+    @property
+    def total(self) -> int:
+        return int(self.ends[-1])
+
+    def per_b(self, order: Iterable[int] | None = None) -> Iterator[tuple]:
+        """(b row, k, btilde row, c rows, a rows) for every b, in row order or
+        in the given order; the c and a rows are views of the flat arrays."""
+        starts, ends = np.concatenate(([0], self.ends[:-1])).tolist(), self.ends.tolist()
+        ks, btildes = self.k.tolist(), self.btilde.tolist()
+        for i in range(len(ends)) if order is None else order:
+            yield i, ks[i], btildes[i], self.c[starts[i]:ends[i]], self.a[starts[i]:ends[i]]
 
 
-def _brute_force_pairs(
-    p: int, rows: np.ndarray, lin: np.ndarray, const: np.ndarray,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """(c, a) row indices for every b in row order: a from the pair sweep,
-    c = a L + const(b), all in one product."""
-    b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
-    c_index = _row_index(p, (rows[a_index] @ lin + const[b_index]) % p)
-    ends = np.cumsum(np.bincount(b_index, minlength=len(rows))).tolist()
-    c_list, a_list = c_index.tolist(), a_index.tolist()
-    for start, end in itertools.pairwise([0, *ends]):
-        yield c_list[start:end], a_list[start:end]
+def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
+    """The Listing of every b in F_pG, b iterated lexicographically.
 
-
-def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
-    """One SolutionRecord per b in F_pG, b iterated lexicographically.
-
-    closed_form maps the kernel description; brute_force sweeps every
-    (a, b) pair against the system and is guarded to p <= 5.  Both modes
-    return the same solution sets (brute force orders solutions by a, the
-    closed form by kernel coordinates).  Each element is one object, shared
-    by every record that mentions it.
+    closed_form maps the kernel description; brute_force sweeps every (a, b)
+    pair against the system (p <= 5).  Both give the same solution sets, brute
+    force ordered by a, the closed form by kernel coordinates.
     """
     check_prime(p)
     if mode not in ("closed_form", "brute_force"):
@@ -328,20 +326,36 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     if mode == "brute_force" and p > PAIR_SWEEP_MAX_P:
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
     rows = _all_coeff_rows(p)
-    # .tolist() keeps the coefficients Python ints.
-    elems = [GroupAlgebraElement(p, tuple(t)) for t in rows.tolist()]
     ks, btilde_rows = gminus1_factor_rows(p, rows)
-    bases = [kernel_basis(gminus1_power(p, k)) for k in range(p + 1)]  # one per class
+    bases = tuple(kernel_basis(gminus1_power(p, k)) for k in range(p + 1))  # one per class
     if mode == "closed_form":
-        pairs = _closed_form_pairs(p, ks, bases, *_affine(p, a_from_c, rows))
+        lin, const = _affine(p, a_from_c, rows)
+        ends = np.cumsum(p**ks)
+        # Row indices are below p^p <= MAX_COEFF_ROWS, so int32 holds them.
+        c_index, a_index = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
+        for k, basis in enumerate(bases):
+            kernel, members = _span_rows(p, basis), np.flatnonzero(ks == k)
+            slots = (ends[members] - p**k)[:, None] + np.arange(p**k)
+            c_index[slots] = _row_index(p, kernel)
+            a_index[slots] = _row_index(p, ((kernel @ lin)[None] + const[members][:, None]) % p)
     else:
-        pairs = _brute_force_pairs(p, rows, *_affine(p, c_from_ab, rows))
-    get = elems.__getitem__
+        lin, const = _affine(p, c_from_ab, rows)
+        b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
+        c_index = _row_index(p, (rows[a_index] @ lin + const[b_index]) % p).astype(np.int32)
+        a_index = a_index.astype(np.int32)
+        ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))
+    return Listing(p, ks, _row_index(p, btilde_rows), bases, ends, c_index, a_index)
+
+
+def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
+    """One SolutionRecord per b of build_listing(p, mode), in row order; each
+    element is one object, shared by every record that mentions it."""
+    listing = build_listing(p, mode)
+    elems = list(GroupAlgebraElement.all_elements(p))
+    get = lambda rows: map(elems.__getitem__, rows.tolist())
     return [
-        SolutionRecord(b, k, get(bt), bases[k], tuple(zip(map(get, c), map(get, a))))
-        for b, k, bt, (c, a) in zip(
-            elems, ks.tolist(), _row_index(p, btilde_rows).tolist(), pairs
-        )
+        SolutionRecord(elems[b], k, elems[bt], listing.bases[k], tuple(zip(get(c), get(a))))
+        for b, k, bt, c, a in listing.per_b()
     ]
 
 
@@ -354,43 +368,46 @@ def census(p: int) -> list[CensusRow]:
     return rows
 
 
-class TextMemo(dict):
-    """element -> render(element), to_text() by default, each element
-    rendered once per memo."""
-
-    def __init__(self, render: Callable[[GroupAlgebraElement], str] = lambda x: x.to_text()):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, x: GroupAlgebraElement) -> str:
-        text = self[x] = self.render(x)
-        return text
-
-
-def records_to_json(
-    p: int, records: Iterable[SolutionRecord], out: TextIO, tail: Mapping[str, object],
-) -> None:
+def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -> None:
     """Write {"p": p, "records": [...], **tail} and a newline to out, as
-    json.dumps would, one record at a time; each element's coefficient list
-    is rendered once, and only the tail values go through json.dumps."""
-    texts = TextMemo(lambda x: f"[{', '.join(map(str, x.coeffs))}]")
-    out.write(f'{{"p": {p}, "records": [')
-    for i, rec in enumerate(records):
-        kernel = ", ".join(map(texts.__getitem__, rec.kernel_basis))
-        solutions = ", ".join(f'{{"c": {texts[c]}, "a": {texts[a]}}}' for c, a in rec.solutions)
+    json.dumps would, one b at a time; each row's coefficient list is
+    rendered once, and only the tail values go through json.dumps."""
+    digits = [str(x) for x in range(listing.p)]
+    texts = [f"[{', '.join(row)}]" for row in itertools.product(digits, repeat=listing.p)]
+    kernels = [json.dumps([e.coeffs for e in basis]) for basis in listing.bases]
+    out.write(f'{{"p": {listing.p}, "records": [')
+    for b, k, bt, c, a in listing.per_b():
+        solutions = ", ".join(
+            [f'{{"c": {texts[x]}, "a": {texts[y]}}}' for x, y in zip(c.tolist(), a.tolist())]
+        )
         out.write(
-            f'{", " if i else ""}{{"b": {texts[rec.b]}, "k": {rec.k}, '
-            f'"btilde": {texts[rec.btilde]}, "kernel": [{kernel}], "solutions": [{solutions}]}}'
+            f'{", " if b else ""}{{"b": {texts[b]}, "k": {k}, '
+            f'"btilde": {texts[bt]}, "kernel": {kernels[k]}, "solutions": [{solutions}]}}'
         )
     tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail.items())
     out.write(f"]{tail_text}}}\n")
 
 
-def records_to_csv(records: Iterable[SolutionRecord], out: TextIO) -> None:
+def records_to_csv(listing: Listing, out: TextIO) -> None:
     """Write one (b, a) row per solution to out, in canonical text form, one
-    record at a time."""
+    b at a time."""
+    texts = [x.to_text() for x in GroupAlgebraElement.all_elements(listing.p)]
+    get = texts.__getitem__
     out.write("b,a\n")
-    texts = TextMemo()
-    for rec in records:
-        b = texts[rec.b]
-        out.write("".join(f"{b},{texts[a]}\n" for _c, a in rec.solutions))
+    for b, _k, _bt, _c, a in listing.per_b():
+        if len(a):
+            out.write(f"{texts[b]}," + f"\n{texts[b]},".join(map(get, a.tolist())) + "\n")
+
+
+def records_to_text(listing: Listing, out: TextIO) -> None:
+    """Write the solution table: a count line, then per class k a size line
+    and one line per b of the class, in row order."""
+    texts = [x.to_text() for x in GroupAlgebraElement.all_elements(listing.p)]
+    get = texts.__getitem__
+    out.write(f"solution table for p = {listing.p}: {listing.total} (b, a) pairs\n")
+    _, first, counts = np.unique(listing.k, return_index=True, return_counts=True)
+    sizes = dict(zip(first.tolist(), counts.tolist()))  # first b of each class -> class size
+    for b, k, _bt, _c, a in listing.per_b(np.argsort(listing.k, kind="stable").tolist()):
+        if b in sizes:
+            out.write(f"[k = {k}] {sizes[b]} b-value(s), {len(a)} solution(s) per b\n")
+        out.write(f"b = {texts[b]} :: a = {' | '.join(map(get, a.tolist()))}\n")

@@ -16,7 +16,7 @@ from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
 from orbifold.params import DeformationParams, build_candidate, closed_form
-from orbifold.solver import enumerate_solutions, records_to_csv
+from orbifold.solver import build_listing, records_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -228,7 +228,7 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--p", "3", "--format", "csv")
         assert code == 0
         exported = io.StringIO()
-        records_to_csv(enumerate_solutions(3), exported)
+        records_to_csv(build_listing(3), exported)
         assert out == exported.getvalue()
 
     def test_p5_generates(self, capsys):
@@ -555,17 +555,22 @@ def run_module(*argv):
     return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_closed_pipe_exits_one_without_traceback(fmt):
+@pytest.mark.parametrize("argv, first", [
+    pytest.param(("enumerate", "--format", "csv"), b"b,a\n", id="csv"),
+    pytest.param(("enumerate", "--format", "json"), b'{"p": 5, ', id="json"),
+    pytest.param(("enumerate", "--format", "text"), b"census for", id="text"),
+    pytest.param(("table",), b"solution t", id="table-text"),
+])
+def test_closed_pipe_exits_one_without_traceback(argv, first):
     # A reader that stops early, as `| head -c 10` does: the listing is about
     # 1 MB, far past what the pipe holds, so later writes find it closed.
-    command, env = module_command("enumerate", "--p", "5", "--format", fmt)
+    command, env = module_command(*argv, "--p", "5")
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()
         err = proc.stderr.read().decode()
     assert proc.returncode == 1
-    assert head.startswith(b"b,a\n" if fmt == "csv" else b'{"p": 5, ')
+    assert head.startswith(first)
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
 

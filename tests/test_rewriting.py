@@ -262,6 +262,14 @@ class TestDimension:
         assert ok
         assert [r["count"] for r in rows] == [5, 15, 30]
 
+    def test_negative_bound_raises_value_error(self):
+        with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
+            check_dimension(running_rules(), -1)
+
+    def test_zero_bound_is_one_row(self):
+        ok, rows = check_dimension(running_rules(), 0)
+        assert ok and [(r["degree"], r["count"]) for r in rows] == [(0, 3)]
+
 
 class TestCrossOracleP5:
     def test_sampled_solutions_pass(self):

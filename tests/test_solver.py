@@ -23,6 +23,7 @@ from orbifold.solver import (
     _sweep_hits,
     _system_tables,
     a_from_c,
+    build_listing,
     c_from_ab,
     census,
     enumerate_solutions,
@@ -33,6 +34,7 @@ from orbifold.solver import (
     phi_b,
     records_to_csv,
     records_to_json,
+    records_to_text,
     span,
     system_residual,
 )
@@ -261,6 +263,30 @@ def reference_records_json(p, records, tail):
     return json.dumps(payload) + "\n"
 
 
+def reference_records_csv(records):
+    """One "b,a" line per solution of the records, each element through
+    to_text."""
+    lines = [f"{r.b.to_text()},{a.to_text()}\n" for r in records for _c, a in r.solutions]
+    return "b,a\n" + "".join(lines)
+
+
+def reference_records_text(p, records):
+    """The solution table from the records grouped by class in a dict, the
+    way the text table was first written."""
+    by_k = {}
+    for r in records:
+        by_k.setdefault(r.k, []).append(r)
+    lines = [f"solution table for p = {p}: {sum(len(r.solutions) for r in records)} (b, a) pairs"]
+    for k in sorted(by_k):
+        group = by_k[k]
+        lines.append(f"[k = {k}] {len(group)} b-value(s), {len(group[0].solutions)} solution(s) per b")
+        for r in group:
+            lines.append(f"b = {r.b.to_text()} :: a = {' | '.join(a.to_text() for _c, a in r.solutions)}")
+    return "\n".join(lines) + "\n"
+
+
+# The writers and enumerate_solutions are two consumers of one Listing; each
+# writer must give the text of its reference written from the records.
 @pytest.mark.parametrize("with_tail", [False, True])
 @pytest.mark.parametrize("mode", ["closed_form", "brute_force"])
 @pytest.mark.parametrize("p", [3, 5])
@@ -269,26 +295,68 @@ def test_json_writer_equals_json_dumps(p, mode, with_tail):
     tail = {"census": [{"k": r.k, "n": r.b_class_size} for r in census(p)], "total": 7}
     tail = tail if with_tail else {}
     out = io.StringIO()
-    records_to_json(p, records, out, tail)
+    records_to_json(build_listing(p, mode), out, tail)
     assert out.getvalue() == reference_records_json(p, records, tail)
 
 
-def test_json_writer_writes_once_per_record(monkeypatch):
-    # The writer takes a one-pass iterator and writes once per record, plus
-    # the head and the tail.
-    records = enumerate_solutions(3)
+@pytest.mark.parametrize("mode", ["closed_form", "brute_force"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_csv_writer_equals_records(p, mode):
+    out = io.StringIO()
+    records_to_csv(build_listing(p, mode), out)
+    assert out.getvalue() == reference_records_csv(enumerate_solutions(p, mode))
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "brute_force"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_text_writer_equals_records(p, mode):
+    out = io.StringIO()
+    records_to_text(build_listing(p, mode), out)
+    assert out.getvalue() == reference_records_text(p, enumerate_solutions(p, mode))
+
+
+@pytest.mark.parametrize("writer, extra", [
+    pytest.param(records_to_csv, 1, id="csv"),  # the header
+    pytest.param(records_to_text, 1 + 4, id="text"),  # the count line, one size line per class
+])
+def test_csv_and_text_writers_write_once_per_b(monkeypatch, writer, extra):
     writes = []
     out = io.StringIO()
     monkeypatch.setattr(out, "write", writes.append)
-    records_to_json(3, iter(records), out, {})
-    assert len(writes) == len(records) + 2
+    writer(build_listing(3), out)
+    assert len(writes) == 3**3 + extra
+
+
+def test_json_writer_writes_once_per_record(monkeypatch):
+    # Each JSON record is one b: one write per b, plus the head and the tail.
+    listing = build_listing(3)
+    writes = []
+    out = io.StringIO()
+    monkeypatch.setattr(out, "write", writes.append)
+    records_to_json(listing, out, {})
+    assert len(writes) == 3**3 + 2
     assert json.loads("".join(writes))["records"][0]["k"] == 3
 
 
+def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
+    # Drop the sweep's last hit: the brute-force listing must show one
+    # solution fewer for the last b, not the p^k the theorem predicts, and
+    # enumerate must report the mismatch.
+    import orbifold.solver as solver
+    from orbifold.cli import main
+
+    sweep = solver._sweep_hits
+    monkeypatch.setattr(solver, "_sweep_hits", lambda *args: tuple(x[:-1] for x in sweep(*args)))
+    brute = np.diff(build_listing(3, "brute_force").ends, prepend=0)
+    closed = np.diff(build_listing(3).ends, prepend=0)
+    assert (closed - brute).tolist() == [0] * 26 + [1]
+    assert main(["enumerate", "--p", "3", "--mode", "brute_force", "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "count mismatch: 80 != 81\n"
+
+
 def test_csv_export_shape():
-    records = enumerate_solutions(3)
     out = io.StringIO()
-    records_to_csv(records, out)
+    records_to_csv(build_listing(3), out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "b,a"
     assert len(lines) == 82
