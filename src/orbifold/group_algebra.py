@@ -10,6 +10,7 @@ the whole solver, so it lives here next to the basic ring operations.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -263,6 +264,12 @@ class GroupAlgebraElement:
                 return
             coeffs[i] += 1
 
+    @staticmethod
+    def all_texts(p: int) -> list[str]:
+        """to_text of all p^p elements, in the order of all_elements, built
+        from the term table without making any element."""
+        return [_leading(text) for text in map("".join, itertools.product(*_term_texts(p)))]
+
     @classmethod
     def random(cls, rng, p: int) -> "GroupAlgebraElement":
         return cls(p, tuple(rng.randrange(p) for _ in range(p)))
@@ -278,9 +285,7 @@ class GroupAlgebraElement:
         Coefficients use balanced representatives in (-p/2, p/2) so the
         common small elements print the way they are written by hand.
         """
-        text = "".join([terms[c] for terms, c in zip(_term_texts(self.p), self.coeffs)])
-        # The leading term drops its " + ", or writes " - " as "-".
-        return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+        return _leading("".join([terms[c] for terms, c in zip(_term_texts(self.p), self.coeffs)]))
 
     _TERM_RE = re.compile(
         r"\s*(?P<sign>[+-])?\s*(?:"
@@ -351,6 +356,12 @@ def _term_texts(p: int) -> list[list[str]]:
         bodies = [str(m) if i == 0 else g if m == 1 else f"{m}*{g}" for m in range(1, p // 2 + 1)]
         out.append(["", *(f" + {x}" for x in bodies), *(f" - {x}" for x in reversed(bodies))])
     return out
+
+
+def _leading(text: str) -> str:
+    """A run of _term_texts terms as to_text writes it: the leading term drops
+    its " + ", or writes " - " as "-"; no terms is "0"."""
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
 
 def gminus1(p: int) -> GroupAlgebraElement:

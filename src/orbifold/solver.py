@@ -22,14 +22,16 @@ uses that the kernel depends on b only through its class k and that
 a = c L + const(b) is affine in c: per class it spans the kernel once (its
 p^k lexicographic coordinate rows times the basis) and then maps it to the
 a rows of every b of the class with one broadcast.  Brute force, the
-independent check, compares every pair (a, b) with the system itself as one
-split comparison: a prefix and a suffix of a each give a packed part of the
-residual, and one broadcast equality of the parts tests all pairs of a chunk
-of b; its offsets count the hits.
+independent check, decides every pair (a, b) with the system itself as one
+exact meet-in-the-middle join: a prefix and a suffix of a each give a packed
+part of the residual, the suffix parts of each b are sorted, and each prefix
+part finds its equal suffix parts by binary search; its offsets count the
+hits.
 
-The writers render each row's text once per call and write once per b; the
-JSON is the text json.dumps would give.  enumerate_solutions turns a Listing
-into SolutionRecords for library callers.
+The writers render each row's text once per call and write once per b, in
+pieces of at most WRITE_PIECE_PAIRS pairs; the JSON is the text json.dumps
+would give.  enumerate_solutions turns a Listing into SolutionRecords for
+library callers.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ PAIR_SWEEP_MAX_P = 5
 #: The array path holds one row per element of F_pG, so p^p must stay
 #: within this many rows (p <= 7).
 MAX_COEFF_ROWS = 10**7
-#: Pairs compared per broadcast of the pair sweep, which keeps its transient
-#: arrays to a few MB.
+#: Pairs decided per chunk of the pair sweep: 125 rows of b at p = 5, one
+#: row at p = 7.  A chunk's transient arrays peak at about 0.6 MB at p = 5.
 SWEEP_CHUNK_PAIRS = 5**8
+#: Most solution pairs in one write of the listing writers, so that a b with
+#: many solutions (the zero b has p^p) is never rendered as one string.
+WRITE_PIECE_PAIRS = 2**16
 
 EnumerationMode = Literal["closed_form", "brute_force"]
 
@@ -256,30 +261,58 @@ def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lin % p, const % p
 
 
+def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The base-p value of (start + sum_j x_j lin_j) mod p for every x in
+    [0, p)^m, lexicographic, one column per row of a chunk.
+
+    Digit plane first: start[l, i] is the start of row i, and tables[l, j, v, i]
+    is v * lin_j[i, l] for the m coordinates j of x.  Each coordinate of x
+    widens the sums by one less significant place.
+    """
+    sums = start[:, None]
+    for j in range(tables.shape[1]):
+        sums = (sums[:, :, None] + tables[:, j, None]).reshape(p, -1, start.shape[1])
+    sums %= p
+    packed = sums[0]
+    for digits in sums[1:]:
+        packed = packed * p + digits
+    return packed
+
+
 def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (i, x) with x lin[i] + const[i] = 0 mod p, as row-index arrays
     ordered by i, then x.
 
-    Every pair is compared, meet-in-the-middle: x splits after h = p // 2
-    coordinates into x_hi and x_lo, and the residual vanishes exactly when
-    -(const + lin_hi x_hi) = lin_lo x_lo mod p.  Packing both sides into their
-    base-p values makes that one integer equality, and one broadcast tests the
-    p^h * p^(p-h) splits of every row i in a chunk.
+    Every pair is decided by an exact meet-in-the-middle join: x splits after
+    h = p // 2 coordinates into x_hi and x_lo, and the residual vanishes
+    exactly when -(const + x_hi lin_hi) = x_lo lin_lo mod p.  Per chunk of
+    rows both sides are packed into their base-p values, the lo side is
+    stably sorted per row, and each hi value finds its run of equal lo values
+    by binary search on the keys row * p^p + value.  The stable sort keeps
+    each run ascending in x_lo, so the hits come out in (i, x) order.
     """
     h = p // 2
-    rows = _all_coeff_rows(p)
-    x_hi, x_lo = rows[: p**h, p - h:], rows[: p ** (p - h), h:]
+    n_hi, n_lo = p**h, p ** (p - h)
+    dtype = np.int16 if p**p < 2**15 else np.int32  # packed values are below p^p
+    digits = np.arange(p, dtype=dtype)[:, None]
     chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
     found_i, found_x = [], []
     for start in range(0, len(lin), chunk):
-        part = lin[start:start + chunk]
-        left = -(const[start:start + chunk, None] + x_hi @ part[:, :h])
-        right = x_lo @ part[:, h:]
-        i, hi, lo = np.nonzero(
-            _row_index(p, left % p)[:, :, None] == _row_index(p, right % p)[:, None, :]
-        )
-        found_i.append(i + start)
-        found_x.append(hi * p ** (p - h) + lo)
+        tables = lin[start:start + chunk].T.astype(dtype)[:, :, None] * digits  # [l, j, v, i]
+        neg_const = -const[start:start + chunk].T.astype(dtype)
+        hi = _packed_sums(p, neg_const, -tables[:, :h]).T
+        lo = _packed_sums(p, np.zeros_like(neg_const), tables[:, h:]).T
+        order = np.argsort(lo, axis=1, kind="stable")
+        offsets = np.arange(len(lo))[:, None] * p**p
+        keys = (offsets + np.take_along_axis(lo, order, axis=1)).ravel()
+        wanted = (offsets + hi).ravel()
+        first = np.searchsorted(keys, wanted, "left")
+        counts = np.searchsorted(keys, wanted, "right") - first
+        # Hit t of the run of hi slot s sits at sorted position first[s] + t.
+        slot = np.repeat(np.arange(len(wanted)), counts)
+        sorted_pos = np.repeat(first + counts - np.cumsum(counts), counts) + np.arange(len(slot))
+        found_i.append(slot // n_hi + start)
+        found_x.append(slot % n_hi * n_lo + order.ravel()[sorted_pos])
     return np.concatenate(found_i), np.concatenate(found_x)
 
 
@@ -368,6 +401,18 @@ def census(p: int) -> list[CensusRow]:
     return rows
 
 
+def _write_pieces(
+    out: TextIO, head: str, sep: str, tail: str,
+    render: Callable[..., Iterable[str]], *columns: np.ndarray,
+) -> None:
+    """Write head + sep.join(render(*columns)) + tail to out, one write per
+    WRITE_PIECE_PAIRS rows of the columns, so that no b's text is held whole."""
+    while len(columns[0]) > WRITE_PIECE_PAIRS:
+        out.write(head + sep.join(render(*(col[:WRITE_PIECE_PAIRS] for col in columns))))
+        head, columns = sep, tuple(col[WRITE_PIECE_PAIRS:] for col in columns)
+    out.write(head + sep.join(render(*columns)) + tail)
+
+
 def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -> None:
     """Write {"p": p, "records": [...], **tail} and a newline to out, as
     json.dumps would, one b at a time; each row's coefficient list is
@@ -375,15 +420,16 @@ def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -
     digits = [str(x) for x in range(listing.p)]
     texts = [f"[{', '.join(row)}]" for row in itertools.product(digits, repeat=listing.p)]
     kernels = [json.dumps([e.coeffs for e in basis]) for basis in listing.bases]
+    pairs = lambda c, a: [
+        f'{{"c": {texts[x]}, "a": {texts[y]}}}' for x, y in zip(c.tolist(), a.tolist())
+    ]
     out.write(f'{{"p": {listing.p}, "records": [')
     for b, k, bt, c, a in listing.per_b():
-        solutions = ", ".join(
-            [f'{{"c": {texts[x]}, "a": {texts[y]}}}' for x, y in zip(c.tolist(), a.tolist())]
-        )
-        out.write(
+        head = (
             f'{", " if b else ""}{{"b": {texts[b]}, "k": {k}, '
-            f'"btilde": {texts[bt]}, "kernel": {kernels[k]}, "solutions": [{solutions}]}}'
+            f'"btilde": {texts[bt]}, "kernel": {kernels[k]}, "solutions": ['
         )
+        _write_pieces(out, head, ", ", "]}", pairs, c, a)
     tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail.items())
     out.write(f"]{tail_text}}}\n")
 
@@ -391,23 +437,23 @@ def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -
 def records_to_csv(listing: Listing, out: TextIO) -> None:
     """Write one (b, a) row per solution to out, in canonical text form, one
     b at a time."""
-    texts = [x.to_text() for x in GroupAlgebraElement.all_elements(listing.p)]
-    get = texts.__getitem__
+    texts = GroupAlgebraElement.all_texts(listing.p)
+    solutions = lambda a: map(texts.__getitem__, a.tolist())
     out.write("b,a\n")
     for b, _k, _bt, _c, a in listing.per_b():
         if len(a):
-            out.write(f"{texts[b]}," + f"\n{texts[b]},".join(map(get, a.tolist())) + "\n")
+            _write_pieces(out, f"{texts[b]},", f"\n{texts[b]},", "\n", solutions, a)
 
 
 def records_to_text(listing: Listing, out: TextIO) -> None:
     """Write the solution table: a count line, then per class k a size line
     and one line per b of the class, in row order."""
-    texts = [x.to_text() for x in GroupAlgebraElement.all_elements(listing.p)]
-    get = texts.__getitem__
+    texts = GroupAlgebraElement.all_texts(listing.p)
+    solutions = lambda a: map(texts.__getitem__, a.tolist())
     out.write(f"solution table for p = {listing.p}: {listing.total} (b, a) pairs\n")
     _, first, counts = np.unique(listing.k, return_index=True, return_counts=True)
     sizes = dict(zip(first.tolist(), counts.tolist()))  # first b of each class -> class size
     for b, k, _bt, _c, a in listing.per_b(np.argsort(listing.k, kind="stable").tolist()):
         if b in sizes:
             out.write(f"[k = {k}] {sizes[b]} b-value(s), {len(a)} solution(s) per b\n")
-        out.write(f"b = {texts[b]} :: a = {' | '.join(map(get, a.tolist()))}\n")
+        _write_pieces(out, f"b = {texts[b]} :: a = ", " | ", "\n", solutions, a)

@@ -256,6 +256,25 @@ def test_text_round_trip_random_p7():
         assert GA.from_text(7, x.to_text()) == x
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_all_texts_equals_to_text(p):
+    assert GA.all_texts(p) == [x.to_text() for x in GA.all_elements(p)]
+
+
+def test_all_texts_by_row_index_p7():
+    # Row i of the table is the element whose base-7 value is i.
+    texts = GA.all_texts(7)
+    assert len(texts) == 7**7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7**7 - 1))
+    def check(i):
+        x = GA(7, tuple(i // 7**e % 7 for e in range(6, -1, -1)))
+        assert texts[i] == x.to_text()
+
+    check()
+
+
 def test_text_parse_examples():
     assert ga(3, "-1+g+g^2") == GA.from_coeffs(3, [2, 1, 1])
     assert ga(3, "1-g") == GA.from_coeffs(3, [1, 2, 0])

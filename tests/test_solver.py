@@ -17,9 +17,12 @@ from orbifold.group_algebra import (
     gminus1,
     gminus1_power,
 )
+import orbifold.solver as solver
 from orbifold.solver import (
+    SWEEP_CHUNK_PAIRS,
     SolutionRecord,
     _all_coeff_rows,
+    _row_index,
     _sweep_hits,
     _system_tables,
     a_from_c,
@@ -338,6 +341,26 @@ def test_json_writer_writes_once_per_record(monkeypatch):
     assert json.loads("".join(writes))["records"][0]["k"] == 3
 
 
+@pytest.mark.parametrize("writer", [
+    pytest.param(lambda listing, out: records_to_json(listing, out, {"total": 81}), id="json"),
+    pytest.param(records_to_csv, id="csv"),
+    pytest.param(records_to_text, id="text"),
+])
+def test_writers_split_large_b_into_pieces(monkeypatch, writer):
+    # With pieces of 7 pairs, the zero b (27 solutions) takes 4 writes and
+    # each of the two b of class 2 (9 solutions) takes 2; the text is the same.
+    listing = build_listing(3)
+    whole, pieces = [], []
+    out = io.StringIO()
+    monkeypatch.setattr(out, "write", whole.append)
+    writer(listing, out)
+    monkeypatch.setattr(solver, "WRITE_PIECE_PAIRS", 7)
+    monkeypatch.setattr(out, "write", pieces.append)
+    writer(listing, out)
+    assert "".join(pieces) == "".join(whole)
+    assert len(pieces) == len(whole) + 3 + 2 * 1
+
+
 def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
     # Drop the sweep's last hit: the brute-force listing must show one
     # solution fewer for the last b, not the p^k the theorem predicts, and
@@ -512,6 +535,73 @@ class TestPairSweep:
             assert hits.tolist() == solutions
 
         check()
+
+
+def reference_sweep_hits(p, lin, const):
+    """The pair sweep as one broadcast equality per chunk of rows, the way
+    _sweep_hits was first written; the join must give the same arrays."""
+    h = p // 2
+    rows = _all_coeff_rows(p)
+    x_hi, x_lo = rows[: p**h, p - h:], rows[: p ** (p - h), h:]
+    chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
+    found_i, found_x = [], []
+    for start in range(0, len(lin), chunk):
+        part = lin[start:start + chunk]
+        left = -(const[start:start + chunk, None] + x_hi @ part[:, :h])
+        right = x_lo @ part[:, h:]
+        i, hi, lo = np.nonzero(
+            _row_index(p, left % p)[:, :, None] == _row_index(p, right % p)[:, None, :]
+        )
+        found_i.append(i + start)
+        found_x.append(hi * p ** (p - h) + lo)
+    return np.concatenate(found_i), np.concatenate(found_x)
+
+
+def assert_join_equals_broadcast(p, lin, const):
+    (i, x), (ref_i, ref_x) = _sweep_hits(p, lin, const), reference_sweep_hits(p, lin, const)
+    assert np.array_equal(i, ref_i) and np.array_equal(x, ref_x)
+
+
+def system_rows(p, n):
+    """n drawn (lin, const) tables of an affine map on F_p^p, entries in [0, p)."""
+    size = n * (p + 1) * p
+    return st.lists(st.integers(0, p - 1), min_size=size, max_size=size).map(
+        lambda xs: (np.reshape(xs[: n * p * p], (n, p, p)), np.reshape(xs[n * p * p:], (n, p)))
+    )
+
+
+class TestJoin:
+    """The sorted join of _sweep_hits against the broadcast sweep it replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_b(self, p):
+        assert_join_equals_broadcast(p, *_system_tables(p, _all_coeff_rows(p)))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_drawn_rows(self, p):
+        @settings(max_examples=25 if p < 7 else 10, deadline=None)
+        @given(st.integers(1, 3).flatmap(lambda n: system_rows(p, n)))
+        def check(tables):
+            assert_join_equals_broadcast(p, *tables)
+
+        check()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_zero_map(self, p):
+        # lin = 0: every x is a hit when const = 0, and none when it is not.
+        lin = np.zeros((2, p, p), dtype=np.int64)
+        const = np.zeros((2, p), dtype=np.int64)
+        const[1, p - 1] = 1
+        i, x = _sweep_hits(p, lin, const)
+        assert np.array_equal(i, np.zeros(p**p)) and np.array_equal(x, np.arange(p**p))
+        assert_join_equals_broadcast(p, lin, const)
+
+    def test_int32_packing_p7(self):
+        # 7^7 packed values pass int16; one b per class, p^k hits each.
+        bs = [gminus1_power(7, k) * ga(7, "1 + g^3") for k in range(8)]
+        lin, const = _system_tables(7, np.array([b.coeffs for b in bs], dtype=np.int64))
+        assert_join_equals_broadcast(7, lin, const)
+        assert np.bincount(_sweep_hits(7, lin, const)[0]).tolist() == [7**k for k in range(8)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
