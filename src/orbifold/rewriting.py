@@ -14,13 +14,15 @@ side has length 2, so by Bergman's diamond lemma (G. Bergman, "The diamond
 lemma for ring theory", Adv. Math. 29, 1978) the normal words are a basis,
 i.e. the parameter set is PBW, exactly when every overlap word x*y*z with
 (x, y) and (y, z) both rules resolves: rewriting it at either pair reaches
-the same normal form.  ``check_overlaps`` decides this over the roughly p^3
-overlaps, exactly in every degree.  ``check_associativity`` sweeps triples of
-normal words up to a degree bound instead and stays as its independent
-cross-check; ``check_dimension`` counts irreducible words against the
-polynomial growth of the undeformed algebra up to a degree bound.  None of
-this shares code with the six-condition checker, so agreement between the
-two is evidence, not tautology.
+the same normal form.  There are (p-1)^3 + 2(p-1)^2 + (p-1) overlaps, but
+the (p-1)^3 words g^a*g^b*g^c use R4 alone and resolve for every parameter
+set, since the group law is associative; ``check_overlaps`` decides the
+2(p-1)^2 + (p-1) that read lambda and kappa, exactly in every degree.
+``check_associativity`` sweeps triples of normal words up to a degree bound
+instead and stays as its independent cross-check; ``check_dimension`` counts
+irreducible words against the polynomial growth of the undeformed algebra up
+to a degree bound.  None of this shares code with the six-condition checker,
+so agreement between the two is evidence, not tautology.
 
 Words are tuples of ints: positive m encodes g^m, V1 and V2 are negative
 sentinels, and the empty tuple is the identity.  lambda values are read
@@ -299,11 +301,20 @@ def check_overlaps(rules: RuleSet) -> tuple[bool, dict | None]:
     reduce(rhs(x, y) * z) with reduce(x * rhs(y, z)).  By the diamond lemma
     all of them agree exactly when the normal words are a basis, in every
     degree at once.  The witness names the overlap and its two normal forms.
+
+    The overlaps are g^a*g^b*v1 and g^a*g^b*v2 ((p-1)^2 each), g^m*v2*v1
+    (p-1 of them), and the (p-1)^3 words g^a*g^b*g^c.  Only the first
+    2(p-1)^2 + (p-1) read lambda and kappa, and they are the ones resolved
+    here, in table order.  A g^a*g^b*g^c overlap involves R4 alone, so both
+    sides reduce to g^(a+b+c mod p) for every parameter set, by associativity
+    of the group law; skipping them changes neither the verdict nor which
+    failure comes first.
     """
     table = rules.table
     followers: dict[int, list[int]] = {}
     for y, z in table:
-        followers.setdefault(y, []).append(z)
+        if z < 0:  # a follower z = g^c only overlaps g^a*g^b: a group word
+            followers.setdefault(y, []).append(z)
     for (x, y), xy in table.items():
         for z in followers.get(y, ()):
             lhs = rules.reduce_poly({w + (z,): c for w, c in xy.items()})

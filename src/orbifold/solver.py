@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -161,7 +160,6 @@ def _lex_rows(p: int, k: int) -> np.ndarray:
     return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
-@lru_cache(maxsize=4)
 def _all_coeff_rows(p: int) -> np.ndarray:
     """All p^p coefficient vectors as an int64 array, lexicographic by row."""
     if p ** p > MAX_COEFF_ROWS:

@@ -350,6 +350,36 @@ def test_check_stdout_is_pinned(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT_SHA256[case]
 
 
+def test_check_witnesses_print_as_plain_ints(capsys, tmp_path):
+    """Array-computed witnesses reach the output as ints: no np.int64(...)
+    in the text, and the JSON loads."""
+    path = tmp_path / "condition1.json"
+    path.write_text(json.dumps(check_files()["condition1"].to_json()))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2 and "np." not in out
+    assert out == (
+        "condition 1: FAIL\n"
+        "  witness: ((1, 1, 1), [0, 1, 0])\n"
+        "  witness: ((1, 1, 2), [0, 2, 0])\n"
+        "  witness: ((1, 2, 1), [0, 0, 2])\n"
+        "  witness: ((1, 2, 2), [0, 0, 1])\n"
+        "  witness: ((2, 1, 1), [0, 0, 2])\n"
+        "condition 2: pass\n"
+        "condition 3: FAIL\n"
+        "  witness: ((1, 0), [1, 0])\n"
+        "condition 4: pass\n"
+        "condition 5: pass\n"
+        "condition 6: pass\n"
+        "PBW: no\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["conditions"]["1"]["witnesses"] == [
+        [[1, 1, 1], [0, 1, 0]], [[1, 1, 2], [0, 2, 0]], [[1, 2, 1], [0, 0, 2]],
+        [[1, 2, 2], [0, 0, 1]], [[2, 1, 1], [0, 0, 2]], [[2, 2, 1], [1, 0, 0]],
+    ]
+
+
 # sha256 of the stdout of build, with the implied-a line it writes to stderr,
 # so that every table entry is pinned: unit and non-unit b, empty and
 # non-empty d, with and without kappa^C and a coboundary map.

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbifold.action import Vector, VGroupElement, act, sym_mul, v1, v2
@@ -34,6 +35,44 @@ def all_pairs(p):
 
 
 # -- reference ---------------------------------------------------------------
+# Conditions 1 and 2 as loops over F_pG elements, as pbw.py computed them
+# before it decided them as array identities over the lambda table; kept as
+# a cross-check of the witness lists, order and values included.
+
+
+def reference_condition1(params):
+    p = params.p
+    bad = []
+    for i in range(p):
+        for j in range(p):
+            for m in (1, 2):
+                # g^j fixes v1 and sends v2 to j*v1 + v2.
+                if m == 1:
+                    twisted = params.lam[i][0]
+                else:
+                    twisted = params.lam[i][0].scale(j) + params.lam[i][1]
+                residual = (
+                    params.lam[(i + j) % p][m - 1]
+                    - twisted.shift(j)
+                    - params.lam[j][m - 1].shift(i)
+                )
+                if not residual.is_zero():
+                    bad.append(((i, j, m), list(residual.coeffs)))
+    return bad
+
+
+def reference_condition2_ring(params):
+    kappa1, kappa2 = params.kappaL.row1, params.kappaL.row2
+    bad = []
+    for i, (lam1, lam2) in enumerate(params.lam):
+        residual = (
+            params.lam_ga(lam2, 1) - params.lam_ga(lam1, 2) + lam1 * kappa1 + lam2 * kappa2
+        )
+        if not residual.is_zero():
+            bad.append((i, list(residual.coeffs)))
+    return bad
+
+
 # Conditions 2, 3 and 6 evaluated through the action on V, as pbw.py did
 # before it wrote the transvection into the formulas; kept as a cross-check.
 
@@ -117,7 +156,52 @@ def tables(draw):
     return DeformationParams(p, lam, draw(element), VGroupElement(draw(element), draw(element)))
 
 
+def plain_ints(x):
+    """True when every number in x, through nested lists and tuples, is an int
+    (not a numpy integer, which prints as np.int64(3) and is not JSON)."""
+    if isinstance(x, (list, tuple)):
+        return all(plain_ints(y) for y in x)
+    return type(x) is int
+
+
+def assert_loop_references_agree(params):
+    for check, reference in (
+        (check_condition1, reference_condition1),
+        (check_condition2, reference_condition2_ring),
+    ):
+        witnesses = check(params)
+        assert witnesses == reference(params)
+        assert plain_ints(witnesses)
+
+
+def perturbed(params, i, m, n):
+    """params with the coefficient of g^n in lambda(g^i, v_m) moved by 1."""
+    obj = params.to_json()
+    obj["lambda"][i][m - 1][n] += 1
+    return DeformationParams.from_json(obj)
+
+
 class TestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_array_identities_equal_the_loops_on_arbitrary_tables(self, params):
+        assert_loop_references_agree(params)
+
+    def test_array_identities_equal_the_loops_on_candidates_exhaustively_p3(self):
+        for a, b in all_pairs(3):
+            assert_loop_references_agree(build_candidate(a, b))
+
+    @pytest.mark.parametrize("p", [31, 97])
+    def test_array_identities_equal_the_loops_at_large_p(self, p):
+        rng = random.Random(p)
+        b = GA.random(rng, p)
+        d = [rng.randrange(p) for _ in range(b.gminus1_factor().k)]
+        params = closed_form(b, d, GA.random(rng, p))
+        assert_loop_references_agree(params)
+        broken = perturbed(params, 5, 2, 7)
+        assert check_condition1(broken) and check_condition2(broken)
+        assert_loop_references_agree(broken)
+
     @settings(max_examples=150, deadline=None)
     @given(tables())
     def test_conditions_equal_the_reference_on_arbitrary_tables(self, params):

@@ -1,5 +1,6 @@
 """The rewriting system: rules, normal forms, confluence, the two certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from orbifold.params import (
 )
 from orbifold.pbw import check_all
 from orbifold.rewriting import (
+    _witness,
     NCPolynomial,
     NormalWord,
     V1,
@@ -30,6 +32,7 @@ from orbifold.rewriting import (
     trace_reduction,
     word_to_text,
 )
+from test_pbw import perturbed, tables
 
 
 def ga(p, text):
@@ -171,6 +174,22 @@ class TestAssociativity:
             check_associativity(running_rules(), 2)
 
 
+def reference_check_overlaps(rules):
+    """check_overlaps before it skipped the g^a*g^b*g^c overlaps: every
+    overlap of the rule table, in table order."""
+    table = rules.table
+    followers: dict[int, list[int]] = {}
+    for y, z in table:
+        followers.setdefault(y, []).append(z)
+    for (x, y), xy in table.items():
+        for z in followers.get(y, ()):
+            lhs = rules.reduce_poly({w + (z,): c for w, c in xy.items()})
+            rhs = rules.reduce_poly({(x,) + w: c for w, c in table[(y, z)].items()})
+            if lhs != rhs:
+                return False, _witness(rules.p, (x,), (y,), (z,), lhs, rhs)
+    return True, None
+
+
 class TestOverlaps:
     def test_solutions_resolve(self):
         assert check_overlaps(rules_from_params(DeformationParams.zero(3))) == (True, None)
@@ -184,6 +203,33 @@ class TestOverlaps:
         assert witness["lhs"] != witness["rhs"]
         # The bracket overlap g*v2*v1, where condition 2 fails.
         assert (witness["x"], witness["y"], witness["z"]) == ("g^1", "v2", "v1")
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_condition1_defect_fails_a_group_vector_overlap(self, m):
+        # lambda(g^2, v_m) moved at g^(m+1) breaks condition 1 alone (b = 0 keeps
+        # lambda(g^i, v1) and kappa^L_2 at zero), so the first overlap to fail
+        # is a g^a*g^b*v_m word, one the candidate strategies never fail.
+        p = 5
+        base = DeformationParams.zero(p) if m == 1 else closed_form(GA.zero(p), [1, 2, 3, 4, 0])
+        params = perturbed(base, 2, m, m + 1)
+        assert [i for i, ok in check_all(params).passed.items() if not ok] == [1]
+        ok, witness = check_overlaps(rules_from_params(params))
+        assert not ok and (witness["x"], witness["y"], witness["z"]) == ("g^1", "g^1", f"v{m}")
+        assert (ok, witness) == reference_check_overlaps(rules_from_params(params))
+
+    @settings(max_examples=30, deadline=None)
+    @given(tables())
+    def test_group_overlaps_resolve_for_any_tables(self, params):
+        """The g^a*g^b*g^c overlaps that check_overlaps skips resolve whatever
+        lambda and kappa are: both sides are g^(a+b+c)."""
+        rules = rules_from_params(params)
+        p = params.p
+        for a, b, c in itertools.product(range(1, p), repeat=3):
+            s = (a + b + c) % p
+            expected = {((s,) if s else ()): 1}
+            lhs = rules.reduce_poly({w + (c,): k for w, k in rules.table[(a, b)].items()})
+            rhs = rules.reduce_poly({(a,) + w: k for w, k in rules.table[(b, c)].items()})
+            assert lhs == rhs == expected
 
 
 def elements(p):
@@ -220,16 +266,23 @@ def near_miss(draw, p):
 
 def assert_certificates_agree(params):
     rules = rules_from_params(params)
-    overlaps_ok, _ = check_overlaps(rules)
-    assert overlaps_ok == check_all(params).pbw == check_associativity(rules, 4)[0]
+    overlaps = check_overlaps(rules)
+    assert overlaps == reference_check_overlaps(rules_from_params(params))
+    assert overlaps[0] == check_all(params).pbw == check_associativity(rules, 4)[0]
 
 
 class TestCertificatesAgree:
-    """The overlap certificate against the six conditions and the degree-4 sweep."""
+    """The overlap certificate against the full overlap sweep, the six
+    conditions and the degree-4 sweep."""
 
     @settings(max_examples=60, deadline=None)
     @given(elements(3), elements(3), elements(3))
     def test_random_candidates_p3(self, a, b, kappaC):
+        assert_certificates_agree(build_candidate(a, b).with_kappaC(kappaC))
+
+    @settings(max_examples=8, deadline=None)
+    @given(elements(7), elements(7), elements(7))
+    def test_random_candidates_p7(self, a, b, kappaC):
         assert_certificates_agree(build_candidate(a, b).with_kappaC(kappaC))
 
     @settings(max_examples=6, deadline=None)
