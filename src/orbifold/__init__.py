@@ -36,18 +36,13 @@ from .params import (
 )
 from .pbw import ConditionReport, check_all
 from .rewriting import (
-    NCPolynomial,
-    NormalWord,
     RuleSet,
     check_associativity,
     check_dimension,
     check_overlaps,
-    oracle_multiply,
-    reduce,
     rules_from_params,
 )
 from .solver import (
-    CensusRow,
     SolutionRecord,
     a_from_c,
     c_from_ab,

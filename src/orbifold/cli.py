@@ -14,7 +14,7 @@ import os
 import sys
 
 from .chains import verify_chain_maps
-from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
+from .group_algebra import GroupAlgebraElement, check_prime
 from .params import CoboundaryData, DeformationParams, add_coboundary, closed_form, implied_a
 from .pbw import check_all
 from .rewriting import MAX_DIMENSION_DEGREE, check_dimension, check_overlaps, rules_from_params
@@ -43,7 +43,7 @@ TABLE_FORMATS = ("json", "csv", "text")
 REPORT_FORMATS = ("json", "text")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -69,9 +69,8 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple, need_p: bool = True) -> None:
-    sub.add_argument("--p", type=int, required=need_p, default=None,
-                     help="odd prime order of the group")
+def _add_common(sub: argparse.ArgumentParser, formats: tuple) -> None:
+    sub.add_argument("--p", type=int, required=True, help="odd prime order of the group")
     sub.add_argument("--format", choices=formats, default="text")
 
 
@@ -89,11 +88,8 @@ def _count_status(p: int, total: int) -> int:
 
 
 def _census(p: int) -> tuple[list[dict], int]:
-    """The census rows as JSON objects, and the number of solutions they count."""
-    rows = [
-        {"k": r.k, "b_class_size": r.b_class_size, "a_per_b": r.a_class_size_per_b}
-        for r in census(p)
-    ]
+    """The census rows and the number of solutions they count."""
+    rows = census(p)
     return rows, sum(r["b_class_size"] * r["a_per_b"] for r in rows)
 
 
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("check", help="run the six-condition check on a parameter file")
-    _add_common(sp, REPORT_FORMATS, need_p=False)  # the parameter file carries p
+    sp.add_argument("--format", choices=REPORT_FORMATS, default="text")
     _add_workers(sp)
     sp.add_argument("--degree", type=int, default=4,
                     help="degree bound for the oracle's dimension rows")
@@ -346,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         # that the flush at exit is quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TooLarge, ValueError) as exc:
+    except ValueError as exc:  # UsageError, TooLarge and bad values alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

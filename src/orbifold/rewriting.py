@@ -9,9 +9,11 @@ orients those relations into rewrite rules
     (R3)  v2 * v1    ->  v1 * v2 - kappa^C - kappa^L terms
     (R4)  g^m * g^m' ->  g^(m+m' mod p)   (empty word when the sum is 0)
 
-and reduces free words to the normal shape v1^i v2^j g^m.  Every left-hand
-side has length 2, so by Bergman's diamond lemma (G. Bergman, "The diamond
-lemma for ring theory", Adv. Math. 29, 1978) the normal words are a basis,
+and reduces free words to the normal shape v1^i v2^j g^m.  Rewriting
+terminates under a semigroup order that every rule lowers (the argument is in
+``RuleSet.reduce_word``), and every left-hand side has length 2, so by
+Bergman's diamond lemma (G. Bergman, "The diamond lemma for ring theory",
+Adv. Math. 29, 1978) the normal words are a basis,
 i.e. the parameter set is PBW, exactly when every overlap word x*y*z with
 (x, y) and (y, z) both rules resolves: rewriting it at either pair reaches
 the same normal form.  There are (p-1)^3 + 2(p-1)^2 + (p-1) overlaps, but
@@ -25,15 +27,15 @@ to a degree bound.  None of this shares code with the six-condition checker,
 so agreement between the two is evidence, not tautology.
 
 Words are tuples of ints: positive m encodes g^m, V1 and V2 are negative
-sentinels, and the empty tuple is the identity.  lambda values are read
+sentinels, and the empty tuple is the identity.  A linear combination of
+words is a {word: coeff} dict with coefficients in [0, p) and no zero
+coefficient; ``poly_to_text`` renders one.  lambda values are read
 from the stored table for every power of g separately, so a broken
 group-compatibility table shows up as an associativity defect instead of
 being silently repaired.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .group_algebra import GroupAlgebraElement
 from .params import DeformationParams
@@ -61,85 +63,28 @@ def word_to_text(word: Word) -> str:
     return "*".join(letter_to_text(x) for x in word) if word else "1"
 
 
-class NCPolynomial:
-    """A finite F_p-linear combination of free words.
-
-    Zero coefficients are never stored; iteration follows the canonical
-    (degree, length, word) order.
-    """
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms: dict[Word, int]):
-        self.p = p
-        self.terms = {w: c % p for w, c in terms.items() if c % p}
-
-    @classmethod
-    def from_word(cls, p: int, word: Word, coeff: int = 1) -> "NCPolynomial":
-        return cls(p, {tuple(word): coeff})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPolynomial)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPolynomial(self.p, out)
-
-    def scale(self, c: int) -> "NCPolynomial":
-        return NCPolynomial(self.p, {w: c * x for w, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Word, int]]:
-        return sorted(
-            self.terms.items(), key=lambda wc: (word_degree(wc[0]), len(wc[0]), wc[0])
-        )
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            (f"{c}*" if c != 1 else "") + word_to_text(w) for w, c in self.sorted_terms()
-        )
-
-    def __repr__(self):
-        return f"NCPolynomial({self.to_text()})"
+def _canonical(term: tuple[Word, int]) -> tuple:
+    """The canonical order of the terms of a {word: coeff} dict: (degree, length, word)."""
+    word = term[0]
+    return (word_degree(word), len(word), word)
 
 
-@dataclass(frozen=True)
-class NormalWord:
-    """An irreducible word v1^i v2^j g^m."""
-
-    i: int
-    j: int
-    m: int
-
-    @property
-    def degree(self) -> int:
-        return self.i + self.j
-
-    def word(self) -> Word:
-        return (V1,) * self.i + (V2,) * self.j + ((self.m,) if self.m else ())
+def poly_to_text(p: int, terms: dict[Word, int]) -> str:
+    """A {word: coeff} dict as text, coefficients mod p, in canonical order;
+    "0" when every coefficient vanishes."""
+    ordered = sorted(((w, c % p) for w, c in terms.items() if c % p), key=_canonical)
+    return " + ".join((f"{c}*" if c != 1 else "") + word_to_text(w) for w, c in ordered) or "0"
 
 
-def normal_words(p: int, max_degree: int) -> list[NormalWord]:
-    """All normal words of filtered degree <= max_degree, by (degree, i, j, m)."""
-    out = []
-    for deg in range(max_degree + 1):
-        for i in range(deg, -1, -1):
-            j = deg - i
-            out.extend(NormalWord(i, j, m) for m in range(p))
-    return out
+def normal_words(p: int, max_degree: int) -> list[Word]:
+    """All normal words v1^i v2^j g^m of filtered degree <= max_degree, by
+    (degree, descending i, m)."""
+    return [
+        (V1,) * i + (V2,) * (deg - i) + ((m,) if m else ())
+        for deg in range(max_degree + 1)
+        for i in range(deg, -1, -1)
+        for m in range(p)
+    ]
 
 
 def _element_words(x: GroupAlgebraElement, prefix: Word = ()) -> dict[Word, int]:
@@ -155,7 +100,6 @@ class RuleSet:
     def __init__(self, params: DeformationParams):
         p = params.p
         self.p = p
-        self.params = params
         table: dict[tuple[int, int], dict[Word, int]] = {}
         for m in range(1, p):
             # R1: g^m * v1 -> v1 * g^m + lambda(g^m, v1)
@@ -197,6 +141,14 @@ class RuleSet:
         The canonical strategy rewrites the leftmost reducible pair; the
         rightmost strategy exists for the confluence cross-check.  Results
         are memoized per strategy.
+
+        Terminates because every rule application strictly lowers the word
+        measure (v-degree, g-before-v inversions, v2-before-v1 inversions,
+        length) in lexicographic order, also inside any context C*_*D.  So the
+        semigroup order on words generated by "C*u*D < C*w*D for each word u on
+        the right of a rule with left side w" is well founded and every rule
+        lowers it: the termination order the diamond lemma in check_overlaps
+        relies on.
         """
         memo = self._memo_rl if rightmost else self._memo
         hit = memo.get(word)
@@ -241,25 +193,6 @@ def _add_scaled(p: int, target: dict[Word, int], terms: dict[Word, int], coeff: 
             target.pop(w, None)
 
 
-def reduce(x: NCPolynomial, rules: RuleSet, rightmost: bool = False) -> NCPolynomial:
-    """Rewrite to the fixed point; every surviving word is normal.
-
-    Terminates because every rule application strictly lowers the word
-    measure (v-degree, g-before-v inversions, v2-before-v1 inversions,
-    length) in lexicographic order, also inside any context C*_*D.  So the
-    semigroup order on words generated by "C*u*D < C*w*D for each word u on
-    the right of a rule with left side w" is well founded and every rule
-    lowers it: the termination order the diamond lemma in check_overlaps
-    relies on.
-    """
-    return NCPolynomial(rules.p, rules.reduce_poly(x.terms, rightmost))
-
-
-def oracle_multiply(x: NormalWord, y: NormalWord, rules: RuleSet) -> NCPolynomial:
-    """The induced product: reduce the concatenation of two normal words."""
-    return NCPolynomial(rules.p, rules.reduce_word(x.word() + y.word()))
-
-
 def check_associativity(
     rules: RuleSet, degree_bound: int = 4
 ) -> tuple[bool, dict | None]:
@@ -271,21 +204,17 @@ def check_associativity(
     """
     if degree_bound < 3:
         raise ValueError(f"degree bound must be >= 3, got {degree_bound}")
-    words = normal_words(rules.p, degree_bound)
-    by_degree: dict[int, list[NormalWord]] = {}
-    for w in words:
-        by_degree.setdefault(w.degree, []).append(w)
+    by_degree: dict[int, list[Word]] = {}
+    for w in normal_words(rules.p, degree_bound):
+        by_degree.setdefault(word_degree(w), []).append(w)
     for total in range(degree_bound + 1):
         for dx in range(total + 1):
             for dy in range(total - dx + 1):
                 dz = total - dx - dy
-                for x in by_degree[dx]:
-                    xw = x.word()
-                    for y in by_degree[dy]:
-                        xy = rules.reduce_word(xw + y.word())
-                        yw = y.word()
-                        for z in by_degree[dz]:
-                            zw = z.word()
+                for xw in by_degree[dx]:
+                    for yw in by_degree[dy]:
+                        xy = rules.reduce_word(xw + yw)
+                        for zw in by_degree[dz]:
                             lhs = rules.reduce_poly({w + zw: c for w, c in xy.items()})
                             yz = rules.reduce_word(yw + zw)
                             rhs = rules.reduce_poly({xw + w: c for w, c in yz.items()})
@@ -329,8 +258,8 @@ def _witness(p: int, x: Word, y: Word, z: Word, lhs: dict, rhs: dict) -> dict:
         "x": word_to_text(x),
         "y": word_to_text(y),
         "z": word_to_text(z),
-        "lhs": NCPolynomial(p, lhs).to_text(),
-        "rhs": NCPolynomial(p, rhs).to_text(),
+        "lhs": poly_to_text(p, lhs),
+        "rhs": poly_to_text(p, rhs),
     }
 
 
@@ -401,7 +330,7 @@ def trace_reduction(word: Word, rules: RuleSet) -> list[str]:
     lines: list[str] = []
     while True:
         target = None
-        for w, _ in sorted(poly.items(), key=lambda wc: (word_degree(wc[0]), len(wc[0]), wc[0])):
+        for w, _ in sorted(poly.items(), key=_canonical):
             for i in range(len(w) - 1):
                 if (w[i], w[i + 1]) in rules.table:
                     target, pos = w, i
@@ -417,6 +346,6 @@ def trace_reduction(word: Word, rules: RuleSet) -> list[str]:
         }
         lines.append(
             f"{word_to_text(target)} --{rules.rule_id(pair)}--> "
-            f"{NCPolynomial(p, replacement).to_text()}"
+            f"{poly_to_text(p, replacement)}"
         )
         _add_scaled(p, poly, replacement, poly.pop(target))

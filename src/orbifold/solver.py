@@ -31,7 +31,8 @@ hits.
 The writers render each row's text once per call and write once per b, in
 pieces of at most WRITE_PIECE_PAIRS pairs; the JSON is the text json.dumps
 would give.  enumerate_solutions turns a Listing into SolutionRecords for
-library callers.
+library callers; census gives the class sizes as the plain rows the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -76,15 +77,6 @@ class SolutionRecord:
     btilde: GroupAlgebraElement
     kernel_basis: tuple[GroupAlgebraElement, ...]
     solutions: tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], ...]  # (c, a)
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    """Size bookkeeping for one (g-1)-adic class of b."""
-
-    k: int
-    b_class_size: int
-    a_class_size_per_b: int
 
 
 def system_residual(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -152,18 +144,23 @@ def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraEleme
     return [GroupAlgebraElement(p, tuple(row)) for row in _span_rows(p, list(basis)).tolist()]
 
 
+def _check_rows(p: int, k: int) -> None:
+    """Raise TooLarge, before any work, when p^k rows are past MAX_COEFF_ROWS;
+    k = p counts coefficient rows, smaller k coordinate rows."""
+    if p**k > MAX_COEFF_ROWS:
+        name, noun = ("p^p", "coefficient") if k == p else (f"p^{k}", "coordinate")
+        raise TooLarge(f"{name} = {p**k} {noun} rows is past the limit of {MAX_COEFF_ROWS}")
+
+
 def _lex_rows(p: int, k: int) -> np.ndarray:
     """All p^k vectors in [0, p)^k as an int64 array, lexicographic by row:
     row i holds the k base-p digits of i."""
-    if p**k > MAX_COEFF_ROWS:
-        raise TooLarge(f"p^{k} = {p**k} coordinate rows is past the limit of {MAX_COEFF_ROWS}")
+    _check_rows(p, k)
     return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
 def _all_coeff_rows(p: int) -> np.ndarray:
     """All p^p coefficient vectors as an int64 array, lexicographic by row."""
-    if p ** p > MAX_COEFF_ROWS:
-        raise TooLarge(f"p^p = {p**p} coefficient rows is past the limit of {MAX_COEFF_ROWS}")
     return _lex_rows(p, p)
 
 
@@ -225,6 +222,7 @@ def _kernel_hits(b: GroupAlgebraElement) -> np.ndarray:
     matrix of phi_b and no constant.  Guarded by MAX_COEFF_ROWS, so p <= 7.
     """
     p = b.p
+    _check_rows(p, p)
     lin = _linear_rows(p, lambda c: phi_b(b, c).coeffs)
     return _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))[1]
 
@@ -390,13 +388,13 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     ]
 
 
-def census(p: int) -> list[CensusRow]:
-    """Class sizes by (g-1)-adic class: p^(p-k-1)(p-1) values of b for k < p,
-    one for k = p, each contributing p^k solutions."""
+def census(p: int) -> list[dict[str, int]]:
+    """Class sizes by (g-1)-adic class, one row {"k", "b_class_size",
+    "a_per_b"} per class k: p^(p-k-1)(p-1) values of b for k < p, one for
+    k = p, each contributing p^k solutions."""
     check_prime(p)
-    rows = [CensusRow(k, p ** (p - k - 1) * (p - 1), p**k) for k in range(p)]
-    rows.append(CensusRow(p, 1, p**p))
-    return rows
+    sizes = [p ** (p - k - 1) * (p - 1) for k in range(p)] + [1]
+    return [{"k": k, "b_class_size": n, "a_per_b": p**k} for k, n in enumerate(sizes)]
 
 
 def _write_pieces(

@@ -217,6 +217,12 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 1
 
+    def test_p_option_is_refused(self, capsys, params_file):
+        # check reads p from the parameter file; it takes no --p beside it.
+        code, out, err = run(capsys, "check", "--p", "3", str(params_file))
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err and "--p" in err
+
 
 class TestTable:
     def test_matches_golden(self, capsys):
@@ -603,6 +609,15 @@ def test_closed_pipe_exits_one_without_traceback(argv, first):
     assert head.startswith(first)
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_kernel_brute_past_the_row_limit_fails_at_once(p):
+    # The sweep is refused before any work, with the row guard's message.
+    proc = run_module("kernel", "--p", str(p), "--b", "1", "--brute")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: p^p = {p**p} coefficient rows is past the limit of 10000000\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_runs():

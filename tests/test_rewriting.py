@@ -17,19 +17,18 @@ from orbifold.params import (
 )
 from orbifold.pbw import check_all
 from orbifold.rewriting import (
+    _add_scaled,
     _witness,
-    NCPolynomial,
-    NormalWord,
     V1,
     V2,
     check_associativity,
     check_dimension,
     check_overlaps,
     normal_words,
-    oracle_multiply,
-    reduce,
+    poly_to_text,
     rules_from_params,
     trace_reduction,
+    word_degree,
     word_to_text,
 )
 from test_pbw import perturbed, tables
@@ -72,18 +71,16 @@ class TestRules:
 class TestReduce:
     def test_single_r1_application(self):
         rules = running_rules()
-        out = reduce(NCPolynomial.from_word(3, (1, V1)), rules)
-        assert out == NCPolynomial(3, {(V1, 1): 1, (1,): 1, (2,): -1})
+        assert rules.reduce_word((1, V1)) == {(V1, 1): 1, (1,): 1, (2,): 2}
 
     def test_normal_word_is_fixed(self):
         rules = running_rules()
-        x = NCPolynomial.from_word(3, (V1, V2, 1))
-        assert reduce(x, rules) == x
+        assert rules.reduce_word((V1, V2, 1)) == {(V1, V2, 1): 1}
 
     def test_degree3_confluence_on_solution(self):
         rules = running_rules()
-        x = NCPolynomial.from_word(3, (1, V2, V1))
-        assert reduce(x, rules) == reduce(x, rules, rightmost=True)
+        word = (1, V2, V1)
+        assert rules.reduce_word(word) == rules.reduce_word(word, rightmost=True)
 
     def test_linear(self):
         rules = running_rules()
@@ -91,18 +88,19 @@ class TestReduce:
         for _ in range(40):
             w1, w2 = random_word(rng, 3, 6), random_word(rng, 3, 6)
             alpha, beta = rng.randrange(3), rng.randrange(3)
-            combo = NCPolynomial(3, {w1: alpha}) + NCPolynomial(3, {w2: beta})
-            lhs = reduce(combo, rules)
-            rhs = reduce(NCPolynomial.from_word(3, w1), rules).scale(alpha) + reduce(
-                NCPolynomial.from_word(3, w2), rules
-            ).scale(beta)
-            assert lhs == rhs
+            combo = {}  # alpha*w1 + beta*w2, which adds up when w1 == w2
+            _add_scaled(3, combo, {w1: 1}, alpha)
+            _add_scaled(3, combo, {w2: 1}, beta)
+            rhs = {}
+            _add_scaled(3, rhs, rules.reduce_word(w1), alpha)
+            _add_scaled(3, rhs, rules.reduce_word(w2), beta)
+            assert rules.reduce_poly(combo) == rhs
 
     def test_terminates_on_random_words(self):
         # Termination shows up as plain completion: every reduced word is normal.
         rng = random.Random(5)
         rules = running_rules()
-        normal = {w.word() for w in normal_words(3, 8)}
+        normal = set(normal_words(3, 8))
         for _ in range(300):
             word = random_word(rng, 3, 8)
             out = rules.reduce_word(word)
@@ -126,20 +124,16 @@ class TestReduce:
 
 
 class TestOracleMultiply:
+    # The induced product of two normal words: the normal form of their concatenation.
     def test_v1_times_v2(self):
-        rules = running_rules()
-        out = oracle_multiply(NormalWord(1, 0, 0), NormalWord(0, 1, 0), rules)
-        assert out == NCPolynomial(3, {(V1, V2): 1})
+        assert running_rules().reduce_word((V1,) + (V2,)) == {(V1, V2): 1}
 
     def test_group_letters_multiply(self):
-        rules = running_rules()
-        out = oracle_multiply(NormalWord(0, 0, 2), NormalWord(0, 0, 2), rules)
-        assert out == NCPolynomial(3, {(1,): 1})
+        assert running_rules().reduce_word((2,) + (2,)) == {(1,): 1}
 
     def test_v2_times_v1_is_r3(self):
         rules = running_rules()
-        out = oracle_multiply(NormalWord(0, 1, 0), NormalWord(1, 0, 0), rules)
-        assert out == NCPolynomial(3, rules.table[(V2, V1)])
+        assert rules.reduce_word((V2,) + (V1,)) == rules.table[(V2, V1)]
 
 
 class TestAssociativity:
@@ -365,3 +359,33 @@ def test_trace_reduction_is_line_oriented():
 def test_word_rendering():
     assert word_to_text(()) == "1"
     assert word_to_text((V1, V2, 2)) == "v1*v2*g^2"
+
+
+def reference_poly_text(p, terms):
+    """The text of a term dict as the NCPolynomial class rendered it before
+    plain {word: coeff} dicts replaced it: the reference for poly_to_text."""
+    terms = {w: c % p for w, c in terms.items() if c % p}
+    if not terms:
+        return "0"
+    return " + ".join(
+        (f"{c}*" if c != 1 else "") + word_to_text(w)
+        for w, c in sorted(terms.items(), key=lambda wc: (word_degree(wc[0]), len(wc[0]), wc[0]))
+    )
+
+
+def test_poly_text_literal():
+    terms = {(V2, 1): 1, (): 4, (V1,): -1, (1,): 3}
+    assert poly_to_text(3, terms) == "1 + 2*v1 + v2*g^1"
+    assert poly_to_text(3, {}) == poly_to_text(3, {(V1,): 3}) == "0"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_poly_text_equals_the_reference(p):
+    # Random term dicts in random (unsorted) word order, with coefficients
+    # 0, 1 and p - 1, negative ones and ones past p; the empty dict included.
+    rng = random.Random(p)
+    coeffs = [0, 1, p - 1, -1, -(p - 1), -p, p + 1]
+    for n in range(300):
+        words = [random_word(rng, p, 5) for _ in range(n % 7)]
+        terms = {w: rng.choice(coeffs + [rng.randrange(-3 * p, 3 * p)]) for w in words}
+        assert poly_to_text(p, terms) == reference_poly_text(p, terms)

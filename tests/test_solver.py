@@ -233,20 +233,24 @@ class TestExactCoefficients:
 
 class TestCensus:
     def test_p3_rows(self):
-        rows = {(r.k, r.b_class_size, r.a_class_size_per_b) for r in census(3)}
-        assert rows == {(0, 18, 1), (1, 6, 3), (2, 2, 9), (3, 1, 27)}
+        assert census(3) == [
+            {"k": 0, "b_class_size": 18, "a_per_b": 1},
+            {"k": 1, "b_class_size": 6, "a_per_b": 3},
+            {"k": 2, "b_class_size": 2, "a_per_b": 9},
+            {"k": 3, "b_class_size": 1, "a_per_b": 27},
+        ]
 
     def test_census_matches_enumeration(self):
         records = enumerate_solutions(3)
         for row in census(3):
-            group = [r for r in records if r.k == row.k]
-            assert len(group) == row.b_class_size
-            assert all(len(r.solutions) == row.a_class_size_per_b for r in group)
+            group = [r for r in records if r.k == row["k"]]
+            assert len(group) == row["b_class_size"]
+            assert all(len(r.solutions) == row["a_per_b"] for r in group)
 
     def test_totals(self):
         for p in (3, 5, 7):
-            assert sum(r.b_class_size * r.a_class_size_per_b for r in census(p)) == p ** (p + 1)
-            assert sum(r.b_class_size for r in census(p)) == p**p
+            assert sum(r["b_class_size"] * r["a_per_b"] for r in census(p)) == p ** (p + 1)
+            assert sum(r["b_class_size"] for r in census(p)) == p**p
 
 
 def reference_records_json(p, records, tail):
@@ -295,7 +299,7 @@ def reference_records_text(p, records):
 @pytest.mark.parametrize("p", [3, 5])
 def test_json_writer_equals_json_dumps(p, mode, with_tail):
     records = enumerate_solutions(p, mode)
-    tail = {"census": [{"k": r.k, "n": r.b_class_size} for r in census(p)], "total": 7}
+    tail = {"census": [{"k": r["k"], "n": r["b_class_size"]} for r in census(p)], "total": 7}
     tail = tail if with_tail else {}
     out = io.StringIO()
     records_to_json(build_listing(p, mode), out, tail)
@@ -622,6 +626,8 @@ def test_guard_variable_has_no_effect(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="coefficient rows"):
         kernel_bruteforce(GA.one(11))
+    with pytest.raises(TooLarge, match="coefficient rows"):
+        kernel_agrees(GA.one(11))
     with pytest.raises(TooLarge, match="pair sweep needs p <= 5, got 7"):
         enumerate_solutions(7, "brute_force")
     assert time.perf_counter() - start < 1
