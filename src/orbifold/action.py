@@ -36,9 +36,6 @@ class Vector:
     def is_zero(self) -> bool:
         return self.x1 == 0 and self.x2 == 0
 
-    def to_json(self) -> list[int]:
-        return [self.x1, self.x2]
-
 
 def v1(p: int) -> Vector:
     return Vector(p, 1, 0)
@@ -83,15 +80,6 @@ class VGroupElement:
     def __sub__(self, other: "VGroupElement") -> "VGroupElement":
         return VGroupElement(self.row1 - other.row1, self.row2 - other.row2)
 
-    def __neg__(self) -> "VGroupElement":
-        return VGroupElement(-self.row1, -self.row2)
-
-    def scale(self, c: int) -> "VGroupElement":
-        return VGroupElement(self.row1.scale(c), self.row2.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.row1.is_zero() and self.row2.is_zero()
-
     def to_text(self) -> str:
         parts = []
         for name, row in (("v1", self.row1), ("v2", self.row2)):
@@ -118,32 +106,13 @@ class Quad2GroupElement:
     q12: GroupAlgebraElement
     q22: GroupAlgebraElement
 
-    @property
-    def p(self) -> int:
-        return self.q11.p
-
-    @classmethod
-    def zero(cls, p: int) -> "Quad2GroupElement":
-        z = GroupAlgebraElement.zero(p)
-        return cls(z, z, z)
-
     def __add__(self, other: "Quad2GroupElement") -> "Quad2GroupElement":
         return Quad2GroupElement(
             self.q11 + other.q11, self.q12 + other.q12, self.q22 + other.q22
         )
 
-    def scale(self, c: int) -> "Quad2GroupElement":
-        return Quad2GroupElement(self.q11.scale(c), self.q12.scale(c), self.q22.scale(c))
-
     def is_zero(self) -> bool:
         return self.q11.is_zero() and self.q12.is_zero() and self.q22.is_zero()
-
-    def to_json(self) -> dict:
-        return {
-            "v1^2": list(self.q11.coeffs),
-            "v1*v2": list(self.q12.coeffs),
-            "v2^2": list(self.q22.coeffs),
-        }
 
 
 def sym_mul(u: Vector, w: Vector) -> Quad2GroupElement:

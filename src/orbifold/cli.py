@@ -9,6 +9,7 @@ with exit 1, past it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,9 @@ def cmd_kernel(args) -> int:
     return EXIT_OK if brute_ok else EXIT_MATH_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="orbifold",
         description="Enumerate, verify, and classify the PBW deformations of the "

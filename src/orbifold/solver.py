@@ -28,11 +28,12 @@ part of the residual, the suffix parts of each b are sorted, and each prefix
 part finds its equal suffix parts by binary search; its offsets count the
 hits.
 
-The writers render each row's text once per call and write once per b, in
-pieces of at most WRITE_PIECE_PAIRS pairs; the JSON is the text json.dumps
-would give.  enumerate_solutions turns a Listing into SolutionRecords for
-library callers; census gives the class sizes as the plain rows the CLI
-prints.
+The writers render each row's text once per call and write the pairs in
+pieces of at most WRITE_PIECE_PAIRS: per piece, one object array of cells,
+gathered from the row texts and overwritten with the heads and tails of the
+b in the piece, joined once; the JSON is the text json.dumps would give.
+enumerate_solutions turns a Listing into SolutionRecords for library
+callers; census gives the class sizes as the plain rows the CLI prints.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ MAX_COEFF_ROWS = 10**7
 SWEEP_CHUNK_PAIRS = 5**8
 #: Most solution pairs in one write of the listing writers, so that a b with
 #: many solutions (the zero b has p^p) is never rendered as one string.
-WRITE_PIECE_PAIRS = 2**16
+WRITE_PIECE_PAIRS = 2**12
 
 EnumerationMode = Literal["closed_form", "brute_force"]
 
@@ -333,12 +334,17 @@ class Listing:
     def total(self) -> int:
         return int(self.ends[-1])
 
-    def per_b(self, order: Iterable[int] | None = None) -> Iterator[tuple]:
-        """(b row, k, btilde row, c rows, a rows) for every b, in row order or
-        in the given order; the c and a rows are views of the flat arrays."""
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of solutions of each b."""
+        return np.diff(self.ends, prepend=0)
+
+    def per_b(self) -> Iterator[tuple]:
+        """(b row, k, btilde row, c rows, a rows) for every b, in row order;
+        the c and a rows are views of the flat arrays."""
         starts, ends = np.concatenate(([0], self.ends[:-1])).tolist(), self.ends.tolist()
         ks, btildes = self.k.tolist(), self.btilde.tolist()
-        for i in range(len(ends)) if order is None else order:
+        for i in range(len(ends)):
             yield i, ks[i], btildes[i], self.c[starts[i]:ends[i]], self.a[starts[i]:ends[i]]
 
 
@@ -397,59 +403,96 @@ def census(p: int) -> list[dict[str, int]]:
     return [{"k": k, "b_class_size": n, "a_per_b": p**k} for k, n in enumerate(sizes)]
 
 
-def _write_pieces(
-    out: TextIO, head: str, sep: str, tail: str,
-    render: Callable[..., Iterable[str]], *columns: np.ndarray,
+def _write_walk(
+    out: TextIO, listing: Listing, members: np.ndarray,
+    cells: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    prefix: str = "",
 ) -> None:
-    """Write head + sep.join(render(*columns)) + tail to out, one write per
-    WRITE_PIECE_PAIRS rows of the columns, so that no b's text is held whole."""
-    while len(columns[0]) > WRITE_PIECE_PAIRS:
-        out.write(head + sep.join(render(*(col[:WRITE_PIECE_PAIRS] for col in columns))))
-        head, columns = sep, tuple(col[WRITE_PIECE_PAIRS:] for col in columns)
-    out.write(head + sep.join(render(*columns)) + tail)
+    """Write the pairs of the b rows members, in that order, one write per
+    WRITE_PIECE_PAIRS pairs, prefix first.
+
+    Per piece, cells(b, pair, first, last) gets the b row and the flat index
+    of each pair and whether it is the first or last pair of its b, and
+    returns an (n, m) object array of strings whose rows are the pairs' text.
+    Every b has a solution (c = 0 gives a = a_from_c(0, b)), so each b's head
+    and tail can overwrite cells of its first and last pair.
+    """
+    counts = listing.counts[members]
+    if not counts.all():
+        raise ValueError("a b row of the listing has no solutions")
+    walk_ends = np.cumsum(counts)
+    for lo in range(0, int(walk_ends[-1]), WRITE_PIECE_PAIRS):
+        t = np.arange(lo, min(lo + WRITE_PIECE_PAIRS, int(walk_ends[-1])))
+        i = np.searchsorted(walk_ends, t, side="right")
+        offset = t - walk_ends[i] + counts[i]  # position of the pair within its b
+        b = members[i]
+        table = cells(b, listing.ends[b] - counts[i] + offset, offset == 0, offset == counts[i] - 1)
+        out.write(prefix + "".join(table.ravel().tolist()))
+        prefix = ""
+
+
+def _cells(n: int, *columns: str | np.ndarray) -> np.ndarray:
+    """An (n, len(columns)) object array with the given column values."""
+    table = np.empty((n, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    return table
 
 
 def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -> None:
     """Write {"p": p, "records": [...], **tail} and a newline to out, as
-    json.dumps would, one b at a time; each row's coefficient list is
-    rendered once, and only the tail values go through json.dumps."""
+    json.dumps would; each row's coefficient list is rendered once, and only
+    the tail values go through json.dumps."""
     digits = [str(x) for x in range(listing.p)]
-    texts = [f"[{', '.join(row)}]" for row in itertools.product(digits, repeat=listing.p)]
+    texts = np.array(
+        [f"[{', '.join(row)}]" for row in itertools.product(digits, repeat=listing.p)], dtype=object
+    )
     kernels = [json.dumps([e.coeffs for e in basis]) for basis in listing.bases]
-    pairs = lambda c, a: [
-        f'{{"c": {texts[x]}, "a": {texts[y]}}}' for x, y in zip(c.tolist(), a.tolist())
-    ]
+
+    def cells(b, pair, first, last):
+        table = _cells(len(b), ', {"c": ', texts[listing.c[pair]], ', "a": ',
+                       texts[listing.a[pair]], "}")
+        heads = b[first]
+        table[first, 0] = [
+            f'{", " if x else ""}{{"b": {texts[x]}, "k": {k}, "btilde": {texts[bt]}, '
+            f'"kernel": {kernels[k]}, "solutions": [{{"c": '
+            for x, k, bt in zip(heads.tolist(), listing.k[heads].tolist(),
+                                listing.btilde[heads].tolist())
+        ]
+        table[last, -1] = "}]}"
+        return table
+
     out.write(f'{{"p": {listing.p}, "records": [')
-    for b, k, bt, c, a in listing.per_b():
-        head = (
-            f'{", " if b else ""}{{"b": {texts[b]}, "k": {k}, '
-            f'"btilde": {texts[bt]}, "kernel": {kernels[k]}, "solutions": ['
-        )
-        _write_pieces(out, head, ", ", "]}", pairs, c, a)
+    _write_walk(out, listing, np.arange(len(listing.ends)), cells)
     tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail.items())
     out.write(f"]{tail_text}}}\n")
 
 
 def records_to_csv(listing: Listing, out: TextIO) -> None:
-    """Write one (b, a) row per solution to out, in canonical text form, one
-    b at a time."""
-    texts = GroupAlgebraElement.all_texts(listing.p)
-    solutions = lambda a: map(texts.__getitem__, a.tolist())
+    """Write one (b, a) row per solution to out, in canonical text form."""
+    texts = np.array(GroupAlgebraElement.all_texts(listing.p), dtype=object)
     out.write("b,a\n")
-    for b, _k, _bt, _c, a in listing.per_b():
-        if len(a):
-            _write_pieces(out, f"{texts[b]},", f"\n{texts[b]},", "\n", solutions, a)
+    _write_walk(
+        out, listing, np.arange(len(listing.ends)),
+        lambda b, pair, _first, _last: _cells(len(b), texts[b], ",", texts[listing.a[pair]], "\n"),
+    )
 
 
 def records_to_text(listing: Listing, out: TextIO) -> None:
     """Write the solution table: a count line, then per class k a size line
     and one line per b of the class, in row order."""
-    texts = GroupAlgebraElement.all_texts(listing.p)
-    solutions = lambda a: map(texts.__getitem__, a.tolist())
+    texts = np.array(GroupAlgebraElement.all_texts(listing.p), dtype=object)
+
+    def cells(b, pair, first, last):
+        table = _cells(len(b), " | ", texts[listing.a[pair]], "")
+        table[first, 0] = [f"b = {texts[x]} :: a = " for x in b[first].tolist()]
+        table[last, -1] = "\n"
+        return table
+
     out.write(f"solution table for p = {listing.p}: {listing.total} (b, a) pairs\n")
-    _, first, counts = np.unique(listing.k, return_index=True, return_counts=True)
-    sizes = dict(zip(first.tolist(), counts.tolist()))  # first b of each class -> class size
-    for b, k, _bt, _c, a in listing.per_b(np.argsort(listing.k, kind="stable").tolist()):
-        if b in sizes:
-            out.write(f"[k = {k}] {sizes[b]} b-value(s), {len(a)} solution(s) per b\n")
-        _write_pieces(out, f"b = {texts[b]} :: a = ", " | ", "\n", solutions, a)
+    for k in range(listing.p + 1):
+        members = np.flatnonzero(listing.k == k)
+        if len(members):
+            size = listing.counts[members[0]]
+            line = f"[k = {k}] {len(members)} b-value(s), {size} solution(s) per b\n"
+            _write_walk(out, listing, members, cells, line)

@@ -74,6 +74,8 @@ P5_STDOUT_SHA256 = {
         "ff532492bb36f9b65904ce97b41be6cef48a8d495f59ecde44cc084916fa93ac",
     ("table", "--p", "5", "--format", "csv"):
         "23dcd21ad3fb0c1aa1761d4821ea2af237ede1b432d13f51fd9d396f4f0393b2",
+    ("enumerate", "--p", "5", "--mode", "brute_force", "--format", "text"):
+        "1a9572c69854077fa7f017a6e0835413d05c102ebce5c3375dc0a0eaf627b27d",
 }
 
 
@@ -618,6 +620,23 @@ def test_kernel_brute_past_the_row_limit_fails_at_once(p):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: p^p = {p**p} coefficient rows is past the limit of 10000000\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_listing_warmups_leave_numpy_ma_unloaded():
+    # numpy imports numpy.ma on its first plain np.unique, about 20 ms and
+    # 1 MB; the listings need none of it.  The warm-ups of the benchmark's
+    # enumerate workload run in a fresh interpreter.
+    perfbench = SRC.parent / "perfbench"
+    script = (
+        f"import sys; sys.path[:0] = [{str(perfbench)!r}, {str(SRC)!r}]\n"
+        "import setup_probe, orbifold.cli\n"
+        "for argv, code in setup_probe.warmup_ops('enumerate', ''):\n"
+        "    assert setup_probe.run_quietly(orbifold.cli.main, argv)[0] == code, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_module_entry_point_runs():

@@ -1,8 +1,10 @@
 """The compatibility system, its linearization, kernels, enumeration, census."""
 
+import dataclasses
 import io
 import itertools
 import json
+import math
 import random
 import time
 
@@ -322,37 +324,19 @@ def test_text_writer_equals_records(p, mode):
     assert out.getvalue() == reference_records_text(p, enumerate_solutions(p, mode))
 
 
-@pytest.mark.parametrize("writer, extra", [
-    pytest.param(records_to_csv, 1, id="csv"),  # the header
-    pytest.param(records_to_text, 1 + 4, id="text"),  # the count line, one size line per class
+@pytest.mark.parametrize("writer, pairs_in, extra", [
+    # The JSON head and tail.
+    pytest.param(lambda listing, out: records_to_json(listing, out, {"total": 81}),
+                 lambda text: text.count('"a": '), 2, id="json"),
+    # The header.
+    pytest.param(records_to_csv, lambda text: text.count("\n"), 1, id="csv"),
+    # The count line, and one walk per class.
+    pytest.param(records_to_text, lambda text: text.count(":: a = ") + text.count(" | "),
+                 1 + 4, id="text"),
 ])
-def test_csv_and_text_writers_write_once_per_b(monkeypatch, writer, extra):
-    writes = []
-    out = io.StringIO()
-    monkeypatch.setattr(out, "write", writes.append)
-    writer(build_listing(3), out)
-    assert len(writes) == 3**3 + extra
-
-
-def test_json_writer_writes_once_per_record(monkeypatch):
-    # Each JSON record is one b: one write per b, plus the head and the tail.
-    listing = build_listing(3)
-    writes = []
-    out = io.StringIO()
-    monkeypatch.setattr(out, "write", writes.append)
-    records_to_json(listing, out, {})
-    assert len(writes) == 3**3 + 2
-    assert json.loads("".join(writes))["records"][0]["k"] == 3
-
-
-@pytest.mark.parametrize("writer", [
-    pytest.param(lambda listing, out: records_to_json(listing, out, {"total": 81}), id="json"),
-    pytest.param(records_to_csv, id="csv"),
-    pytest.param(records_to_text, id="text"),
-])
-def test_writers_split_large_b_into_pieces(monkeypatch, writer):
-    # With pieces of 7 pairs, the zero b (27 solutions) takes 4 writes and
-    # each of the two b of class 2 (9 solutions) takes 2; the text is the same.
+def test_writers_split_large_b_into_pieces(monkeypatch, writer, pairs_in, extra):
+    # With pieces of 7 pairs, no write carries more than 7 of the 81 pairs,
+    # the writes are about 81 / 7, and they join to the text of one default run.
     listing = build_listing(3)
     whole, pieces = [], []
     out = io.StringIO()
@@ -362,7 +346,22 @@ def test_writers_split_large_b_into_pieces(monkeypatch, writer):
     monkeypatch.setattr(out, "write", pieces.append)
     writer(listing, out)
     assert "".join(pieces) == "".join(whole)
-    assert len(pieces) == len(whole) + 3 + 2 * 1
+    assert max(map(pairs_in, pieces)) <= 7
+    assert len(pieces) <= math.ceil(81 / 7) + extra
+
+
+@pytest.mark.parametrize("writer", [
+    pytest.param(lambda listing, out: records_to_json(listing, out, {}), id="json"),
+    pytest.param(records_to_csv, id="csv"),
+    pytest.param(records_to_text, id="text"),
+])
+def test_writers_refuse_a_b_with_no_solutions(writer):
+    # Every b has a solution; a listing that shows none for the zero b is
+    # broken, and the writers say so rather than leave the b out.
+    listing = build_listing(3)
+    broken = dataclasses.replace(listing, ends=np.concatenate(([0], listing.ends[1:])))
+    with pytest.raises(ValueError, match="no solutions"):
+        writer(broken, io.StringIO())
 
 
 def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
