@@ -324,6 +324,33 @@ def test_text_writer_equals_records(p, mode):
     assert out.getvalue() == reference_records_text(p, enumerate_solutions(p, mode))
 
 
+@pytest.mark.parametrize("writer, n_writes", [
+    pytest.param(records_to_csv, 1 + 1, id="csv"),  # the header, the listing
+    pytest.param(records_to_text, 1 + 4, id="text"),  # the count line, one write per class
+])
+def test_csv_and_text_writers_write_a_small_listing_at_once(monkeypatch, writer, n_writes):
+    # The 81 pairs at p = 3 fit in one piece of the default size: one write
+    # for all 27 b (one per class for the text table), not one per b.
+    assert build_listing(3).total <= solver.WRITE_PIECE_PAIRS
+    writes = []
+    out = io.StringIO()
+    monkeypatch.setattr(out, "write", writes.append)
+    writer(build_listing(3), out)
+    assert len(writes) == n_writes
+
+
+def test_json_writer_writes_a_small_listing_at_once(monkeypatch):
+    # All 27 JSON records in one write, plus the head and the tail.
+    listing = build_listing(3)
+    writes = []
+    out = io.StringIO()
+    monkeypatch.setattr(out, "write", writes.append)
+    records_to_json(listing, out, {})
+    assert len(writes) == 1 + 2
+    assert json.loads("".join(writes))["records"][0]["k"] == 3
+    assert writes[1].count('"b": ') == 3**3
+
+
 @pytest.mark.parametrize("writer, pairs_in, extra", [
     # The JSON head and tail.
     pytest.param(lambda listing, out: records_to_json(listing, out, {"total": 81}),
