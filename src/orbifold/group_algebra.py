@@ -35,17 +35,14 @@ def json_int(value) -> int:
     return value
 
 
-def check_prime(p: int, ceiling: int = DEFAULT_PRIME_CEILING) -> int:
-    """Validate that p is an odd prime in [3, ceiling] and return it.
-
-    The ceiling bounds p only; each sweep has its own guard.
-    """
+def check_prime(p: int) -> int:
+    """p, validated as an odd prime in [3, DEFAULT_PRIME_CEILING]; each sweep has its own guard."""
     if not isinstance(p, int):
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
-    if p > ceiling:
-        raise ValueError(f"p={p} exceeds the ceiling {ceiling}")
+    if p > DEFAULT_PRIME_CEILING:
+        raise ValueError(f"p={p} exceeds the ceiling {DEFAULT_PRIME_CEILING}")
     if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
         raise ValueError(f"p={p} is not prime")
     return p
@@ -253,16 +250,7 @@ class GroupAlgebraElement:
     @classmethod
     def all_elements(cls, p: int) -> Iterator["GroupAlgebraElement"]:
         """All p^p elements, in lexicographic coefficient order."""
-        coeffs = [0] * p
-        while True:
-            yield cls(p, tuple(coeffs))
-            i = p - 1
-            while i >= 0 and coeffs[i] == p - 1:
-                coeffs[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            coeffs[i] += 1
+        return (cls(p, coeffs) for coeffs in itertools.product(range(p), repeat=p))
 
     @staticmethod
     def all_texts(p: int) -> list[str]:

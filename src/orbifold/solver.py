@@ -160,11 +160,6 @@ def _lex_rows(p: int, k: int) -> np.ndarray:
     return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
-def _all_coeff_rows(p: int) -> np.ndarray:
-    """All p^p coefficient vectors as an int64 array, lexicographic by row."""
-    return _lex_rows(p, p)
-
-
 def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
     """The rows of span(p, basis): the p^k lexicographic coordinate rows
     times the k basis rows."""
@@ -173,7 +168,7 @@ def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
 
 
 def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
-    """The base-p value of each coefficient row: its index in _all_coeff_rows(p)."""
+    """The base-p value of each coefficient row: its index in _lex_rows(p, p)."""
     return rows @ (p ** np.arange(p - 1, -1, -1, dtype=np.int64))
 
 
@@ -230,16 +225,17 @@ def _kernel_hits(b: GroupAlgebraElement) -> np.ndarray:
 
 def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
     """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates (p <= 7)."""
-    rows = _all_coeff_rows(b.p)[_kernel_hits(b)].tolist()
+    rows = _lex_rows(b.p, b.p)[_kernel_hits(b)].tolist()
     return {GroupAlgebraElement(b.p, tuple(row)) for row in rows}
 
 
 def kernel_agrees(b: GroupAlgebraElement) -> bool:
-    """kernel_bruteforce(b) == set(span(b.p, kernel_basis(b))), compared as
-    row indices without building either set's elements."""
+    """kernel_bruteforce(b) == set(span(b.p, kernel_basis(b))) with no element
+    spanned twice, i.e. the basis independent, compared as sorted row indices
+    without building either set's elements."""
     hits = _kernel_hits(b)
     spanned = _row_index(b.p, _span_rows(b.p, kernel_basis(b)))
-    return np.array_equal(hits, np.unique(spanned))
+    return np.array_equal(hits, np.sort(spanned))
 
 
 def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +356,7 @@ def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "brute_force" and p > PAIR_SWEEP_MAX_P:
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
-    rows = _all_coeff_rows(p)
+    rows = _lex_rows(p, p)
     ks, btilde_rows = gminus1_factor_rows(p, rows)
     bases = tuple(kernel_basis(gminus1_power(p, k)) for k in range(p + 1))  # one per class
     if mode == "closed_form":

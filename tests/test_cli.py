@@ -624,13 +624,16 @@ def test_kernel_brute_past_the_row_limit_fails_at_once(p):
 
 def test_listing_warmups_leave_numpy_ma_unloaded():
     # numpy imports numpy.ma on its first plain np.unique, about 20 ms and
-    # 1 MB; the listings need none of it.  The warm-ups of the benchmark's
-    # enumerate workload run in a fresh interpreter.
+    # 1 MB; the listings and kernel --brute need none of it.  The warm-ups of
+    # the benchmark's enumerate workload and one brute kernel run in a fresh
+    # interpreter.
     perfbench = SRC.parent / "perfbench"
     script = (
         f"import sys; sys.path[:0] = [{str(perfbench)!r}, {str(SRC)!r}]\n"
         "import setup_probe, orbifold.cli\n"
-        "for argv, code in setup_probe.warmup_ops('enumerate', ''):\n"
+        "ops = setup_probe.warmup_ops('enumerate', '')\n"
+        "ops.append((['kernel', '--p', '3', '--b', '1-g', '--brute'], 0))\n"
+        "for argv, code in ops:\n"
         "    assert setup_probe.run_quietly(orbifold.cli.main, argv)[0] == code, argv\n"
         "print('numpy.ma' in sys.modules)\n"
     )

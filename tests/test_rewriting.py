@@ -21,9 +21,11 @@ from orbifold.rewriting import (
     _witness,
     V1,
     V2,
+    RuleSet,
     check_associativity,
     check_dimension,
     check_overlaps,
+    irreducible_words,
     normal_words,
     poly_to_text,
     rules_from_params,
@@ -73,9 +75,18 @@ class TestReduce:
         rules = running_rules()
         assert rules.reduce_word((1, V1)) == {(V1, 1): 1, (1,): 1, (2,): 2}
 
-    def test_normal_word_is_fixed(self):
-        rules = running_rules()
-        assert rules.reduce_word((V1, V2, 1)) == {(V1, V2, 1): 1}
+    @pytest.mark.parametrize("rightmost", [False, True], ids=["leftmost", "rightmost"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_normal_word_is_fixed(self, p, rightmost):
+        # Every irreducible word is its own normal form, PBW or not, so
+        # check_dimension can count these words without reducing them.
+        pbw = closed_form(gminus1(p), [1], GA.g(p))
+        non_pbw = build_candidate(GA.one(p), gminus1(p))
+        for params, is_pbw in ((pbw, True), (non_pbw, False)):
+            rules = rules_from_params(params)
+            assert check_overlaps(rules)[0] is is_pbw
+            for w in irreducible_words(rules, 4):
+                assert rules.reduce_word(w, rightmost) == {w: 1}
 
     def test_degree3_confluence_on_solution(self):
         rules = running_rules()
@@ -291,17 +302,24 @@ class TestCertificatesAgree:
         assert_certificates_agree(params)
 
 
+P3_DIMENSION_ROWS = [(0, 3, 3), (1, 9, 9), (2, 18, 18), (3, 30, 30), (4, 45, 45)]
+
+
 class TestDimension:
     def test_counts_p3(self):
         ok, rows = check_dimension(running_rules(), 4)
         assert ok
-        assert [(r["degree"], r["count"], r["expected"]) for r in rows] == [
-            (0, 3, 3),
-            (1, 9, 9),
-            (2, 18, 18),
-            (3, 30, 30),
-            (4, 45, 45),
-        ]
+        assert [(r["degree"], r["count"], r["expected"]) for r in rows] == P3_DIMENSION_ROWS
+
+    def test_counts_without_reducing(self, monkeypatch):
+        def refuse(self, word, rightmost=False):
+            raise AssertionError(f"check_dimension reduced {word}")
+
+        rules = running_rules()
+        monkeypatch.setattr(RuleSet, "reduce_word", refuse)
+        ok, rows = check_dimension(rules, 4)
+        assert ok
+        assert [(r["degree"], r["count"], r["expected"]) for r in rows] == P3_DIMENSION_ROWS
 
     def test_counts_p5_low_degree(self):
         rules = rules_from_params(DeformationParams.zero(5))

@@ -23,7 +23,7 @@ import orbifold.solver as solver
 from orbifold.solver import (
     SWEEP_CHUNK_PAIRS,
     SolutionRecord,
-    _all_coeff_rows,
+    _lex_rows,
     _row_index,
     _sweep_hits,
     _system_tables,
@@ -508,7 +508,7 @@ def reference_brute_force_hits(b):
     product per b, with the affine coefficients written out by hand (the
     sweep before the split comparison)."""
     p = b.p
-    rows = _all_coeff_rows(p)
+    rows = _lex_rows(p, p)
     lin = np.empty((p, p), dtype=np.int64)
     const = np.empty(p, dtype=np.int64)
     for l in range(p):
@@ -571,7 +571,7 @@ def reference_sweep_hits(p, lin, const):
     """The pair sweep as one broadcast equality per chunk of rows, the way
     _sweep_hits was first written; the join must give the same arrays."""
     h = p // 2
-    rows = _all_coeff_rows(p)
+    rows = _lex_rows(p, p)
     x_hi, x_lo = rows[: p**h, p - h:], rows[: p ** (p - h), h:]
     chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
     found_i, found_x = [], []
@@ -605,7 +605,7 @@ class TestJoin:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_every_b(self, p):
-        assert_join_equals_broadcast(p, *_system_tables(p, _all_coeff_rows(p)))
+        assert_join_equals_broadcast(p, *_system_tables(p, _lex_rows(p, p)))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_drawn_rows(self, p):
