@@ -20,6 +20,19 @@ the same normal form.  There are (p-1)^3 + 2(p-1)^2 + (p-1) overlaps, but
 the (p-1)^3 words g^a*g^b*g^c use R4 alone and resolve for every parameter
 set, since the group law is associative; ``check_overlaps`` decides the
 2(p-1)^2 + (p-1) that read lambda and kappa, exactly in every degree.
+
+It does so without the word reducer: ``overlap_forms`` builds both sides of
+every overlap as dense arrays over the normal words of degree <= 2, read off
+the rule table (NF(g^a * v_x) is the right side of R1/R2, and right
+multiplication by g^n only shifts the exponent of the final group letter).
+These are the reducer's normal forms, so the witness text is the same,
+whatever the strategy: each word met while reducing an overlap side has
+exactly one reducible pair.  Such a word is a normal word with one letter
+added at one end, so only the pair at that end can be a left-hand side, and
+rewriting it gives normal words or words of the same kind again (g^m*v1*v2
+gives v1*g^m*v2, v2*g^m*v1 gives v2*v1*g^m, then R3*g^m).  Every reduction
+path is forced, so no strategy can reach another normal form.
+
 ``check_associativity`` sweeps triples of normal words up to a degree bound
 instead and stays as its independent cross-check; ``check_dimension`` counts
 the irreducible words, in which no adjacent pair is a left-hand side, against
@@ -40,6 +53,9 @@ being silently repaired.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
+
+import numpy as np
 
 from .group_algebra import GroupAlgebraElement
 from .params import DeformationParams
@@ -227,6 +243,109 @@ def check_associativity(
     return True, None
 
 
+# The normal words of degree <= 2 as blocks of p: block b holds PREFIXES[b]*g^n
+# at column n.  A normal form is an int64 array [..., block, n] with entries
+# in [0, p); the first three blocks are the words of degree <= 1.
+PREFIXES: tuple[Word, ...] = ((), (V1,), (V2,), (V1, V1), (V1, V2), (V2, V2))
+_BLOCK = {prefix: b for b, prefix in enumerate(PREFIXES)}
+
+# Each block of a in the g^a*g^b*v_x family builds arrays of at most this
+# many entries, 4 MB each (9 values of a at p = 97).
+_BLOCK_ENTRIES = 1 << 19
+
+
+def _put(form: np.ndarray, terms: dict[Word, int]) -> np.ndarray:
+    """Write a {word: coeff} dict of normal words into a zero [block, n] array."""
+    for w, c in terms.items():
+        n = w[-1] if w and w[-1] > 0 else 0
+        form[_BLOCK[w[:-1] if n else w], n] = c
+    return form
+
+
+def _terms(form: np.ndarray) -> dict[Word, int]:
+    """A [block, n] normal form as a {word: coeff} dict."""
+    blocks, ns = np.nonzero(form)
+    return {
+        PREFIXES[b] + ((n,) if n else ()): int(form[b, n])
+        for b, n in zip(blocks.tolist(), ns.tolist())
+    }
+
+
+def overlap_forms(
+    rules: RuleSet,
+) -> Iterator[tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]]:
+    """Both normal forms of every parameter overlap, a piece at a time, in
+    check_overlaps' order: (overlaps, lhs, rhs), one [block, n] row per
+    overlap x*y*z, lhs = NF(rhs(x, y) * z) and rhs = NF(x * rhs(y, z)).
+
+    Read off the table alone: N[a, w] = NF(g^a * w) for w = 1, v1, v2, so
+    NF(g^a * w*g^n) is NF(g^a * w) shifted by n.  The pieces are lazy, so a
+    caller that stops at a failure skips the rest.  Products are reduced mod
+    p as they are formed, so no int64 entry exceeds 6p(p-1)^2.
+    """
+    p, table = rules.p, rules.table
+    shift = (np.arange(p) - np.arange(p)[:, None]) % p  # shift[n, k] = k - n
+
+    n_forms = np.zeros((p, 3, 3, p), dtype=np.int64)
+    n_forms[np.arange(p), 0, 0, np.arange(p)] = 1
+    n_forms[0, 1, 1, 0] = n_forms[0, 2, 2, 0] = 1
+    for a in range(1, p):
+        _put(n_forms[a, 1], table[(a, V1)])
+        _put(n_forms[a, 2], table[(a, V2)])
+    r3 = _put(np.zeros((6, p), dtype=np.int64), table[(V2, V1)])
+    r3_circ = r3[:, shift]  # r3_circ[w, n, k] = R3[w, k - n]: R3*g^n at column k
+
+    def times_v(y: int) -> np.ndarray:
+        """NF(w*g^n * v_y) = w * N[n, y] for w = 1, v1, v2, as [w*p + n, block*p + k]."""
+        u = n_forms[:, y]
+        out = np.zeros((3, p, 6, p), dtype=np.int64)
+        out[0, :, :3] = u
+        out[1, :, 1], out[1, :, 3], out[1, :, 4] = u[:, 0], u[:, 1], u[:, 2]
+        out[2, :, 2], out[2, :, 5] = u[:, 0], u[:, 2]
+        # v2 * v1*g^j is the one product that is not normal: R3 * g^j
+        out[2] += (u[:, 1] @ r3_circ.transpose(1, 0, 2).reshape(p, 6 * p)).reshape(p, 6, p)
+        return out.reshape(3 * p, 6 * p) % p
+
+    # g^m*v2*v1: N[m, v2] * v1 against g^m * R3, the sum over the prefixes w
+    # that occur in R3 of NF(g^m * w) convolved with the w-block of R3.
+    by_v = {1: times_v(1), 2: times_v(2)}
+    left = n_forms[1:].reshape(p - 1, 3, 3 * p)
+    lhs = (left[:, 2] @ by_v[1]) % p
+    rhs = np.zeros((p - 1, 6, p), dtype=np.int64)
+    for w, prefix in enumerate(PREFIXES):
+        if not r3[w].any():
+            continue
+        if len(prefix) < 2:
+            g_w = np.zeros((p - 1, 6, p), dtype=np.int64)
+            g_w[:, :3] = n_forms[1:, w]
+        else:  # NF(g^m * v_x*v_y) = N[m, x] * v_y
+            g_w = (left[:, -prefix[0]] @ by_v[-prefix[1]]).reshape(p - 1, 6, p) % p
+        rhs += g_w @ r3_circ[w]
+    yield [(m, V2, V1) for m in range(1, p)], lhs.reshape(p - 1, 6, p), rhs % p
+
+    # g^a*g^b*v_x: N[a + b, x] against g^a * N[b, x], in blocks of a.  In
+    # g^a * N[b, x] each group word g^n gives g^(a+n), and each v-word c*w*g^n
+    # gives c * N[a, w] shifted by n.  R1 and R2 give every row at most two
+    # v-words, so these are added one slot (rank within the row) at a time.
+    after = left[:, 1:].reshape(2 * (p - 1), 3 * p)  # rows (b, x) for b >= 1
+    rows, cols = np.nonzero(after[:, p:])
+    coeff, w, n = after[rows, p + cols], 1 + cols // p, cols % p
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    step = max(1, _BLOCK_ENTRIES // (6 * p * p))
+    for start in range(1, p, step):
+        a = np.arange(start, min(p, start + step))
+        rhs = np.zeros((len(a), 2 * (p - 1), 3, p), dtype=np.int64)
+        rhs[:, :, 0] = after[:, shift[a]].transpose(1, 0, 2)
+        for j in range(slot.max(initial=-1) + 1):
+            e = slot == j
+            rhs[:, rows[e]] += coeff[e, None, None] * n_forms[
+                a[:, None, None, None], w[e, None, None], np.arange(3)[:, None], shift[n[e]][:, None]
+            ]
+        lhs = n_forms[(a[:, None] + np.arange(1, p)) % p, 1:]
+        overlaps = [(int(i), b, x) for i in a for b in range(1, p) for x in (V1, V2)]
+        yield overlaps, lhs.reshape(-1, 3, p), rhs.reshape(-1, 3, p) % p
+
+
 def check_overlaps(rules: RuleSet) -> tuple[bool, dict | None]:
     """Resolve every overlap ambiguity of the rule table; returns the first failure.
 
@@ -238,22 +357,19 @@ def check_overlaps(rules: RuleSet) -> tuple[bool, dict | None]:
     The overlaps are g^a*g^b*v1 and g^a*g^b*v2 ((p-1)^2 each), g^m*v2*v1
     (p-1 of them), and the (p-1)^3 words g^a*g^b*g^c.  Only the first
     2(p-1)^2 + (p-1) read lambda and kappa, and they are the ones resolved
-    here, in table order.  A g^a*g^b*g^c overlap involves R4 alone, so both
+    here, in table order: every g^m*v2*v1 by m, then g^a*g^b*v1 and
+    g^a*g^b*v2 by (a, b).  A g^a*g^b*g^c overlap involves R4 alone, so both
     sides reduce to g^(a+b+c mod p) for every parameter set, by associativity
     of the group law; skipping them changes neither the verdict nor which
-    failure comes first.
+    failure comes first.  The normal forms come from ``overlap_forms``, as
+    dense arrays; no word is reduced.
     """
-    table = rules.table
-    followers: dict[int, list[int]] = {}
-    for y, z in table:
-        if z < 0:  # a follower z = g^c only overlaps g^a*g^b: a group word
-            followers.setdefault(y, []).append(z)
-    for (x, y), xy in table.items():
-        for z in followers.get(y, ()):
-            lhs = rules.reduce_poly({w + (z,): c for w, c in xy.items()})
-            rhs = rules.reduce_poly({(x,) + w: c for w, c in table[(y, z)].items()})
-            if lhs != rhs:
-                return False, _witness(rules.p, (x,), (y,), (z,), lhs, rhs)
+    for overlaps, lhs, rhs in overlap_forms(rules):
+        bad = (lhs != rhs).any(axis=(1, 2))
+        if bad.any():
+            i = int(bad.argmax())
+            x, y, z = overlaps[i]
+            return False, _witness(rules.p, (x,), (y,), (z,), _terms(lhs[i]), _terms(rhs[i]))
     return True, None
 
 
@@ -267,7 +383,8 @@ def _witness(p: int, x: Word, y: Word, z: Word, lhs: dict, rhs: dict) -> dict:
     }
 
 
-# check_dimension's highest degree from the command line (about 0.5 s at p = 97).
+# check_dimension's highest degree from the command line (its rows take about
+# 4 ms at p = 97, counted over the last letter).
 MAX_DIMENSION_DEGREE = 16
 
 
@@ -301,14 +418,40 @@ def check_dimension(rules: RuleSet, degree_bound: int) -> tuple[bool, list[dict]
     A word is irreducible when none of its adjacent pairs is a left-hand side,
     and every RuleSet of one p has the same left-hand sides, so the rows
     depend only on p.  They cannot fail on a parameter file; the overlap
-    certificate alone decides PBW.  reduce_word rewrites a word only at a
-    left-hand side, so it fixes each of these words and is not run here.
+    certificate alone decides PBW.
+
+    The words are counted, not listed (irreducible_words lists the same
+    ones): a transfer count over the last letter, whose successors are the
+    letters that do not form a left-hand side with it.  Appending a group
+    letter keeps the degree, so each degree is closed under group letters
+    before the v-letters raise it; R4 makes every pair of group letters a
+    left-hand side, so that closure ends after one step.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    counts = [0] * (degree_bound + 1)
-    for w in irreducible_words(rules, degree_bound):
-        counts[word_degree(w)] += 1
+    letters = [V1, V2] + list(range(1, rules.p))
+    # follow[x]: the letters that may come after x (None: the empty word)
+    follow = {x: [y for y in letters if (x, y) not in rules.table] for x in letters}
+    follow[None] = letters
+
+    def extend(words: dict, v_letter: bool) -> dict:
+        out: dict = {}
+        for x, c in words.items():
+            for y in follow[x]:
+                if (y < 0) == v_letter:
+                    out[y] = out.get(y, 0) + c
+        return out
+
+    words = {None: 1}  # the words of one degree, counted by their last letter
+    counts = []
+    for _ in range(degree_bound + 1):
+        run = words
+        while run:
+            run = extend(run, False)
+            for y, c in run.items():
+                words[y] = words.get(y, 0) + c
+        counts.append(sum(words.values()))
+        words = extend(words, True)
     rows = []
     for d, count in enumerate(itertools.accumulate(counts)):
         expected = rules.p * (d + 2) * (d + 1) // 2

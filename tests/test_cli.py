@@ -1,10 +1,12 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
+import functools
 import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,16 @@ from orbifold.action import VGroupElement
 from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
-from orbifold.params import DeformationParams, build_candidate, closed_form
+from orbifold.params import (
+    CoboundaryData,
+    DeformationParams,
+    add_coboundary,
+    build_candidate,
+    closed_form,
+)
+from orbifold.rewriting import RuleSet
 from orbifold.solver import build_listing, records_to_csv
+from test_pbw import perturbed
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -356,6 +366,64 @@ def test_check_stdout_is_pinned(capsys, tmp_path, case):
     code, out, err = run(capsys, "check", str(path), "--format", fmt, *(["--oracle"] if oracle else []))
     assert (code, err) == ((0 if name == "pbw" else 2), "")
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT_SHA256[case]
+
+
+@functools.lru_cache(maxsize=1)
+def oracle_files():
+    """Files whose oracle output is pinned below: a dense p = 97 closed form
+    with a random coboundary and its twin with one lambda coefficient moved
+    (a g^m*v2*v1 witness), and two p = 5 tables that fail condition 1 alone
+    (a g^a*g^b*v_x witness)."""
+    rng = random.Random(97)
+    p = 97
+    b = GA.random(rng, p)
+    d = [rng.randrange(p) for _ in range(b.gminus1_factor().k)]
+    dense = add_coboundary(
+        closed_form(b, d, GA.random(rng, p)),
+        CoboundaryData(GA.random(rng, p), GA.random(rng, p)),
+    )
+    return {
+        "p97": dense,
+        "p97_moved": perturbed(dense, 5, 2, 7),
+        "condition1_v1": perturbed(DeformationParams.zero(5), 2, 1, 2),
+        "condition1_v2": perturbed(closed_form(GA.zero(5), [1, 2, 3, 4, 0]), 2, 2, 3),
+    }
+
+
+# sha256 of the stdout of check --oracle --degree 4 on each file of
+# oracle_files, as the word reducer resolved the overlaps.
+ORACLE_STDOUT_SHA256 = {
+    ("p97", "json"): "09385298b3fb2f5ab993442cd85c0715963e3cf5f076ae1b18db810203eb0f30",
+    ("p97", "text"): "0adae3fd82814687f9c2ceedfad1f6062b56d0e6f513dac775e46e1f8bec9be6",
+    ("p97_moved", "json"): "310b1449bab9632a76622990f3a67af2e18707e2ca26d6e3c584b9b3bc6165d2",
+    ("p97_moved", "text"): "e7e4213ee8dce4d19dc2cd62096da3b86bb67b195a78f72d037a1d19c283d84d",
+    ("condition1_v1", "json"): "cfdf28fe675e4205e8634dcd294a7b820c57a8f66c0028cbc607f389ce3178f9",
+    ("condition1_v1", "text"): "223768f183e1dbdc82c65f9733349e287a1f2770bdea3429aab04c415bda27c3",
+    ("condition1_v2", "json"): "982750d62b4c2275c72de096d2b28c6d6bf19674347deca24672e6b06e2967ae",
+    ("condition1_v2", "text"): "0581adb0445ff0010a2b8d19e21351f80b15b9b792c63055f6f6747df4349f72",
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*ORACLE_STDOUT_SHA256, ("pbw", "json"), ("pbw", "text"), ("condition2", "json"), ("condition2", "text")],
+    ids="-".join,
+)
+def test_oracle_stdout_is_pinned_without_the_reducer(capsys, tmp_path, monkeypatch, case):
+    """check --oracle gives the reducer's exact output with the reducer refused:
+    no overlap is resolved, and no dimension row counted, by reducing words."""
+    def refuse(self, word, rightmost=False):
+        raise AssertionError(f"check --oracle reduced {word}")
+
+    monkeypatch.setattr(RuleSet, "reduce_word", refuse)
+    name, fmt = case
+    params = oracle_files()[name] if case in ORACLE_STDOUT_SHA256 else check_files()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(params.to_json()))
+    code, out, err = run(capsys, "check", str(path), "--oracle", "--degree", "4", "--format", fmt)
+    assert (code, err) == ((0 if name in ("pbw", "p97") else 2), "")
+    expected = ORACLE_STDOUT_SHA256.get(case) or CHECK_STDOUT_SHA256[(name, fmt, True)]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_check_witnesses_print_as_plain_ints(capsys, tmp_path):

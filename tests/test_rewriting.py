@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from orbifold.params import (
 from orbifold.pbw import check_all
 from orbifold.rewriting import (
     _add_scaled,
+    _terms,
     _witness,
     V1,
     V2,
@@ -27,13 +29,14 @@ from orbifold.rewriting import (
     check_overlaps,
     irreducible_words,
     normal_words,
+    overlap_forms,
     poly_to_text,
     rules_from_params,
     trace_reduction,
     word_degree,
     word_to_text,
 )
-from test_pbw import perturbed, tables
+from test_pbw import all_pairs, perturbed, tables
 
 
 def ga(p, text):
@@ -195,6 +198,45 @@ def reference_check_overlaps(rules):
     return True, None
 
 
+def reducer_overlaps(rules):
+    """Every overlap check_overlaps resolves, in table order, with both normal
+    forms from the word reducer: (overlap, lhs, rhs).  Each word met in these
+    expansions has a single reducible pair, so the rightmost strategy must
+    reach the same normal forms as the leftmost one."""
+    table = rules.table
+    followers: dict[int, list[int]] = {}
+    for y, z in table:
+        if z < 0:
+            followers.setdefault(y, []).append(z)
+    out = []
+    for (x, y), xy in table.items():
+        for z in followers.get(y, ()):
+            sides = [
+                [rules.reduce_poly(terms, rightmost) for rightmost in (False, True)]
+                for terms in (
+                    {w + (z,): c for w, c in xy.items()},
+                    {(x,) + w: c for w, c in table[(y, z)].items()},
+                )
+            ]
+            assert all(left == right for left, right in sides)
+            out.append(((x, y, z), sides[0][0], sides[1][0]))
+    return out
+
+
+def assert_forms_equal_the_reducer(params):
+    """overlap_forms against the reducer overlap by overlap: the order, both
+    normal forms term for term, and the verdict array of each piece."""
+    rules = rules_from_params(params)
+    expected = reducer_overlaps(rules_from_params(params))
+    pieces = list(overlap_forms(rules))
+    assert len(pieces[0][0]) == params.p - 1  # the g^m*v2*v1 family comes first
+    got = [(o, _terms(l), _terms(r)) for part, lhs, rhs in pieces for o, l, r in zip(part, lhs, rhs)]
+    assert got == expected
+    verdicts = np.concatenate([(lhs != rhs).any(axis=(1, 2)) for _, lhs, rhs in pieces])
+    assert verdicts.tolist() == [lhs != rhs for _, lhs, rhs in expected]
+    assert check_overlaps(rules) == reference_check_overlaps(rules_from_params(params))
+
+
 class TestOverlaps:
     def test_solutions_resolve(self):
         assert check_overlaps(rules_from_params(DeformationParams.zero(3))) == (True, None)
@@ -221,6 +263,16 @@ class TestOverlaps:
         ok, witness = check_overlaps(rules_from_params(params))
         assert not ok and (witness["x"], witness["y"], witness["z"]) == ("g^1", "g^1", f"v{m}")
         assert (ok, witness) == reference_check_overlaps(rules_from_params(params))
+        assert_forms_equal_the_reducer(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables())
+    def test_dense_forms_equal_the_reducer_for_any_tables(self, params):
+        assert_forms_equal_the_reducer(params)
+
+    def test_dense_forms_equal_the_reducer_on_candidates_exhaustively_p3(self):
+        for a, b in all_pairs(3):
+            assert_forms_equal_the_reducer(build_candidate(a, b))
 
     @settings(max_examples=30, deadline=None)
     @given(tables())
@@ -270,10 +322,9 @@ def near_miss(draw, p):
 
 
 def assert_certificates_agree(params):
+    assert_forms_equal_the_reducer(params)
     rules = rules_from_params(params)
-    overlaps = check_overlaps(rules)
-    assert overlaps == reference_check_overlaps(rules_from_params(params))
-    assert overlaps[0] == check_all(params).pbw == check_associativity(rules, 4)[0]
+    assert check_overlaps(rules)[0] == check_all(params).pbw == check_associativity(rules, 4)[0]
 
 
 class TestCertificatesAgree:
@@ -326,6 +377,17 @@ class TestDimension:
         ok, rows = check_dimension(rules, 2)
         assert ok
         assert [r["count"] for r in rows] == [5, 15, 30]
+
+    @pytest.mark.parametrize("p, degree", [(3, 8), (5, 8), (7, 8), (13, 8), (97, 16)])
+    def test_counts_equal_the_listed_words(self, p, degree):
+        rules = rules_from_params(DeformationParams.zero(p))
+        listed = [0] * (degree + 1)
+        for w in irreducible_words(rules, degree):
+            listed[word_degree(w)] += 1
+        bounds = range(degree + 1) if degree <= 8 else [degree]
+        for bound in bounds:
+            rows = check_dimension(rules, bound)[1]
+            assert [r["count"] for r in rows] == list(itertools.accumulate(listed[: bound + 1]))
 
     def test_negative_bound_raises_value_error(self):
         with pytest.raises(ValueError, match="degree bound must be >= 0, got -1"):
