@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,12 +156,89 @@ def test_verify_chain_maps_degree6_p3():
     assert report["passed"]
 
 
-def full_sweep(p, max_degree):
-    """verify_chain_maps' report, from the public maps on every basis element.
+# -- the reference: dict label maps, one element at a time -------------------------
+#
+# A chain here is a dict {label: coeff} mod p.  Each map is written on the inner
+# slots of a free generator as (label, coeff) pairs, ``_bimodule`` extends it to
+# every label by the shift g^a . label . g^b, and ``_linear`` extends a label map
+# linearly mod p.  The array engine in orbifold.chains shares none of this code.
 
-    Every periodic g^i (x) g^j and every bar tensor, outer slots included,
-    is checked, not only the free generators.
-    """
+
+def _linear(p, image, terms):
+    """Extend the label map image linearly over terms, reduce mod p, drop zeros."""
+    out = {}
+    for label, c in terms:
+        for key, c2 in image(label):
+            out[key] = out.get(key, 0) + c * c2
+    return {key: c % p for key, c in out.items() if c % p}
+
+
+def _shift(p, label, a, b):
+    """g^a . label . g^b: a joins the first slot and b the last; g^k becomes g^(a+k+b)."""
+    if isinstance(label, int):
+        return (a + label + b) % p
+    return ((label[0] + a) % p,) + label[1:-1] + ((label[-1] + b) % p,)
+
+
+def _bimodule(p, generator, *args):
+    """The label map of the bimodule map with 1 (x) inner (x) 1 |-> generator(p, *args, inner)."""
+
+    def image(label):
+        a, b = label[0], label[-1]
+        return [(_shift(p, key, a, b), c) for key, c in generator(p, *args, label[1:-1])]
+
+    return image
+
+
+def _bar_d(p, inner):
+    t, n = (0, *inner, 0), len(inner)
+    out = []
+    for m in range(n + 1):
+        s = (t[m] + t[m + 1]) % p
+        if s or m == 0 or m == n:
+            out.append((t[:m] + (s,) + t[m + 2:], -1 if m % 2 else 1))
+    return out
+
+
+def _periodic_d(p, n, inner):
+    if n == 0:
+        return [(0, 1)]
+    if n % 2 == 1:
+        return [((1, 0), 1), ((0, 1), -1)]
+    return [((l, p - 1 - l), 1) for l in range(p)]
+
+
+def _pi(p, inner):
+    first, rest = inner[:len(inner) % 2], inner[len(inner) % 2:]
+    e = 0
+    for s, r in zip(rest[::2], rest[1::2]):
+        if s + r < p:
+            return []
+        e += s + r - p
+    if not first:
+        return [((0, e % p), 1)]
+    return [((l, (e + first[0] - l - 1) % p), 1) for l in range(first[0])]
+
+
+def _iota(p, n, inner):
+    k = n // 2
+    out = []
+    for choice in itertools.product(range(1, p), repeat=k):
+        inner = (1,) * (n % 2) + sum(((i, 1) for i in reversed(choice)), ())
+        out.append(((0,) + inner + ((k * p - sum(choice) - k) % p,), 1))
+    return out
+
+
+REFERENCE = {"bar_d": _bar_d, "periodic_d": _periodic_d, "pi": _pi, "iota": _iota}
+
+
+def reference_sweep(p, max_degree, every_element, **broken):
+    """verify_chain_maps' report from the reference maps (``broken`` replaces
+    some of them by name), on the free generators only or, with
+    every_element, on every periodic g^i (x) g^j and every bar tensor, outer
+    slots included."""
+    maps = {**REFERENCE, **broken}
+    bar_d, pi = _bimodule(p, maps["bar_d"]), _bimodule(p, maps["pi"])
     checks = []
     for n in range(max_degree + 1):
         first = {}
@@ -169,45 +247,55 @@ def full_sweep(p, max_degree):
             if first.setdefault(identity, None) is None and not passed:
                 first[identity] = witness
 
-        for i, j in itertools.product(range(p), repeat=2):
-            x = PeriodicChain.basis(p, n, i, j)
-            up, witness = iota_chain(x), (n, i, j)
-            check("pi_iota_identity", pi_group(n, up) == x, witness)
+        iota, dp = _bimodule(p, maps["iota"], n), _bimodule(p, maps["periodic_d"], n)
+        for i, j in itertools.product(range(p), repeat=2) if every_element else [(0, 0)]:
+            e = (((i, j), 1),)
+            up, down, witness = _linear(p, iota, e), _linear(p, dp, e), (n, i, j)
+            check("pi_iota_identity", _linear(p, pi, up.items()) == {(i, j): 1}, witness)
             check("iota_graded",
-                  all(bar_grade(t, p) == periodic_grade(n, i, j, p) for t, _ in up.terms),
-                  witness)
+                  all(bar_grade(t, p) == periodic_grade(n, i, j, p) for t in up), witness)
             if n >= 1:
-                down = periodic_differential(x)
                 check("periodic_differential_squares_to_zero",
-                      periodic_differential(down).is_zero(), witness)
+                      not _linear(p, dp_below, down.items()), witness)
                 check("iota_commutes_with_differentials",
-                      bar_differential(up) == iota_chain(down), witness)
-        for t in bar_basis(p, n):
-            x = BarGroupChain.make(p, n, {t: 1})
-            image = pi_group(n, x)
+                      _linear(p, bar_d, up.items()) == _linear(p, iota_below, down.items()),
+                      witness)
+        outer = range(p) if every_element else [0]
+        for t in itertools.product(outer, *[range(1, p)] * n, outer):
+            e = ((t, 1),)
+            image = _linear(p, pi, e)
             check("pi_graded",
-                  all(periodic_grade(n, i, j, p) == bar_grade(t, p) for i, j, _ in image.entries()),
-                  (n, t))
+                  all(periodic_grade(n, i, j, p) == bar_grade(t, p) for i, j in image), (n, t))
             if n >= 1:
-                dx = bar_differential(x)
+                dx = _linear(p, bar_d, e)
                 if n >= 2:
                     check("bar_differential_squares_to_zero",
-                          bar_differential(dx).is_zero(), (n, t))
+                          not _linear(p, bar_d, dx.items()), (n, t))
                 check("pi_commutes_with_differentials",
-                      periodic_differential(image) == pi_group(n - 1, dx), (n, t))
+                      _linear(p, dp, image.items()) == _linear(p, pi, dx.items()), (n, t))
         for identity in CHAIN_IDENTITIES:
             if identity in first:
                 entry = {"identity": identity, "degree": n, "passed": first[identity] is None}
                 if first[identity] is not None:
                     entry["witness"] = first[identity]
                 checks.append(entry)
+        iota_below, dp_below = iota, dp
     passed = all(c["passed"] for c in checks)
     return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
+
+
+def full_sweep(p, max_degree, **broken):
+    return reference_sweep(p, max_degree, True, **broken)
 
 
 @pytest.mark.parametrize("p, max_degree", [(3, 4), (5, 4), (7, 4), (3, 6)])
 def test_generator_sweep_equals_the_full_sweep(p, max_degree):
     assert verify_chain_maps(p, max_degree) == full_sweep(p, max_degree)
+
+
+@pytest.mark.parametrize("p, max_degree", [(3, 9), (5, 5), (11, 3), (13, 3)])
+def test_verify_equals_the_reference_generator_sweep(p, max_degree):
+    assert verify_chain_maps(p, max_degree) == reference_sweep(p, max_degree, False)
 
 
 def shifted(x, a, b):
@@ -238,6 +326,56 @@ def test_public_maps_commute_with_the_outer_shift(p):
     check()
 
 
+def reference_chain(cls, p, degree, terms):
+    """The chain with the reduced dict terms, built without the array engine."""
+    return cls(p, degree, tuple(sorted(terms.items())))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_public_maps_equal_the_reference(p):
+    # Outer slots range past [0, p) and every term may come with a partner
+    # that cancels it mod p, so that make and the maps both have sums to drop.
+    outer, inner_slot = st.integers(-p, 2 * p), st.integers(1, p - 1)
+
+    def chain(data, slots):
+        terms = data.draw(st.lists(st.tuples(st.tuples(*slots), st.integers(-2 * p, 2 * p),
+                                             st.booleans()), max_size=6))
+        out = {}
+        for t, c, cancel in terms:
+            out[t] = out.get(t, 0) + c
+            if cancel:
+                partner = (t[0] + p,) + t[1:]
+                out[partner] = out.get(partner, 0) - c
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 4))
+    def check(data, n):
+        bar_terms = chain(data, [outer, *[inner_slot] * n, outer])
+        periodic_terms = chain(data, [outer, outer])
+        x = BarGroupChain.make(p, n, bar_terms)
+        y = PeriodicChain.make(p, n, periodic_terms)
+        mod_p = lambda t: [(tuple(e % p for e in t), 1)]  # noqa: E731
+        assert x == reference_chain(BarGroupChain, p, n, _linear(p, mod_p, bar_terms.items()))
+        assert y == reference_chain(PeriodicChain, p, n,
+                                    _linear(p, mod_p, periodic_terms.items()))
+        assert pi_group(n, x) == reference_chain(
+            PeriodicChain, p, n, _linear(p, _bimodule(p, _pi), x.terms))
+        assert iota_chain(y) == reference_chain(
+            BarGroupChain, p, n, _linear(p, _bimodule(p, _iota, n), y.terms))
+        assert iota_group(p, n) == reference_chain(
+            BarGroupChain, p, n, _linear(p, _bimodule(p, _iota, n), (((0, 0), 1),)))
+        down = _linear(p, _bimodule(p, _periodic_d, n), y.terms)
+        if n == 0:
+            assert periodic_differential(y) == GA.from_coeffs(p, [down.get(k, 0) for k in range(p)])
+        else:
+            assert periodic_differential(y) == reference_chain(PeriodicChain, p, n - 1, down)
+            assert bar_differential(x) == reference_chain(
+                BarGroupChain, p, n - 1, _linear(p, _bimodule(p, _bar_d), x.terms))
+
+    check()
+
+
 def test_verify_guard():
     with pytest.raises(ValueError, match=">= 0"):
         verify_chain_maps(3, -1)
@@ -252,21 +390,52 @@ def test_verify_refuses_a_sweep_past_the_tensor_limit():
         verify_chain_maps(17, 4)
 
 
+# Each broken map gains one term on the degree-2 generators with the given
+# inner slots, and so on every shift of them by the bimodule extension:
+# name -> (degree, inner slots, extra term on the generator).
+BREAKS = {
+    "pi": (2, (1, 1), (0, 0)),
+    "bar_d": (2, (1, 1), (0, 1, 0)),
+    "periodic_d": (2, (), (0, 0)),
+    "iota": (2, (), (0, 1, 1, 0)),
+}
+
+
+def break_both(monkeypatch, name):
+    """Break the array map chains._<name> as BREAKS says; return the
+    reference map broken the same way."""
+    import orbifold.chains as chains
+
+    degree, hit, extra = BREAKS[name]
+    real_array, real_reference = getattr(chains, f"_{name}"), REFERENCE[name]
+
+    def array(p, *args):
+        x, n = args[-1], args[0] if len(args) == 2 else args[-1].labels.shape[1] - 2
+        out = real_array(p, *args)
+        if n != degree:
+            return out
+        rows = (x.labels[:, 1:-1] == np.array(hit, dtype=np.int64)).all(axis=1)
+        labels = np.tile(np.array(extra, np.int64), (int(rows.sum()), 1))
+        labels[:, 0] += x.labels[rows, 0]
+        labels[:, -1] += x.labels[rows, -1]
+        return chains._concat(out, chains._Batch(x.rows[rows], labels % p, x.coeffs[rows]))
+
+    def reference(p, *args):
+        inner, n = args[-1], args[0] if len(args) == 2 else len(args[-1])
+        return list(real_reference(p, *args)) + ([(extra, 1)] if (n, inner) == (degree, hit) else [])
+
+    monkeypatch.setattr(chains, f"_{name}", array)
+    return reference
+
+
 def test_verify_names_first_witness_of_a_broken_pi(monkeypatch):
     # pi_2 gains a grade-0 term on the generator 1 (x) g (x) g (x) 1, and so
     # on every (a, 1, 1, b) by the bimodule extension.  Every identity that
     # reads pi_2 fails at its first element in lexicographic order, which is
     # a generator; the others still pass.  The full sweep agrees.
-    import orbifold.chains as chains
-
-    real = chains._pi
-
-    def broken(p, inner):
-        return real(p, inner) + ([((0, 0), 1)] if inner == (1, 1) else [])
-
-    monkeypatch.setattr(chains, "_pi", broken)
+    broken = break_both(monkeypatch, "pi")
     report = verify_chain_maps(3, 3)
-    assert report == full_sweep(3, 3)
+    assert report == full_sweep(3, 3, pi=broken)
     assert not report["passed"]
     failed = [
         (c["identity"], c["degree"], c["witness"]) for c in report["checks"] if not c["passed"]
@@ -278,6 +447,32 @@ def test_verify_names_first_witness_of_a_broken_pi(monkeypatch):
         ("pi_commutes_with_differentials", 3, (3, (0, 1, 1, 1, 0))),
     ]
     assert len(report["checks"]) == 3 + 6 + 7 + 7
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", ["bar_d", "periodic_d", "iota"])
+def test_verify_names_first_witness_of_a_broken_map(monkeypatch, name, p):
+    broken = break_both(monkeypatch, name)
+    report = verify_chain_maps(p, 3)
+    assert not report["passed"]
+    assert report == full_sweep(p, 3, **{name: broken})
+
+
+def test_chunks_keep_the_first_witness(monkeypatch):
+    # With one generator per chunk, or a few, the witnesses of a broken
+    # periodic d at p = 5 (one of them past the first generator) and the
+    # passing report are those of the one-chunk sweep.
+    import orbifold.chains as chains
+
+    passing = verify_chain_maps(5, 3)
+    broken = break_both(monkeypatch, "periodic_d")
+    failing = verify_chain_maps(5, 3)
+    for terms in (1, 500):
+        monkeypatch.setattr(chains, "CHUNK_TERMS", terms)
+        assert verify_chain_maps(5, 3) == failing == full_sweep(5, 3, periodic_d=broken)
+    monkeypatch.undo()
+    monkeypatch.setattr(chains, "CHUNK_TERMS", 1)
+    assert verify_chain_maps(5, 3) == passing
 
 
 class TestTransfer:

@@ -710,6 +710,25 @@ def test_listing_warmups_leave_numpy_ma_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_chaincheck_leaves_numpy_ma_unloaded():
+    # The chain check reduces its batches by sorting, never by a plain
+    # np.unique, which would import numpy.ma.  The warm-ups of the
+    # benchmark's chains workload and one chaincheck run in a fresh interpreter.
+    perfbench = SRC.parent / "perfbench"
+    script = (
+        f"import sys; sys.path[:0] = [{str(perfbench)!r}, {str(SRC)!r}]\n"
+        "import setup_probe, orbifold.cli\n"
+        "ops = setup_probe.warmup_ops('chains', '')\n"
+        "ops.append((['chaincheck', '--p', '7', '--degree', '3', '--format', 'json'], 0))\n"
+        "for argv, code in ops:\n"
+        "    assert setup_probe.run_quietly(orbifold.cli.main, argv)[0] == code, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_module_entry_point_runs():
     proc = run_module("census", "--p", "3")
     assert proc.returncode == 0
