@@ -54,7 +54,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .action import VGroupElement
-from .group_algebra import GroupAlgebraElement, TooLarge, check_prime
+from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows
 from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
@@ -106,12 +106,6 @@ def _reduce(p: int, x: _Batch) -> _Batch:
     return _Batch(x.rows[keep], x.labels[keep], sums[sums != 0])
 
 
-def _digits(base: int, width: int, index: np.ndarray) -> np.ndarray:
-    """The base-``base`` digits of each index, most significant first: row r of
-    _digits(b, w, arange(b^w)) is tuple r of itertools.product(range(b), repeat=w)."""
-    return index[:, None] // base ** np.arange(width - 1, -1, -1) % base
-
-
 def _one_row(terms, width: int) -> _Batch:
     """The batch of one chain, row 0, from (label, coeff) pairs with labels of this width."""
     terms = list(terms)
@@ -129,7 +123,7 @@ def _generators(p: int, n: int, start: int, stop: int) -> _Batch:
     """The degree-n bar generators (0, i_1, ..., i_n, 0) numbered start to
     stop - 1 in lexicographic order, one row each."""
     labels = np.zeros((stop - start, n + 2), np.int64)
-    labels[:, 1:-1] = _digits(p - 1, n, np.arange(start, stop)) + 1
+    labels[:, 1:-1] = digit_rows(p - 1, n, np.arange(start, stop)) + 1
     return _Batch(np.arange(stop - start), labels, np.ones(stop - start, np.int64))
 
 
@@ -194,7 +188,7 @@ def _iota(p: int, n: int, x: _Batch) -> _Batch:
     map graded of degree zero.
     """
     k = n // 2
-    choice = _digits(p - 1, k, np.arange((p - 1) ** k)) + 1
+    choice = digit_rows(p - 1, k, np.arange((p - 1) ** k)) + 1
     image = np.ones((len(choice), n + 2), np.int64)
     image[:, 1 + n % 2:-1:2] = choice[:, ::-1]
     image[:, 0], image[:, -1] = 0, (k * p - choice.sum(axis=1) - k) % p

@@ -17,6 +17,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 DEFAULT_PRIME_CEILING = 97
 
 
@@ -350,6 +352,18 @@ def _leading(text: str) -> str:
     """A run of _term_texts terms as to_text writes it: the leading term drops
     its " + ", or writes " - " as "-"; no terms is "0"."""
     return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+def shift_index(p: int) -> np.ndarray:
+    """The p x p index table [a, n] = n - a mod p: x[..., shift_index(p)] is the
+    circulant of a coefficient row x, whose row a is x g^a, as x.shift(a) gives it."""
+    return (np.arange(p) - np.arange(p)[:, None]) % p
+
+
+def digit_rows(base: int, width: int, index: np.ndarray) -> np.ndarray:
+    """The base-``base`` digits of each index, most significant first: row r of
+    digit_rows(b, w, arange(b^w)) is tuple r of itertools.product(range(b), repeat=w)."""
+    return index[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
 def gminus1(p: int) -> GroupAlgebraElement:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .group_algebra import shift_index
 from .params import DeformationParams
 
 DIM2_NOTE = "holds identically for a two-dimensional V; nothing to evaluate"
@@ -65,13 +66,6 @@ def _lam_table(params: DeformationParams, dtype=np.int64) -> np.ndarray:
     return np.array([[row[0].coeffs, row[1].coeffs] for row in params.lam], dtype=dtype)
 
 
-def _minus(p: int) -> np.ndarray:
-    """The p x p index table [a, n] = n - a mod p: x[_minus(p)] is the
-    circulant of x, whose row a is the coefficient row of x g^a."""
-    ar = np.arange(p)
-    return (ar - ar[:, None]) % p
-
-
 def _nonzero_rows(residual: np.ndarray) -> list:
     """(index, row) for every nonzero row along the last axis, in index
     order, as lists of plain ints."""
@@ -101,7 +95,7 @@ def check_condition1(params: DeformationParams) -> list:
     lam = _lam_table(params, np.int16 if p * (p + 2) < 2**15 else np.int64)
     ar = np.arange(p)
     residual = lam[(ar[:, None] + ar) % p]  # [i, j, m, n] = L[i+j, m, n]
-    shifted = lam[:, :, _minus(p)]  # [i, m, j, n] = L[i, m, n-j]
+    shifted = lam[:, :, shift_index(p)]  # [i, m, j, n] = L[i, m, n-j]
     residual -= shifted.transpose(0, 2, 1, 3)
     residual -= shifted.transpose(2, 0, 1, 3)
     twisted = shifted[:, 0]
@@ -137,10 +131,8 @@ def check_condition2(params: DeformationParams) -> list:
     p = params.p
     lam = _lam_table(params)
     a1, a2 = lam[:, 0], lam[:, 1]
-    minus = _minus(p)
-    kappa1, kappa2 = (
-        np.array(k.coeffs, dtype=np.int64)[minus] for k in (params.kappaL.row1, params.kappaL.row2)
-    )
+    kappa1, kappa2 = np.array(
+        [params.kappaL.row1.coeffs, params.kappaL.row2.coeffs], dtype=np.int64)[:, shift_index(p)]
     residual = (a2 @ a1 - a1 @ a2 + a1 @ kappa1 + a2 @ kappa2) % p
     return [(i, row) for (i,), row in _nonzero_rows(residual)]
 

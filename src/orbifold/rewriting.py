@@ -25,13 +25,15 @@ It does so without the word reducer: ``overlap_forms`` builds both sides of
 every overlap as dense arrays over the normal words of degree <= 2, read off
 the rule table (NF(g^a * v_x) is the right side of R1/R2, and right
 multiplication by g^n only shifts the exponent of the final group letter).
-These are the reducer's normal forms, so the witness text is the same,
-whatever the strategy: each word met while reducing an overlap side has
-exactly one reducible pair.  Such a word is a normal word with one letter
-added at one end, so only the pair at that end can be a left-hand side, and
-rewriting it gives normal words or words of the same kind again (g^m*v1*v2
-gives v1*g^m*v2, v2*g^m*v1 gives v2*v1*g^m, then R3*g^m).  Every reduction
-path is forced, so no strategy can reach another normal form.
+R1 and R2 put the v-words of NF(g^b * v_x) at g^b, so g^a * NF(g^b * v_x) is
+its group part shifted by a plus NF(g^a * v_w) shifted by b (w = v1, v2).  These
+are the reducer's normal forms, so the witness text is the same, whatever the
+strategy: each word met while reducing an overlap side has exactly one
+reducible pair.  Such a word is a normal word with one letter added at one
+end, so only the pair at that end can be a left-hand side, and rewriting it
+gives normal words or words of the same kind again (g^m*v1*v2 gives
+v1*g^m*v2, v2*g^m*v1 gives v2*v1*g^m, then R3*g^m).  Every reduction path is
+forced, so no strategy can reach another normal form.
 
 ``check_associativity`` sweeps triples of normal words up to a degree bound
 instead and stays as its independent cross-check; ``check_dimension`` counts
@@ -57,7 +59,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement
+from .group_algebra import GroupAlgebraElement, shift_index
 from .params import DeformationParams
 
 V1 = -1
@@ -249,8 +251,8 @@ def check_associativity(
 PREFIXES: tuple[Word, ...] = ((), (V1,), (V2,), (V1, V1), (V1, V2), (V2, V2))
 _BLOCK = {prefix: b for b, prefix in enumerate(PREFIXES)}
 
-# Each block of a in the g^a*g^b*v_x family builds arrays of at most this
-# many entries, 4 MB each (9 values of a at p = 97).
+# Each block of a in the g^a*g^b*v_x family builds arrays (both sides, each
+# rolled product) of at most this many entries: 4 MB, 9 values of a at p = 97.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -279,12 +281,14 @@ def overlap_forms(
     overlap x*y*z, lhs = NF(rhs(x, y) * z) and rhs = NF(x * rhs(y, z)).
 
     Read off the table alone: N[a, w] = NF(g^a * w) for w = 1, v1, v2, so
-    NF(g^a * w*g^n) is NF(g^a * w) shifted by n.  The pieces are lazy, so a
-    caller that stops at a failure skips the rest.  Products are reduced mod
-    p as they are formed, so no int64 entry exceeds 6p(p-1)^2.
+    NF(g^a * w*g^n) is NF(g^a * w) shifted by n.  R1 and R2 put the v-words of
+    N[b, x] at g^b, so g^a * N[b, x] takes two rolled gathers of N[a, v1] and
+    N[a, v2], whatever lambda is.  The pieces are lazy, so a caller that stops
+    at a failure skips the rest.  Products are reduced mod p as they are
+    formed, so no int64 entry exceeds 6p(p-1)^2.
     """
     p, table = rules.p, rules.table
-    shift = (np.arange(p) - np.arange(p)[:, None]) % p  # shift[n, k] = k - n
+    shift = shift_index(p)  # shift[n, k] = k - n
 
     n_forms = np.zeros((p, 3, 3, p), dtype=np.int64)
     n_forms[np.arange(p), 0, 0, np.arange(p)] = 1
@@ -323,24 +327,18 @@ def overlap_forms(
         rhs += g_w @ r3_circ[w]
     yield [(m, V2, V1) for m in range(1, p)], lhs.reshape(p - 1, 6, p), rhs % p
 
-    # g^a*g^b*v_x: N[a + b, x] against g^a * N[b, x], in blocks of a.  In
-    # g^a * N[b, x] each group word g^n gives g^(a+n), and each v-word c*w*g^n
-    # gives c * N[a, w] shifted by n.  R1 and R2 give every row at most two
-    # v-words, so these are added one slot (rank within the row) at a time.
-    after = left[:, 1:].reshape(2 * (p - 1), 3 * p)  # rows (b, x) for b >= 1
-    rows, cols = np.nonzero(after[:, p:])
-    coeff, w, n = after[rows, p + cols], 1 + cols // p, cols % p
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    # g^a*g^b*v_x: N[a + b, x] against g^a * N[b, x], in blocks of a: the group
+    # part of N[b, x] shifted by a, plus c[b, x, w] * N[a, w] shifted by b.
+    after = left[:, 1:].reshape(p - 1, 2, 3, p)  # [b - 1, x, block, n]
+    c = after[np.arange(p - 1), :, 1:, np.arange(1, p)]  # [b - 1, x, w - 1]: coeff of v_w*g^b
     step = max(1, _BLOCK_ENTRIES // (6 * p * p))
     for start in range(1, p, step):
         a = np.arange(start, min(p, start + step))
-        rhs = np.zeros((len(a), 2 * (p - 1), 3, p), dtype=np.int64)
-        rhs[:, :, 0] = after[:, shift[a]].transpose(1, 0, 2)
-        for j in range(slot.max(initial=-1) + 1):
-            e = slot == j
-            rhs[:, rows[e]] += coeff[e, None, None] * n_forms[
-                a[:, None, None, None], w[e, None, None], np.arange(3)[:, None], shift[n[e]][:, None]
-            ]
+        rhs = np.zeros((len(a), p - 1, 2, 3, p), dtype=np.int64)
+        rhs[:, :, :, 0] = after[:, :, 0, shift[a]].transpose(2, 0, 1, 3)
+        for w in (1, 2):
+            rolled = n_forms[a, w][..., shift[1:]].transpose(0, 2, 1, 3)  # [a, b - 1] = N[a, w]*g^b
+            rhs += c[:, :, w - 1, None, None] * rolled[:, :, None]
         lhs = n_forms[(a[:, None] + np.arange(1, p)) % p, 1:]
         overlaps = [(int(i), b, x) for i in a for b in range(1, p) for x in (V1, V2)]
         yield overlaps, lhs.reshape(-1, 3, p), rhs.reshape(-1, 3, p) % p

@@ -50,8 +50,10 @@ from .group_algebra import (
     TooLarge,
     binom_mod,
     check_prime,
+    digit_rows,
     gminus1_power,
     scalar_inv,
+    shift_index,
 )
 
 #: Guard for the p^(2p) pair sweeps (5^10 is about 1e7 pairs).
@@ -157,7 +159,7 @@ def _lex_rows(p: int, k: int) -> np.ndarray:
     """All p^k vectors in [0, p)^k as an int64 array, lexicographic by row:
     row i holds the k base-p digits of i."""
     _check_rows(p, k)
-    return np.arange(p**k, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    return digit_rows(p, k, np.arange(p**k, dtype=np.int64))
 
 
 def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
@@ -246,7 +248,7 @@ def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coefficient of a_j (j >= 1) is j * b_(l-j), and the constant part is
     -sum_j C(j+1,2) b_j b_(l-j).
     """
-    shifted = rows[:, (np.arange(p) - np.arange(p)[:, None]) % p]  # [i, j, l] = b_(l-j)
+    shifted = rows[:, shift_index(p)]  # [i, j, l] = b_(l-j)
     lin = shifted * np.arange(p)[:, None]
     lin[:, 0] = rows
     binom = np.array([binom_mod(j + 1, 2, p) for j in range(p)], dtype=np.int64)

@@ -1,9 +1,11 @@
 """Ring arithmetic, structural maps, and serialization of F_p[G]."""
 
+import itertools
 import json
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,11 @@ from orbifold.group_algebra import (
     NotAUnit,
     binom_mod,
     check_prime,
+    digit_rows,
     gminus1,
     gminus1_power,
     scalar_inv,
+    shift_index,
 )
 
 
@@ -210,6 +214,24 @@ def element_of_small_p(draw):
 def test_frobenius_power_is_the_augmentation(x):
     # In F_pG, x^p = aug(x) * 1: the identity invert rests on.
     assert x ** x.p == GA.monomial(x.p, 0, x.augmentation())
+
+
+@settings(max_examples=50, deadline=None)
+@given(element_of_small_p())
+def test_shift_index_rows_are_the_shifts(x):
+    """Row a of a coefficient row gathered through shift_index is x g^a."""
+    circulant = np.array(x.coeffs)[shift_index(x.p)]
+    assert [tuple(row) for row in circulant.tolist()] == [x.shift(a).coeffs for a in range(x.p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+def test_digit_rows_list_itertools_product(p, width):
+    for base in (p, p - 1):
+        expected = [list(t) for t in itertools.product(range(base), repeat=width)]
+        assert digit_rows(base, width, np.arange(base**width)).tolist() == expected
+        # Any run of indices, as chain generators are numbered in chunks.
+        assert digit_rows(base, width, np.arange(1, base**width)).tolist() == expected[1:]
 
 
 def test_gminus1_coords_examples():

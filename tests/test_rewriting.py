@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from orbifold import rewriting
 from orbifold.group_algebra import GroupAlgebraElement as GA, gminus1, gminus1_power
 from orbifold.params import (
     CoboundaryData,
@@ -62,10 +63,19 @@ class TestRules:
         rules = running_rules()
         assert rules.table[(V2, V1)] == {(V1, V2): 1, (V1,): 1, (V2, 1): 1}
 
-    def test_r2_carries_the_transvection_correction(self):
-        rules = rules_from_params(DeformationParams.zero(5))
-        for m in range(1, 5):
-            assert rules.table[(m, V2)] == {(V1, m): m, (V2, m): 1}
+    @settings(max_examples=40, deadline=None)
+    @given(tables())
+    @example(DeformationParams.zero(5))
+    def test_r2_carries_the_transvection_correction(self, params):
+        """R1 and R2 put their v-words at g^m with fixed coefficients, whatever
+        lambda is, and lambda(g^m, v_x) is the rest: overlap_forms' rolled
+        gathers rest on it."""
+        rules = rules_from_params(params)
+        for m in range(1, params.p):
+            for x, v_part in ((V1, {(V1, m): 1}), (V2, {(V1, m): m, (V2, m): 1})):
+                lam = params.lam[m][-1 - x].coeffs
+                group_part = {((n,) if n else ()): c for n, c in enumerate(lam) if c}
+                assert rules.table[(m, x)] == {**v_part, **group_part}
 
     def test_r4_group_law(self):
         rules = rules_from_params(DeformationParams.zero(5))
@@ -264,6 +274,20 @@ class TestOverlaps:
         assert not ok and (witness["x"], witness["y"], witness["z"]) == ("g^1", "g^1", f"v{m}")
         assert (ok, witness) == reference_check_overlaps(rules_from_params(params))
         assert_forms_equal_the_reducer(params)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_blocks_of_a_equal_the_reducer(self, monkeypatch, p, per_block):
+        """Blocks of a split only from p = 47 on; shrink them so that p = 5 and 7
+        run per_block values of a per piece."""
+        monkeypatch.setattr(rewriting, "_BLOCK_ENTRIES", per_block * 6 * p * p)
+        f = CoboundaryData(GA.g(p, 2), GA.one(p))
+        pbw = add_coboundary(closed_form(gminus1(p), [1], GA.g(p)), f)
+        for params in (pbw, perturbed(pbw, 2, 2, 3)):
+            rules = rules_from_params(params)
+            assert check_overlaps(rules)[0] is (params is pbw)
+            assert len(list(overlap_forms(rules))) == 1 + -(-(p - 1) // per_block)
+            assert_forms_equal_the_reducer(params)
 
     @settings(max_examples=60, deadline=None)
     @given(tables())
