@@ -7,7 +7,6 @@ from .chains import (
     PeriodicChain,
     bar_differential,
     iota_chain,
-    iota_group,
     periodic_differential,
     pi_group,
     rep_to_params,
@@ -20,7 +19,6 @@ from .group_algebra import (
     NotAUnit,
     TooLarge,
     check_prime,
-    gminus1,
     gminus1_power,
 )
 from .params import (
@@ -49,7 +47,6 @@ from .solver import (
     census,
     enumerate_solutions,
     kernel_basis,
-    kernel_bruteforce,
     phi_b,
     system_residual,
 )

@@ -114,11 +114,6 @@ def _one_row(terms, width: int) -> _Batch:
                   np.array([c for _, c in terms], np.int64))
 
 
-def _unit() -> _Batch:
-    """1 (x) 1, a batch of one row."""
-    return _one_row([((0, 0), 1)], 2)
-
-
 def _generators(p: int, n: int, start: int, stop: int) -> _Batch:
     """The degree-n bar generators (0, i_1, ..., i_n, 0) numbered start to
     stop - 1 in lexicographic order, one row each."""
@@ -210,6 +205,10 @@ class _Chain:
     degree: int
     terms: tuple
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"chain degree must be >= 0, got {self.degree}")
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -252,14 +251,6 @@ class PeriodicChain(_Chain):
         labelled = (((i % p, j % p), c % p) for (i, j), c in entries.items())
         return cls._of(p, degree, _one_row(labelled, 2))
 
-    @classmethod
-    def basis(cls, p: int, degree: int, i: int, j: int) -> "PeriodicChain":
-        return cls.make(p, degree, {(i, j): 1})
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        for (i, j), c in self.terms:
-            yield i, j, c
-
 
 def bar_basis(p: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All basis exponent tuples of the reduced bar in one homological degree."""
@@ -292,11 +283,6 @@ def pi_group(n: int, x: BarGroupChain) -> PeriodicChain:
     if n != x.degree:
         raise ValueError(f"degree mismatch: {n} != {x.degree}")
     return PeriodicChain._of(x.p, n, _pi(x.p, x._batch()))
-
-
-def iota_group(p: int, n: int) -> BarGroupChain:
-    """The image of 1 (x) 1 under the chain map from the periodic resolution."""
-    return BarGroupChain._of(p, n, _iota(p, n, _unit()))
 
 
 def iota_chain(x: PeriodicChain) -> BarGroupChain:
@@ -361,7 +347,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 f"bar tensors (free generators): degrees <= {n} already hold {generators}"
             )
     checks: list[dict] = []
-    unit = _unit()
+    unit = _one_row([((0, 0), 1)], 2)  # 1 (x) 1
     for n in range(max_degree + 1):
         first: dict[str, tuple | None] = {}  # identity -> first witness, None while passing
         up, down = _iota(p, n, unit), _periodic_d(p, n, unit)

@@ -84,8 +84,8 @@ class GroupAlgebraElement:
     """An element of F_p[G], G = <g> cyclic of order p.
 
     coeffs[i] is the coefficient of g^i, reduced to [0, p).  Instances are
-    immutable and all operations are pure, so values can be shared freely
-    across concurrent workers.
+    immutable and all operations are pure, so one value may sit in many tables
+    and serve as a dict key.
     """
 
     p: int
@@ -322,19 +322,6 @@ class GroupAlgebraElement:
                 break
         return cls(p, tuple(coeffs))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupAlgebraElement":
-        if not isinstance(obj, dict) or "p" not in obj or "coeffs" not in obj:
-            raise ValueError(f"expected {{'p':..., 'coeffs':...}}, got {obj!r}")
-        p = check_prime(json_int(obj["p"]))
-        coeffs = obj["coeffs"]
-        if len(coeffs) != p:
-            raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-        return cls.from_coeffs(p, map(json_int, coeffs))
-
 
 @lru_cache(maxsize=8)
 def _term_texts(p: int) -> list[list[str]]:
@@ -360,19 +347,21 @@ def shift_index(p: int) -> np.ndarray:
     return (np.arange(p) - np.arange(p)[:, None]) % p
 
 
+def sum_index(p: int) -> np.ndarray:
+    """The p x p index table [i, j] = i + j mod p, the exponent of g^i g^j."""
+    return (np.arange(p)[:, None] + np.arange(p)) % p
+
+
 def digit_rows(base: int, width: int, index: np.ndarray) -> np.ndarray:
     """The base-``base`` digits of each index, most significant first: row r of
     digit_rows(b, w, arange(b^w)) is tuple r of itertools.product(range(b), repeat=w)."""
     return index[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
-def gminus1(p: int) -> GroupAlgebraElement:
-    """The element g - 1, generator of the augmentation ideal."""
-    return GroupAlgebraElement.from_coeffs(p, [-1, 1] + [0] * (p - 2))
-
-
 def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
-    """(g-1)^k; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
+    """(g-1)^k for k >= 0; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
+    if k < 0:
+        raise ValueError(f"(g-1)^k needs k >= 0, got {k}")
     if k >= p:
         return GroupAlgebraElement.zero(p)
     return GroupAlgebraElement.from_gminus1_coords(p, [int(i == k) for i in range(p)])

@@ -156,11 +156,6 @@ class CoboundaryData:
     def p(self) -> int:
         return self.f1.p
 
-    @classmethod
-    def zero(cls, p: int) -> "CoboundaryData":
-        z = GroupAlgebraElement.zero(p)
-        return cls(z, z)
-
 
 def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> DeformationParams:
     """The cocycle-representative family indexed by (a, b), with kappa^C = 0.
@@ -213,8 +208,10 @@ def mu(p: int, d: Sequence[int], j: int) -> int:
     """The alternating binomial functional of the free coordinates d at index j.
 
     mu(d, j) = (-1)^(p-j) * sum_{m=1..k} (-1)^(m+1) C(p-m, p-j) d_m, which
-    vanishes for j = 0 and for empty d.
+    vanishes for j = 0 and for empty d; j must lie in [0, p).
     """
+    if not 0 <= j < p:
+        raise ValueError(f"mu needs j in [0, {p}), got {j}")
     total = sum(
         (-1) ** (m + 1) * binom_mod(p - m, p - j, p) * dm
         for m, dm in enumerate(d, start=1)

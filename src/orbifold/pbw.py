@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group_algebra import shift_index
+from .group_algebra import shift_index, sum_index
 from .params import DeformationParams
 
 DIM2_NOTE = "holds identically for a two-dimensional V; nothing to evaluate"
@@ -94,7 +94,7 @@ def check_condition1(params: DeformationParams) -> list:
     # keeps the four p^3 cubes alive at once (residual, shifted) at 7.3 MB for p = 97.
     lam = _lam_table(params, np.int16 if p * (p + 2) < 2**15 else np.int64)
     ar = np.arange(p)
-    residual = lam[(ar[:, None] + ar) % p]  # [i, j, m, n] = L[i+j, m, n]
+    residual = lam[sum_index(p)]  # [i, j, m, n] = L[i+j, m, n]
     shifted = lam[:, :, shift_index(p)]  # [i, m, j, n] = L[i, m, n-j]
     residual -= shifted.transpose(0, 2, 1, 3)
     residual -= shifted.transpose(2, 0, 1, 3)

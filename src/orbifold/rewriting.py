@@ -59,7 +59,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, shift_index
+from .group_algebra import GroupAlgebraElement, shift_index, sum_index
 from .params import DeformationParams
 
 V1 = -1
@@ -339,7 +339,7 @@ def overlap_forms(
         for w in (1, 2):
             rolled = n_forms[a, w][..., shift[1:]].transpose(0, 2, 1, 3)  # [a, b - 1] = N[a, w]*g^b
             rhs += c[:, :, w - 1, None, None] * rolled[:, :, None]
-        lhs = n_forms[(a[:, None] + np.arange(1, p)) % p, 1:]
+        lhs = n_forms[sum_index(p)[a, 1:], 1:]
         overlaps = [(int(i), b, x) for i in a for b in range(1, p) for x in (V1, V2)]
         yield overlaps, lhs.reshape(-1, 3, p), rhs.reshape(-1, 3, p) % p
 

@@ -105,6 +105,8 @@ def c_from_ab(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraEle
     c_0 = a_0 and c_m = -C(j+1,2) b_j + j a_j for the j with m + j = 0 mod p;
     b enters only through b_j for j >= 1.
     """
+    if a.p != b.p:
+        raise ValueError("mismatched primes")
     p = a.p
     coeffs = [a.coeffs[0]]
     for m in range(1, p):
@@ -118,6 +120,8 @@ def a_from_c(c: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElem
 
     a_0 = c_0 and a_j = j^(p-2) (c_(p-j) + C(j+1,2) b_j) for 1 <= j < p.
     """
+    if c.p != b.p:
+        raise ValueError("mismatched primes")
     p = c.p
     coeffs = [c.coeffs[0]]
     for j in range(1, p):
@@ -225,16 +229,11 @@ def _kernel_hits(b: GroupAlgebraElement) -> np.ndarray:
     return _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))[1]
 
 
-def kernel_bruteforce(b: GroupAlgebraElement) -> set[GroupAlgebraElement]:
-    """{c : phi_b(c) = 0} by exhaustive sweep over all p^p candidates (p <= 7)."""
-    rows = _lex_rows(b.p, b.p)[_kernel_hits(b)].tolist()
-    return {GroupAlgebraElement(b.p, tuple(row)) for row in rows}
-
-
 def kernel_agrees(b: GroupAlgebraElement) -> bool:
-    """kernel_bruteforce(b) == set(span(b.p, kernel_basis(b))) with no element
-    spanned twice, i.e. the basis independent, compared as sorted row indices
-    without building either set's elements."""
+    """{c : phi_b(c) = 0}, by exhaustive sweep over all p^p candidates (p <= 7),
+    equals set(span(b.p, kernel_basis(b))) with no element spanned twice, i.e.
+    the basis independent; compared as sorted row indices without building
+    either set's elements."""
     hits = _kernel_hits(b)
     spanned = _row_index(b.p, _span_rows(b.p, kernel_basis(b)))
     return np.array_equal(hits, np.sort(spanned))

@@ -18,7 +18,6 @@ from orbifold.chains import (
     bar_grade,
     distinguished_cocycle,
     iota_chain,
-    iota_group,
     periodic_differential,
     periodic_grade,
     pi_group,
@@ -76,28 +75,38 @@ class TestBarDifferential:
         with pytest.raises(ValueError):
             BarGroupChain.make(3, 1, {(0, 0, 0): 1})
 
+    @pytest.mark.parametrize("terms", [{}, {(0,): 1}])
+    def test_rejects_a_negative_degree(self, terms):
+        with pytest.raises(ValueError, match="chain degree must be >= 0, got -1"):
+            BarGroupChain.make(3, -1, terms)
+
 
 class TestPeriodicDifferential:
+    @pytest.mark.parametrize("degree", [-1, -2])
+    def test_rejects_a_negative_degree(self, degree):
+        with pytest.raises(ValueError, match=f"chain degree must be >= 0, got {degree}"):
+            PeriodicChain.make(3, degree, {(0, 0): 1})
+
     def test_gamma_on_generator(self):
-        out = periodic_differential(PeriodicChain.basis(3, 1, 0, 0))
+        out = periodic_differential(PeriodicChain.make(3, 1, {(0, 0): 1}))
         assert out == PeriodicChain.make(3, 0, {(1, 0): 1, (0, 1): -1})
 
     def test_multiplication_at_degree_zero(self):
-        out = periodic_differential(PeriodicChain.basis(3, 0, 1, 2))
+        out = periodic_differential(PeriodicChain.make(3, 0, {(1, 2): 1}))
         assert out == GA.one(3)
 
     def test_eta_then_gamma_vanishes(self):
         for p in (3, 5):
             for i in range(p):
                 for j in range(p):
-                    x = PeriodicChain.basis(p, 2, i, j)
+                    x = PeriodicChain.make(p, 2, {(i, j): 1})
                     assert periodic_differential(periodic_differential(x)).is_zero()
 
     def test_gamma_then_eta_vanishes(self):
         for p in (3, 5):
             for i in range(p):
                 for j in range(p):
-                    x = PeriodicChain.basis(p, 3, i, j)
+                    x = PeriodicChain.make(p, 3, {(i, j): 1})
                     assert periodic_differential(periodic_differential(x)).is_zero()
 
 
@@ -119,12 +128,13 @@ class TestComparisonMaps:
         assert pi_group(0, x) == PeriodicChain.make(p, 0, {(1, 2): 2})
 
     def test_iota1(self):
-        assert iota_group(3, 1) == BarGroupChain.make(3, 1, {(0, 1, 0): 1})
+        out = iota_chain(PeriodicChain.make(3, 1, {(0, 0): 1}))
+        assert out == BarGroupChain.make(3, 1, {(0, 1, 0): 1})
 
     def test_iota2_carries_trailing_factor(self):
         p = 3
         expected = BarGroupChain.make(p, 2, {(0, 1, 1, 1): 1, (0, 2, 1, 0): 1})
-        assert iota_group(p, 2) == expected
+        assert iota_chain(PeriodicChain.make(p, 2, {(0, 0): 1})) == expected
 
     def test_iota0_is_identity(self):
         p = 3
@@ -133,15 +143,15 @@ class TestComparisonMaps:
 
     def test_pi_iota_identity_n2(self):
         p = 5
-        out = pi_group(2, iota_group(p, 2))
-        assert out == PeriodicChain.basis(p, 2, 0, 0)
+        out = pi_group(2, iota_chain(PeriodicChain.make(p, 2, {(0, 0): 1})))
+        assert out == PeriodicChain.make(p, 2, {(0, 0): 1})
 
     def test_pi1_grading_shift(self):
         # The image of the grade-s slot lands in the grade-(s-1) matrix entries.
         p = 5
         for s in range(1, p):
             out = pi_group(1, BarGroupChain.make(p, 1, {(0, s, 0): 1}))
-            for i, j, _c in out.entries():
+            for (i, j), _c in out.terms:
                 assert (i + j) % p == (s - 1) % p
 
 
@@ -369,7 +379,7 @@ def test_public_maps_equal_the_reference(p):
             PeriodicChain, p, n, _linear(p, _bimodule(p, _pi), x.terms))
         assert iota_chain(y) == reference_chain(
             BarGroupChain, p, n, _linear(p, _bimodule(p, _iota, n), y.terms))
-        assert iota_group(p, n) == reference_chain(
+        assert iota_chain(PeriodicChain.make(p, n, {(0, 0): 1})) == reference_chain(
             BarGroupChain, p, n, _linear(p, _bimodule(p, _iota, n), (((0, 0), 1),)))
         down = _linear(p, _bimodule(p, _periodic_d, n), y.terms)
         if n == 0:

@@ -105,7 +105,7 @@ class TestAddCoboundary:
     def test_zero_map_is_identity(self):
         a, b = running_example()
         params = build_candidate(a, b)
-        assert add_coboundary(params, CoboundaryData.zero(3)) == params
+        assert add_coboundary(params, CoboundaryData(GA.zero(3), GA.zero(3))) == params
 
     def test_displayed_increments(self):
         # f(v1) = g shifts lambda(g, v2) by -g^2 and kappa^L by v1 g.
@@ -141,6 +141,11 @@ class TestMu:
 
     def test_p3_single_d_at_j0(self):
         assert mu(3, [2], 0) == 0
+
+    @pytest.mark.parametrize("j", [-1, 3, 4])
+    def test_refuses_j_outside_the_exponents(self, j):
+        with pytest.raises(ValueError, match=rf"mu needs j in \[0, 3\), got {j}"):
+            mu(3, [2], j)
 
     def test_matches_direct_formula_p5(self):
         # Independent evaluation of the alternating binomial sum.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbifold import rewriting
-from orbifold.group_algebra import GroupAlgebraElement as GA, gminus1, gminus1_power
+from orbifold.group_algebra import GroupAlgebraElement as GA, gminus1_power
 from orbifold.params import (
     CoboundaryData,
     DeformationParams,
@@ -93,8 +93,8 @@ class TestReduce:
     def test_normal_word_is_fixed(self, p, rightmost):
         # Every irreducible word is its own normal form, PBW or not, so
         # check_dimension can count these words without reducing them.
-        pbw = closed_form(gminus1(p), [1], GA.g(p))
-        non_pbw = build_candidate(GA.one(p), gminus1(p))
+        pbw = closed_form(gminus1_power(p, 1), [1], GA.g(p))
+        non_pbw = build_candidate(GA.one(p), gminus1_power(p, 1))
         for params, is_pbw in ((pbw, True), (non_pbw, False)):
             rules = rules_from_params(params)
             assert check_overlaps(rules)[0] is is_pbw
@@ -282,7 +282,7 @@ class TestOverlaps:
         run per_block values of a per piece."""
         monkeypatch.setattr(rewriting, "_BLOCK_ENTRIES", per_block * 6 * p * p)
         f = CoboundaryData(GA.g(p, 2), GA.one(p))
-        pbw = add_coboundary(closed_form(gminus1(p), [1], GA.g(p)), f)
+        pbw = add_coboundary(closed_form(gminus1_power(p, 1), [1], GA.g(p)), f)
         for params in (pbw, perturbed(pbw, 2, 2, 3)):
             rules = rules_from_params(params)
             assert check_overlaps(rules)[0] is (params is pbw)
@@ -323,7 +323,7 @@ def elements(p):
 def class_and_b(draw, p):
     """(k, b) with b of (g-1)-adic class k, every class 0..p equally likely."""
     k = draw(st.integers(0, p))
-    unit = GA.one(p) + gminus1(p) * draw(elements(p))
+    unit = GA.one(p) + gminus1_power(p, 1) * draw(elements(p))
     return k, gminus1_power(p, k) * unit
 
 
@@ -375,6 +375,66 @@ class TestCertificatesAgree:
     @given(near_miss(5))
     def test_near_misses_p5(self, params):
         assert_certificates_agree(params)
+
+
+def failing_families(params):
+    """The overlaps whose dense normal forms differ, by family and in table
+    order: (a, b, m) for each g^a*g^b*v_m, and m for each g^m*v2*v1."""
+    (bracket, lhs, rhs), *rest = overlap_forms(rules_from_params(params))
+    family2 = [m for (m, _, _), bad in zip(bracket, (lhs != rhs).any(axis=(1, 2))) if bad]
+    family1 = [
+        (a, b, -x)
+        for part, lhs, rhs in rest
+        for (a, b, x), bad in zip(part, (lhs != rhs).any(axis=(1, 2)))
+        if bad
+    ]
+    return family1, family2
+
+
+def assert_families_match_conditions(params):
+    """A g^a*g^b*v_m overlap fails exactly at a witness (a, b, m) of condition 1,
+    in the same order; once condition 1 holds, a g^m*v2*v1 overlap fails
+    exactly where condition 2 or 3 has a witness at g^m."""
+    family1, family2 = failing_families(params)
+    report = check_all(params)
+    assert family1 == [index for index, _ in report.witnesses[1]]
+    if report.passed[1]:
+        at = {i for i, _ in report.witnesses[2]} | {i for (i, _), _ in report.witnesses[3]}
+        assert family2 == sorted(at)
+
+
+@st.composite
+def moved_closed_form(draw):
+    """A closed form at p = 3, 5 or 7 with one lambda coefficient moved."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k, b = draw(class_and_b(p))
+    d = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    params = closed_form(b, d, draw(elements(p)))
+    i, n = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+    return perturbed(params, i, draw(st.sampled_from([1, 2])), n)
+
+
+random_candidates = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.builds(build_candidate, elements(p), elements(p)))
+
+
+class TestFamiliesMatchConditions:
+    """Which overlap family fails, and where, names the failing condition."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_arbitrary_tables(self, params):
+        assert_families_match_conditions(params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_candidates)
+    def test_random_candidates(self, params):
+        assert_families_match_conditions(params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(moved_closed_form())
+    def test_closed_forms_with_one_coefficient_moved(self, params):
+        assert_families_match_conditions(params)
 
 
 P3_DIMENSION_ROWS = [(0, 3, 3), (1, 9, 9), (2, 18, 18), (3, 30, 30), (4, 45, 45)]
