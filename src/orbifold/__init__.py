@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for the PBW deformations of S(V) x| G, where G is
 the order-p cyclic transvection group acting on F_p^2."""
 
-from .action import Quad2GroupElement, Vector, VGroupElement, act, sym_mul, v1, v2
+from .action import Quad2GroupElement, Vector, act, sym_mul, v1, v2
 from .chains import (
     BarGroupChain,
     PeriodicChain,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .group_algebra import GroupAlgebraElement, json_int
+from .group_algebra import GroupAlgebraElement
 
 
 @dataclass(frozen=True)
@@ -48,54 +48,6 @@ def v2(p: int) -> Vector:
 def act(i: int, v: Vector) -> Vector:
     """Apply g^i: (x1, x2) -> (x1 + i*x2, x2)."""
     return Vector(v.p, v.x1 + i * v.x2, v.x2)
-
-
-@dataclass(frozen=True)
-class VGroupElement:
-    """An element of V tensor F_pG: v1 (x) row1 + v2 (x) row2 with rows in F_pG.
-
-    Column i holds the V-coefficients of g^i, so entry (j, i) is the
-    coefficient of v_j g^i.
-    """
-
-    row1: GroupAlgebraElement
-    row2: GroupAlgebraElement
-
-    def __post_init__(self):
-        if self.row1.p != self.row2.p:
-            raise ValueError("mismatched primes in VGroupElement rows")
-
-    @property
-    def p(self) -> int:
-        return self.row1.p
-
-    @classmethod
-    def zero(cls, p: int) -> "VGroupElement":
-        z = GroupAlgebraElement.zero(p)
-        return cls(z, z)
-
-    def __add__(self, other: "VGroupElement") -> "VGroupElement":
-        return VGroupElement(self.row1 + other.row1, self.row2 + other.row2)
-
-    def __sub__(self, other: "VGroupElement") -> "VGroupElement":
-        return VGroupElement(self.row1 - other.row1, self.row2 - other.row2)
-
-    def to_text(self) -> str:
-        parts = []
-        for name, row in (("v1", self.row1), ("v2", self.row2)):
-            if not row.is_zero():
-                parts.append(f"{name}*({row.to_text()})")
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"v1": list(self.row1.coeffs), "v2": list(self.row2.coeffs)}
-
-    @classmethod
-    def from_json(cls, p: int, obj: dict) -> "VGroupElement":
-        return cls(
-            GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v1"])),
-            GroupAlgebraElement.from_coeffs(p, map(json_int, obj["v2"])),
-        )
 
 
 @dataclass(frozen=True)

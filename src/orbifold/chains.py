@@ -53,9 +53,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .action import VGroupElement
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows
-from .params import DeformationParams
+from .params import DeformationParams, times_g_i
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
 # sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4, 31 at 3, 97 at 2) take
@@ -390,43 +389,37 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
 
 def transfer_cochain(
     lambda_prime: tuple[GroupAlgebraElement, GroupAlgebraElement],
-    alpha: VGroupElement,
+    alpha: np.ndarray,
 ) -> DeformationParams:
     """Pull a 2-cochain on the periodic-twisted resolution back along pi.
 
     The result has graded degree -1, so it vanishes on group pairs and is a
     parameter set with kappa^C = 0: lambda(g^i, v) = sum_(l=0)^(i-1)
-    lambda'(g^l . v) g^(i-1), and kappa^L is alpha, its value on the wedge.
+    lambda'(g^l . v) g^(i-1), and kappa^L is alpha, its value on the wedge,
+    as the (2, p) kappaL table.
     """
-    lp1, lp2 = lambda_prime
-    p = lp1.p
-    table = []
-    for i in range(p):
-        # g^l fixes v1 and sends v2 to l*v1 + v2.
-        val1 = GroupAlgebraElement.zero(p)
-        val2 = GroupAlgebraElement.zero(p)
-        for l in range(i):
-            val1 = val1 + lp1
-            val2 = val2 + lp1.scale(l) + lp2
-        table.append((val1.shift(i - 1) if i else val1, val2.shift(i - 1) if i else val2))
-    return DeformationParams(p, tuple(table), GroupAlgebraElement.zero(p), alpha)
+    lp1, lp2 = (np.array(x.coeffs) for x in lambda_prime)
+    p = len(lp1)
+    l = np.arange(p)[:, None]
+    # [l, m - 1] = lambda'(g^l . v_m): g^l fixes v1 and sends v2 to l*v1 + v2.
+    terms = np.stack([np.broadcast_to(lp1, (p, p)), l * lp1 + lp2], axis=1)
+    sums = np.cumsum(terms, axis=0) - terms  # [i] = the sum over l < i
+    lam = np.roll(times_g_i(sums), -1, axis=-1)  # row i times g^(i-1)
+    return DeformationParams(p, lam, np.zeros(p), alpha)
 
 
 def distinguished_cocycle(
     a: GroupAlgebraElement, b: GroupAlgebraElement
-) -> tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], VGroupElement]:
+) -> tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], np.ndarray]:
     """The deformation cocycle on the periodic-twisted resolution indexed by (a, b):
 
     v1 |-> sum_l b_l g^(l+1),  v2 |-> sum_(l>=1) a_l g^(l+1),
-    v1 ^ v2 |-> a_0 v1 + sum_l l b_l v2 g^l.
+    v1 ^ v2 |-> a_0 v1 + sum_l l b_l v2 g^l, as a (2, p) kappaL table.
     """
     p = a.p
     lp1 = b.shift(1)
     lp2 = GroupAlgebraElement.from_coeffs(p, (0,) + a.coeffs[1:]).shift(1)
-    alpha = VGroupElement(
-        GroupAlgebraElement.monomial(p, 0, a.coeffs[0]),
-        GroupAlgebraElement.from_coeffs(p, tuple(l * bl for l, bl in enumerate(b.coeffs))),
-    )
+    alpha = np.array([[a.coeffs[0]] + [0] * (p - 1), np.arange(p) * b.coeffs])
     return (lp1, lp2), alpha
 
 

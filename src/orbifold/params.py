@@ -16,10 +16,10 @@ the cohomologically admissible families:
 
 Each family is written out once; the others are sums of these tables.
 
-lambda is stored on (group element, basis vector) pairs only; evaluation on
-general arguments is by bilinear extension, left-linear in the group-algebra
-slot.  kappa is stored as its value on (v1, v2) and extends antisymmetrically
-with kappa(v, v) = 0.
+The tables are int64 arrays of coefficients (see DeformationParams): lambda
+is given on the pairs (g^i, v_m) and extends bilinearly, left-linear in the
+group-algebra slot, and kappa is given on (v1, v2) and extends
+antisymmetrically with kappa(v, v) = 0.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .action import VGroupElement
-from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, json_int, scalar_inv
+import numpy as np
+
+from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, json_int, scalar_inv, shift_index
 
 
 def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
@@ -42,102 +43,120 @@ def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
+def _coeffs(p: int, values, what: str) -> list[int]:
+    """A JSON list of p integer coefficients, reduced mod p in Python, so that
+    no coefficient is too large for an int64 array."""
+    coeffs = [json_int(c) % p for c in values]
+    if len(coeffs) != p:
+        raise ValueError(f"{what} needs {p} coefficients, got {len(coeffs)}")
+    return coeffs
+
+
+def _text(p: int, coeffs: np.ndarray) -> str:
+    return GroupAlgebraElement(p, tuple(coeffs.tolist())).to_text()
+
+
+@dataclass(frozen=True, eq=False)
 class DeformationParams:
     """Tables (lambda, kappa^C, kappa^L) over a fixed prime p.
 
-    ``lam[i]`` is the pair (lambda(g^i, v1), lambda(g^i, v2)).  The row at
-    i = 0 must vanish: lambda(1, v) = 0 is forced by the group-compatibility
-    condition at g = h = 1.
+    ``lam`` (p, 2, p): lam[i, m - 1, n] is the coefficient of g^n in
+    lambda(g^i, v_m).  ``kappaC`` (p,) and ``kappaL`` (2, p): kappaL[m - 1, n]
+    is the coefficient of v_m g^n in kappa^L(v1, v2).  The constructor takes
+    array-likes of integers, reduces them mod p into read-only int64 arrays
+    and checks the shapes.  The row at i = 0 must vanish: lambda(1, v) = 0 is
+    forced by the group-compatibility condition at g = h = 1.
     """
 
     p: int
-    lam: tuple[tuple[GroupAlgebraElement, GroupAlgebraElement], ...]
-    kappaC: GroupAlgebraElement
-    kappaL: VGroupElement
+    lam: np.ndarray
+    kappaC: np.ndarray
+    kappaL: np.ndarray
 
     def __post_init__(self):
-        if len(self.lam) != self.p:
-            raise ValueError(f"lambda table needs {self.p} rows, got {len(self.lam)}")
-        for i, row in enumerate(self.lam):
-            if len(row) != 2 or any(e.p != self.p for e in row):
-                raise ValueError(f"bad lambda row at g^{i}")
-        if not self.lam[0][0].is_zero() or not self.lam[0][1].is_zero():
+        p = self.p
+        for name, shape in (("lam", (p, 2, p)), ("kappaC", (p,)), ("kappaL", (2, p))):
+            table = np.asarray(getattr(self, name), dtype=np.int64) % p
+            if table.shape != shape:
+                raise ValueError(f"{name} needs shape {shape}, got {table.shape}")
+            table.flags.writeable = False
+            object.__setattr__(self, name, table.view())  # a view cannot be made writeable
+        if self.lam[0].any():
             raise ValueError("lambda(1, v) must be 0")
-        if self.kappaC.p != self.p or self.kappaL.p != self.p:
-            raise ValueError("mismatched primes in kappa tables")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeformationParams):
+            return NotImplemented
+        mine, theirs = (self.lam, self.kappaC, self.kappaL), (other.lam, other.kappaC, other.kappaL)
+        return self.p == other.p and all(map(np.array_equal, mine, theirs))
 
     @classmethod
     def zero(cls, p: int) -> "DeformationParams":
-        z = GroupAlgebraElement.zero(p)
-        return cls(p, tuple((z, z) for _ in range(p)), z, VGroupElement.zero(p))
+        return cls(p, np.zeros((p, 2, p)), np.zeros(p), np.zeros((2, p)))
 
     def lam_v(self, i: int, x1: int, x2: int) -> GroupAlgebraElement:
         """lambda(g^i, x1*v1 + x2*v2), by linearity in the vector slot."""
-        return self.lam[i][0].scale(x1) + self.lam[i][1].scale(x2)
+        row = (x1 % self.p) * self.lam[i, 0] + (x2 % self.p) * self.lam[i, 1]
+        return GroupAlgebraElement.from_coeffs(self.p, row.tolist())
 
     def lam_ga(self, x: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
         """lambda(x, v_j) for x in F_pG, by left-linearity in the group slot."""
-        out = GroupAlgebraElement.zero(self.p)
-        for m, c in enumerate(x.coeffs):
-            if c:
-                out = out + self.lam[m][j - 1].scale(c)
-        return out
+        row = np.array(x.coeffs) @ self.lam[:, j - 1]
+        return GroupAlgebraElement.from_coeffs(self.p, row.tolist())
 
     def __add__(self, other: "DeformationParams") -> "DeformationParams":
         if self.p != other.p:
             raise ValueError("mismatched primes")
-        lam = tuple(
-            (a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(self.lam, other.lam)
-        )
         return DeformationParams(
-            self.p, lam, self.kappaC + other.kappaC, self.kappaL + other.kappaL
+            self.p, self.lam + other.lam, self.kappaC + other.kappaC, self.kappaL + other.kappaL
         )
 
     def with_kappaC(self, kappaC: GroupAlgebraElement) -> "DeformationParams":
-        return DeformationParams(self.p, self.lam, kappaC, self.kappaL)
+        return DeformationParams(self.p, self.lam, kappaC.coeffs, self.kappaL)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "lambda": [[list(row[0].coeffs), list(row[1].coeffs)] for row in self.lam],
-            "kappaC": list(self.kappaC.coeffs),
-            "kappaL": self.kappaL.to_json(),
+            "lambda": self.lam.tolist(),
+            "kappaC": self.kappaC.tolist(),
+            "kappaL": {"v1": self.kappaL[0].tolist(), "v2": self.kappaL[1].tolist()},
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "DeformationParams":
-        """Read the tables of to_json; an entry the tables do not use is an error."""
+        """Read the tables of to_json; an entry the tables do not use, or a
+        list of the wrong length, is an error."""
         _only_keys(obj, ("p", "lambda", "kappaC", "kappaL"), "parameter")
         try:
             p = check_prime(json_int(obj["p"]))
+            rows = obj["lambda"]
+            if len(rows) != p:
+                raise ValueError(f"lambda table needs {p} rows, got {len(rows)}")
             lam = []
-            for i, row in enumerate(obj["lambda"]):
+            for i, row in enumerate(rows):
                 if not (isinstance(row, list) and len(row) == 2
                         and all(isinstance(x, list) for x in row)):
                     raise ValueError(
                         f"lambda row at g^{i} must be two coefficient lists, got {row!r}"
                     )
-                lam.append(tuple(
-                    GroupAlgebraElement.from_coeffs(p, map(json_int, x)) for x in row
-                ))
-            kappaC = GroupAlgebraElement.from_coeffs(p, map(json_int, obj["kappaC"]))
+                lam.append([_coeffs(p, x, f"lambda(g^{i}, v{m})") for m, x in enumerate(row, 1)])
+            kappaC = _coeffs(p, obj["kappaC"], "kappaC")
             _only_keys(obj["kappaL"], ("v1", "v2"), "kappaL")
-            kappaL = VGroupElement.from_json(p, obj["kappaL"])
+            kappaL = [_coeffs(p, obj["kappaL"][v], f"kappaL {v}") for v in ("v1", "v2")]
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed parameter JSON: {exc}") from exc
-        return cls(p, tuple(lam), kappaC, kappaL)
+        return cls(p, lam, kappaC, kappaL)
 
     def to_text(self) -> str:
         """Stable multi-line rendering used by golden-file tests."""
-        lines = [f"p = {self.p}"]
-        for i in range(self.p):
-            lines.append(f"lambda(g^{i}, v1) = {self.lam[i][0].to_text()}")
-            lines.append(f"lambda(g^{i}, v2) = {self.lam[i][1].to_text()}")
-        lines.append(f"kappa^C = {self.kappaC.to_text()}")
-        lines.append(f"kappa^L = {self.kappaL.to_text()}")
+        p = self.p
+        lines = [f"p = {p}"] + [
+            f"lambda(g^{i}, v{m + 1}) = {_text(p, self.lam[i, m])}" for i, m in np.ndindex(p, 2)
+        ]
+        kappaL = [f"v{m + 1}*({_text(p, row)})" for m, row in enumerate(self.kappaL) if row.any()]
+        lines += [f"kappa^C = {_text(p, self.kappaC)}", f"kappa^L = {' + '.join(kappaL) or '0'}"]
         return "\n".join(lines)
 
 
@@ -157,6 +176,14 @@ class CoboundaryData:
         return self.f1.p
 
 
+def times_g_i(rows: np.ndarray) -> np.ndarray:
+    """rows[i] times g^i for every i: a (p, ..., p) array whose last axis
+    holds coefficients, each row i shifted as x.shift(i) shifts x."""
+    p = rows.shape[0]
+    index = shift_index(p).reshape((p,) + (1,) * (rows.ndim - 2) + (p,))
+    return np.take_along_axis(rows, index, axis=-1)
+
+
 def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> DeformationParams:
     """The cocycle-representative family indexed by (a, b), with kappa^C = 0.
 
@@ -169,17 +196,12 @@ def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformati
     if a.p != b.p:
         raise ValueError("mismatched primes")
     p = a.p
-    a_tail = GroupAlgebraElement.from_coeffs(p, (0,) + a.coeffs[1:])
-    lam = []
-    for i in range(p):
-        lam_v1 = b.scale(i).shift(i)
-        lam_v2 = b.scale(binom_mod(i, 2, p)).shift(i) + a_tail.scale(i).shift(i)
-        lam.append((lam_v1, lam_v2))
-    kappaL = VGroupElement(
-        GroupAlgebraElement.monomial(p, 0, a.coeffs[0]),
-        GroupAlgebraElement.from_coeffs(p, tuple(j * bj for j, bj in enumerate(b.coeffs))),
-    )
-    return DeformationParams(p, tuple(lam), GroupAlgebraElement.zero(p), kappaL)
+    i = np.arange(p)[:, None]
+    a_tail = np.array((0,) + a.coeffs[1:])
+    bv = np.array(b.coeffs)
+    lam = np.stack([i * bv, i * (i - 1) // 2 * bv + i * a_tail], axis=1)
+    kappaL = [[a.coeffs[0]] + [0] * (p - 1), np.arange(p) * bv]
+    return DeformationParams(p, times_g_i(lam), np.zeros(p), kappaL)
 
 
 def coboundary(f: CoboundaryData) -> DeformationParams:
@@ -190,13 +212,9 @@ def coboundary(f: CoboundaryData) -> DeformationParams:
     kappa^L_cob(v1,v2)  = sum_j j * f_j(v1) * v1 g^j
     """
     p = f.p
-    zero = GroupAlgebraElement.zero(p)
-    lam = tuple((zero, -f.f1.scale(i).shift(i)) for i in range(p))
-    kappaL = VGroupElement(
-        GroupAlgebraElement.from_coeffs(p, tuple(j * c for j, c in enumerate(f.f1.coeffs))),
-        zero,
-    )
-    return DeformationParams(p, lam, zero, kappaL)
+    f1 = np.array(f.f1.coeffs)
+    lam = np.stack([np.zeros((p, p), dtype=np.int64), -np.arange(p)[:, None] * f1], axis=1)
+    return DeformationParams(p, times_g_i(lam), np.zeros(p), [np.arange(p) * f1, np.zeros(p)])
 
 
 def add_coboundary(params: DeformationParams, f: CoboundaryData) -> DeformationParams:
@@ -246,15 +264,11 @@ def closed_form(
     These are the candidate tables at (implied_a(b, d), b) plus kappa^C.
     len(d) must equal the (g-1)-adic class k of b.
     """
-    p = b.p
     k = b.gminus1_factor().k
     if len(d) != k:
         raise ValueError(f"b has (g-1)-adic class k={k}; expected {k} d-values, got {len(d)}")
-    if kappaC is None:
-        kappaC = GroupAlgebraElement.zero(p)
-    if kappaC.p != p:
-        raise ValueError("mismatched primes")
-    return build_candidate(implied_a(b, d), b).with_kappaC(kappaC)
+    candidate = build_candidate(implied_a(b, d), b)
+    return candidate if kappaC is None else candidate.with_kappaC(kappaC)
 
 
 def params_to_ab(
@@ -266,12 +280,10 @@ def params_to_ab(
     kappa^C is free and ignored by the comparison.
     """
     p = params.p
-    b = params.lam[1][0].shift(-1)
-    a_coeffs = [params.kappaL.row1.coeffs[0]]
-    for j in range(1, p):
-        a_coeffs.append(params.lam[1][1].coeffs[(1 + j) % p])
-    a = GroupAlgebraElement.from_coeffs(p, a_coeffs)
+    after = np.roll(params.lam[1], -1, axis=-1)  # lambda(g, v_m) g^-1
+    b = GroupAlgebraElement.from_coeffs(p, after[0].tolist())
+    a = GroupAlgebraElement.from_coeffs(p, [int(params.kappaL[0, 0])] + after[1, 1:].tolist())
     rebuilt = build_candidate(a, b)
-    if rebuilt.lam == params.lam and rebuilt.kappaL == params.kappaL:
+    if np.array_equal(rebuilt.lam, params.lam) and np.array_equal(rebuilt.kappaL, params.kappaL):
         return a, b
     return None

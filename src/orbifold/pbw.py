@@ -60,12 +60,6 @@ class ConditionReport:
         }
 
 
-def _lam_table(params: DeformationParams, dtype=np.int64) -> np.ndarray:
-    """The lambda table as an array L of shape (p, 2, p): L[i, m - 1, n] is
-    the coefficient of g^n in lambda(g^i, v_m)."""
-    return np.array([[row[0].coeffs, row[1].coeffs] for row in params.lam], dtype=dtype)
-
-
 def _nonzero_rows(residual: np.ndarray) -> list:
     """(index, row) for every nonzero row along the last axis, in index
     order, as lists of plain ints."""
@@ -78,8 +72,8 @@ def _nonzero_rows(residual: np.ndarray) -> list:
 def check_condition1(params: DeformationParams) -> list:
     """lambda(g h, v) = lambda(g, h.v) h + g lambda(h, v) for all g, h, v.
 
-    g^j fixes v1 and sends v2 to j v1 + v2, so with L the lambda table of
-    _lam_table and indices mod p, the residual at (g^i, g^j, v_m) is the row
+    g^j fixes v1 and sends v2 to j v1 + v2, so with L the lambda table
+    params.lam and indices mod p, the residual at (g^i, g^j, v_m) is the row
     over n of
 
         m = 1:  L[i+j, 0, n] - L[i, 0, n-j] - L[j, 0, n-i]
@@ -92,7 +86,7 @@ def check_condition1(params: DeformationParams) -> list:
     p = params.p
     # |residual| < (p-1)(p+2) before reduction, so int16 holds it up to p = 179 and
     # keeps the four p^3 cubes alive at once (residual, shifted) at 7.3 MB for p = 97.
-    lam = _lam_table(params, np.int16 if p * (p + 2) < 2**15 else np.int64)
+    lam = params.lam.astype(np.int16 if p * (p + 2) < 2**15 else np.int64)
     ar = np.arange(p)
     residual = lam[sum_index(p)]  # [i, j, m, n] = L[i+j, m, n]
     shifted = lam[:, :, shift_index(p)]  # [i, m, j, n] = L[i, m, n-j]
@@ -129,10 +123,8 @@ def check_condition2(params: DeformationParams) -> list:
     Witnesses are (i, residual coefficients).
     """
     p = params.p
-    lam = _lam_table(params)
-    a1, a2 = lam[:, 0], lam[:, 1]
-    kappa1, kappa2 = np.array(
-        [params.kappaL.row1.coeffs, params.kappaL.row2.coeffs], dtype=np.int64)[:, shift_index(p)]
+    a1, a2 = params.lam[:, 0], params.lam[:, 1]
+    kappa1, kappa2 = params.kappaL[:, shift_index(p)]
     residual = (a2 @ a1 - a1 @ a2 + a1 @ kappa1 + a2 @ kappa2) % p
     return [(i, row) for (i,), row in _nonzero_rows(residual)]
 
@@ -151,10 +143,9 @@ def check_condition3(params: DeformationParams) -> list:
     Witnesses are (i, n) pairs with the residual vector [r, 0] in V.
     """
     p = params.p
-    kappa2 = params.kappaL.row2.coeffs
+    kappa2 = params.kappaL[1].tolist()
     bad = []
-    for i in range(p):
-        lam1 = params.lam[i][0].coeffs
+    for i, lam1 in enumerate(params.lam[:, 0].tolist()):
         for n in range(p):
             r = (i * kappa2[(n - i) % p] - (n - i) * lam1[n]) % p
             if r:

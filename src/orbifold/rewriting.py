@@ -23,8 +23,9 @@ set, since the group law is associative; ``check_overlaps`` decides the
 
 It does so without the word reducer: ``overlap_forms`` builds both sides of
 every overlap as dense arrays over the normal words of degree <= 2, read off
-the rule table (NF(g^a * v_x) is the right side of R1/R2, and right
-multiplication by g^n only shifts the exponent of the final group letter).
+the arrays of R1-R3 that ``RuleSet`` builds once from the parameter tables
+(NF(g^a * v_x) is the right side of R1/R2, and right multiplication by g^n
+only shifts the exponent of the final group letter).
 R1 and R2 put the v-words of NF(g^b * v_x) at g^b, so g^a * NF(g^b * v_x) is
 its group part shifted by a plus NF(g^a * v_w) shifted by b (w = v1, v2).  These
 are the reducer's normal forms, so the witness text is the same, whatever the
@@ -59,7 +60,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, shift_index, sum_index
+from .group_algebra import shift_index, sum_index
 from .params import DeformationParams
 
 V1 = -1
@@ -109,40 +110,54 @@ def normal_words(p: int, max_degree: int) -> list[Word]:
     ]
 
 
-def _element_words(x: GroupAlgebraElement, prefix: Word = ()) -> dict[Word, int]:
-    """The words of prefix * x, one per nonzero coefficient (g^0 contributes prefix)."""
+# The normal words of degree <= 2 as blocks of p: block b holds PREFIXES[b]*g^n
+# at column n.  A normal form is an int64 array [..., block, n] with entries
+# in [0, p); the first three blocks are the words of degree <= 1.
+PREFIXES: tuple[Word, ...] = ((), (V1,), (V2,), (V1, V1), (V1, V2), (V2, V2))
+
+
+def _terms(form: np.ndarray) -> dict[Word, int]:
+    """A [block, n] normal form as a {word: coeff} dict."""
+    blocks, ns = np.nonzero(form)
     return {
-        prefix + ((m,) if m else ()): c for m, c in enumerate(x.coeffs) if c
+        PREFIXES[b] + ((n,) if n else ()): int(form[b, n])
+        for b, n in zip(blocks.tolist(), ns.tolist())
     }
 
 
 class RuleSet:
-    """The oriented relations of one parameter set, plus reduction caches."""
+    """The oriented relations of one parameter set, plus reduction caches.
+
+    R1-R3 are built once from the parameter tables, as arrays in the
+    [block, n] layout of PREFIXES: ``forms`` (p, 3, 3, p) holds
+    forms[a, w] = NF(g^a * w) for w = 1, v1, v2, and ``r3`` (6, p) the right
+    side of R3.  The reducer's ``table`` of {word: coeff} dicts is read off them.
+    """
 
     def __init__(self, params: DeformationParams):
         p = params.p
         self.p = p
+        ar = np.arange(p)
+        # R1: g^m * v1 -> v1 * g^m + lambda(g^m, v1)
+        # R2: g^m * v2 -> m * v1 * g^m + v2 * g^m + lambda(g^m, v2)
+        # and g^m * 1 = g^m; at m = 0 forms[m, w] is the word w itself.
+        forms = np.zeros((p, 3, 3, p), dtype=np.int64)
+        forms[ar, 0, 0, ar] = forms[ar, 1, 1, ar] = forms[ar, 2, 2, ar] = 1
+        forms[ar, 2, 1, ar] = ar
+        forms[:, 1:, 0] = params.lam
+        # R3: v2 * v1 -> v1 * v2 - kappa^C - kappa^L
+        r3 = np.zeros((6, p), dtype=np.int64)
+        r3[0], r3[1:3], r3[4, 0] = -params.kappaC, -params.kappaL, 1
+        r3 %= p
+        forms.flags.writeable = r3.flags.writeable = False
+        self.forms, self.r3 = forms, r3
         table: dict[tuple[int, int], dict[Word, int]] = {}
         for m in range(1, p):
-            # R1: g^m * v1 -> v1 * g^m + lambda(g^m, v1)
-            rhs = {(V1, m): 1}
-            _add_scaled(p, rhs, _element_words(params.lam[m][0]))
-            table[(m, V1)] = rhs
-            # R2: g^m * v2 -> m * v1 * g^m + v2 * g^m + lambda(g^m, v2)
-            rhs = {(V1, m): m, (V2, m): 1}
-            _add_scaled(p, rhs, _element_words(params.lam[m][1]))
-            table[(m, V2)] = rhs
-        # R3: v2 * v1 -> v1 * v2 - kappa^C - kappa^L
-        rhs = {(V1, V2): 1}
-        _add_scaled(p, rhs, _element_words(params.kappaC), -1)
-        _add_scaled(p, rhs, _element_words(params.kappaL.row1, prefix=(V1,)), -1)
-        _add_scaled(p, rhs, _element_words(params.kappaL.row2, prefix=(V2,)), -1)
-        table[(V2, V1)] = rhs
-        # R4: g^m * g^m' -> g^(m+m' mod p)
-        for m in range(1, p):
-            for m2 in range(1, p):
-                s = (m + m2) % p
-                table[(m, m2)] = {((s,) if s else ()): 1}
+            table[(m, V1)], table[(m, V2)] = _terms(forms[m, 1]), _terms(forms[m, 2])
+        table[(V2, V1)] = _terms(r3)
+        for m, m2 in itertools.product(range(1, p), repeat=2):  # R4: g^m * g^m' -> g^(m+m')
+            s = (m + m2) % p
+            table[(m, m2)] = {((s,) if s else ()): 1}
         self.table = table
         self._memo: dict[Word, dict[Word, int]] = {}
         self._memo_rl: dict[Word, dict[Word, int]] = {}
@@ -245,32 +260,9 @@ def check_associativity(
     return True, None
 
 
-# The normal words of degree <= 2 as blocks of p: block b holds PREFIXES[b]*g^n
-# at column n.  A normal form is an int64 array [..., block, n] with entries
-# in [0, p); the first three blocks are the words of degree <= 1.
-PREFIXES: tuple[Word, ...] = ((), (V1,), (V2,), (V1, V1), (V1, V2), (V2, V2))
-_BLOCK = {prefix: b for b, prefix in enumerate(PREFIXES)}
-
 # Each block of a in the g^a*g^b*v_x family builds arrays (both sides, each
 # rolled product) of at most this many entries: 4 MB, 9 values of a at p = 97.
 _BLOCK_ENTRIES = 1 << 19
-
-
-def _put(form: np.ndarray, terms: dict[Word, int]) -> np.ndarray:
-    """Write a {word: coeff} dict of normal words into a zero [block, n] array."""
-    for w, c in terms.items():
-        n = w[-1] if w and w[-1] > 0 else 0
-        form[_BLOCK[w[:-1] if n else w], n] = c
-    return form
-
-
-def _terms(form: np.ndarray) -> dict[Word, int]:
-    """A [block, n] normal form as a {word: coeff} dict."""
-    blocks, ns = np.nonzero(form)
-    return {
-        PREFIXES[b] + ((n,) if n else ()): int(form[b, n])
-        for b, n in zip(blocks.tolist(), ns.tolist())
-    }
 
 
 def overlap_forms(
@@ -280,23 +272,15 @@ def overlap_forms(
     check_overlaps' order: (overlaps, lhs, rhs), one [block, n] row per
     overlap x*y*z, lhs = NF(rhs(x, y) * z) and rhs = NF(x * rhs(y, z)).
 
-    Read off the table alone: N[a, w] = NF(g^a * w) for w = 1, v1, v2, so
-    NF(g^a * w*g^n) is NF(g^a * w) shifted by n.  R1 and R2 put the v-words of
-    N[b, x] at g^b, so g^a * N[b, x] takes two rolled gathers of N[a, v1] and
-    N[a, v2], whatever lambda is.  The pieces are lazy, so a caller that stops
-    at a failure skips the rest.  Products are reduced mod p as they are
-    formed, so no int64 entry exceeds 6p(p-1)^2.
+    Read off the rule arrays alone: N[a, w] = rules.forms[a, w] = NF(g^a * w)
+    for w = 1, v1, v2, so NF(g^a * w*g^n) is NF(g^a * w) shifted by n.  R1 and
+    R2 put the v-words of N[b, x] at g^b, so g^a * N[b, x] takes two rolled
+    gathers of N[a, v1] and N[a, v2], whatever lambda is.  The pieces are
+    lazy, so a caller that stops at a failure skips the rest.  Products are
+    reduced mod p as they are formed, so no int64 entry exceeds 6p(p-1)^2.
     """
-    p, table = rules.p, rules.table
+    p, n_forms, r3 = rules.p, rules.forms, rules.r3
     shift = shift_index(p)  # shift[n, k] = k - n
-
-    n_forms = np.zeros((p, 3, 3, p), dtype=np.int64)
-    n_forms[np.arange(p), 0, 0, np.arange(p)] = 1
-    n_forms[0, 1, 1, 0] = n_forms[0, 2, 2, 0] = 1
-    for a in range(1, p):
-        _put(n_forms[a, 1], table[(a, V1)])
-        _put(n_forms[a, 2], table[(a, V2)])
-    r3 = _put(np.zeros((6, p), dtype=np.int64), table[(V2, V1)])
     r3_circ = r3[:, shift]  # r3_circ[w, n, k] = R3[w, k - n]: R3*g^n at column k
 
     def times_v(y: int) -> np.ndarray:

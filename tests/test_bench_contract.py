@@ -8,6 +8,7 @@ fails here, before the benchmark breaks.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import re
@@ -105,3 +106,21 @@ def test_every_params_file_loads(written):
             DeformationParams.from_json(obj)
             loaded.append(path.parent.name)
     assert loaded.count("warmup") == 2 and "params" in loaded
+
+
+# sha256 over the exit code and stdout of check --oracle --degree 4 --format json
+# on each of the 132 parameter files of the certify workload's seed 1, in order,
+# so that every verdict, witness and dimension row the benchmark checks is pinned.
+CERTIFY_SHA256 = "d4669e64cd65ae230ff497ed3caf020e675d0876d92ab376f9c363c493e8260c"
+
+
+def test_certify_outputs_are_pinned(tmp_path, capsys):
+    cases = perfbench_module("workloads").certify_params(1, 5, 2, 10)
+    assert len(cases) == 132
+    digest = hashlib.sha256()
+    for i, (_, obj) in enumerate(cases):
+        path = tmp_path / f"params_{i:03d}.json"
+        path.write_text(json.dumps(obj))
+        code = cli.main(["check", str(path), "--oracle", "--degree", "4", "--format", "json"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == CERTIFY_SHA256

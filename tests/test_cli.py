@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from orbifold.action import VGroupElement
 from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
@@ -26,7 +25,7 @@ from orbifold.params import (
 )
 from orbifold.rewriting import RuleSet
 from orbifold.solver import build_listing, records_to_csv
-from test_pbw import perturbed
+from test_pbw import from_elements, perturbed
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,7 +215,9 @@ class TestCheck:
          "unexpected key 'v3' in the kappaL object; expected v1, v2"),
         (lambda obj: obj.update(comment="x"),
          "unexpected key 'comment' in the parameter object; expected p, lambda, kappaC, kappaL"),
-    ], ids=["third_lambda_list", "kappaL_key", "top_level_key"])
+        (lambda obj: obj["lambda"][1].__setitem__(1, [1, 2]),
+         "lambda(g^1, v2) needs 3 coefficients, got 2"),
+    ], ids=["third_lambda_list", "kappaL_key", "top_level_key", "short_lambda_list"])
     def test_ignored_entries_exit_one_naming_them(self, capsys, tmp_path, edit, message):
         obj = closed_form(GA.from_text(3, "1-g"), [-1]).to_json()
         edit(obj)
@@ -312,11 +313,9 @@ def check_files(p=3):
     z = GA.zero(p)
     return {
         "pbw": closed_form(GA.from_text(p, "1-g"), [-1]),
-        "condition1": DeformationParams(
-            p, ((z, z), (GA.one(p), z)) + ((z, z),) * (p - 2), z, VGroupElement.zero(p)
-        ),
+        "condition1": from_elements(p, [(z, z), (GA.one(p), z)] + [(z, z)] * (p - 2), z, (z, z)),
         "condition2": build_candidate(GA.g(p), GA.from_text(p, "1-g")),
-        "condition3": DeformationParams(p, ((z, z),) * p, z, VGroupElement(z, GA.one(p))),
+        "condition3": from_elements(p, [(z, z)] * p, z, (z, GA.one(p))),
     }
 
 

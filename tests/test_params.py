@@ -5,9 +5,11 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbifold.action import VGroupElement
+from orbifold.chains import rep_to_params
 from orbifold.group_algebra import GroupAlgebraElement as GA, binom_mod, gminus1_power, scalar_inv
 from orbifold.params import (
     CoboundaryData,
@@ -15,10 +17,13 @@ from orbifold.params import (
     add_coboundary,
     build_candidate,
     closed_form,
+    coboundary,
     implied_a,
     mu,
     params_to_ab,
 )
+from test_chains import reference_coboundary
+from test_pbw import elements, from_elements
 
 
 def ga(p, text):
@@ -47,11 +52,76 @@ def reference_closed_form(b, d, kappaC):
         ).shift(i) + mu_part.scale(i).shift(i)
         lam.append((b.scale(i).shift(i), row_v2))
     alt = sum((-1) ** (m + 1) * dm for m, dm in enumerate(d, start=1)) % p
-    kappaL = VGroupElement(
+    kappaL = (
         GA.monomial(p, 0, alt),
         GA.from_coeffs(p, tuple(j * bj for j, bj in enumerate(b.coeffs))),
     )
-    return DeformationParams(p, tuple(lam), kappaC, kappaL)
+    return from_elements(p, lam, kappaC, kappaL)
+
+
+# The families as loops over F_pG elements with scale and shift, written from
+# the formulas in the docstrings of build_candidate, distinguished_cocycle and
+# transfer_cochain; the code builds them as array formulas.
+
+
+def reference_candidate(a, b):
+    """lambda(g^i, v1) = i * b * g^i
+    lambda(g^i, v2) = C(i,2) * b * g^i + i * (sum_{j>=1} a_j g^j) * g^i
+    kappa^L(v1,v2)  = a_0 v1 + sum_j j * b_j * v2 g^j
+    """
+    p = a.p
+    a_tail = GA.from_coeffs(p, (0,) + a.coeffs[1:])
+    lam = [
+        (b.scale(i).shift(i), b.scale(binom_mod(i, 2, p)).shift(i) + a_tail.scale(i).shift(i))
+        for i in range(p)
+    ]
+    kappaL = (
+        GA.monomial(p, 0, a.coeffs[0]),
+        GA.from_coeffs(p, tuple(j * bj for j, bj in enumerate(b.coeffs))),
+    )
+    return from_elements(p, lam, GA.zero(p), kappaL)
+
+
+def reference_rep(a, b):
+    """The distinguished cocycle of (a, b), lambda'(v1) = sum_l b_l g^(l+1),
+    lambda'(v2) = sum_(l>=1) a_l g^(l+1) and a_0 v1 + sum_l l b_l v2 g^l on
+    the wedge, pulled back: lambda(g^i, v) = sum_(l=0)^(i-1) lambda'(g^l . v) g^(i-1)."""
+    p = a.p
+    lp1 = b.shift(1)
+    lp2 = GA.from_coeffs(p, (0,) + a.coeffs[1:]).shift(1)
+    lam = []
+    for i in range(p):
+        val1 = val2 = GA.zero(p)
+        for l in range(i):
+            # g^l fixes v1 and sends v2 to l*v1 + v2.
+            val1 = val1 + lp1
+            val2 = val2 + lp1.scale(l) + lp2
+        lam.append((val1.shift(i - 1), val2.shift(i - 1)))
+    kappaL = (
+        GA.monomial(p, 0, a.coeffs[0]),
+        GA.from_coeffs(p, tuple(l * bl for l, bl in enumerate(b.coeffs))),
+    )
+    return from_elements(p, lam, GA.zero(p), kappaL)
+
+
+@st.composite
+def family_inputs(draw):
+    """(a, b, f) at p = 3, 5 or 7: two elements and a linear map V -> F_pG."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    element = st.lists(st.integers(0, p - 1), min_size=p, max_size=p).map(
+        lambda c: GA.from_coeffs(p, c))
+    return draw(element), draw(element), CoboundaryData(draw(element), draw(element))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_inputs())
+def test_families_equal_their_element_loops(inputs):
+    a, b, f = inputs
+    p = a.p
+    assert build_candidate(a, b) == reference_candidate(a, b)
+    table, wedge = reference_coboundary(f)
+    assert coboundary(f) == from_elements(p, table, GA.zero(p), wedge)
+    assert rep_to_params(a, b) == reference_rep(a, b)
 
 
 def running_example():
@@ -62,11 +132,11 @@ def running_example():
 class TestBuildCandidate:
     def test_running_example_tables(self):
         a, b = running_example()
-        params = build_candidate(a, b)
-        assert params.lam[1][0] == ga(3, "g-g^2")
-        assert params.lam[1][1] == ga(3, "g^2+1")
-        assert params.kappaL == VGroupElement(ga(3, "-1"), ga(3, "-g"))
-        assert params.kappaC.is_zero()
+        lam, kappaC, kappaL = elements(build_candidate(a, b))
+        assert lam[1][0] == ga(3, "g-g^2")
+        assert lam[1][1] == ga(3, "g^2+1")
+        assert kappaL == [ga(3, "-1"), ga(3, "-g")]
+        assert kappaC.is_zero()
 
     def test_zero_pair_gives_zero_tables(self):
         z = GA.zero(3)
@@ -77,7 +147,7 @@ class TestBuildCandidate:
         for p in (3, 5):
             for _ in range(20):
                 params = build_candidate(GA.random(rng, p), GA.random(rng, p))
-                assert params.lam[0][0].is_zero() and params.lam[0][1].is_zero()
+                assert not params.lam[0].any()
 
     def test_a0_enters_only_kappa(self):
         p = 3
@@ -85,17 +155,18 @@ class TestBuildCandidate:
         b = ga(p, "1-g")
         with_a0 = build_candidate(a_with, b)
         without_a0 = build_candidate(a_without, b)
-        assert with_a0.lam == without_a0.lam
-        assert with_a0.kappaL.row1 == GA.one(p)
-        assert without_a0.kappaL.row1 == GA.zero(p)
+        assert np.array_equal(with_a0.lam, without_a0.lam)
+        assert elements(with_a0)[2][0] == GA.one(p)
+        assert elements(without_a0)[2][0] == GA.zero(p)
 
     def test_injective_on_pairs_p3(self):
-        # The candidate family has exactly p^(2p) distinct points.
+        # The candidate family has exactly p^(2p) distinct points.  The
+        # tables are arrays, so the key is their JSON text.
         seen = set()
         for a in GA.all_elements(3):
             for b in GA.all_elements(3):
                 params = build_candidate(a, b)
-                key = (params.lam, params.kappaL)
+                key = json.dumps(params.to_json())
                 assert key not in seen
                 seen.add(key)
         assert len(seen) == 3**6
@@ -112,9 +183,10 @@ class TestAddCoboundary:
         p = 3
         base = DeformationParams.zero(p)
         shifted = add_coboundary(base, CoboundaryData(ga(p, "g"), GA.zero(p)))
-        assert shifted.lam[1][0].is_zero()
-        assert shifted.lam[1][1] == ga(p, "-g^2")
-        assert shifted.kappaL == VGroupElement(ga(p, "g"), GA.zero(p))
+        lam, _, kappaL = elements(shifted)
+        assert lam[1][0].is_zero()
+        assert lam[1][1] == ga(p, "-g^2")
+        assert kappaL == [ga(p, "g"), GA.zero(p)]
 
     def test_f_v2_is_irrelevant(self):
         a, b = running_example()
@@ -128,7 +200,7 @@ class TestAddCoboundary:
         p = 3
         params = DeformationParams.zero(p).with_kappaC(ga(p, "1+g"))
         shifted = add_coboundary(params, CoboundaryData(ga(p, "1+g^2"), GA.zero(p)))
-        assert shifted.kappaC == ga(p, "1+g")
+        assert elements(shifted)[1] == ga(p, "1+g")
 
 
 class TestMu:
@@ -185,8 +257,8 @@ class TestClosedForm:
         z = GA.zero(p)
         for d in itertools.product(range(p), repeat=p):
             params = closed_form(z, list(d))
-            assert params.kappaL.row2.is_zero()
-            assert all(params.lam[i][0].is_zero() for i in range(p))
+            assert not params.kappaL[1].any()
+            assert not params.lam[:, 0].any()
 
     def test_equals_candidate_plus_kappa_c(self):
         rng = random.Random(11)
@@ -235,15 +307,49 @@ class TestParamsToAb:
     def test_corrupted_table_is_rejected(self):
         a, b = running_example()
         params = build_candidate(a, b)
-        lam = list(params.lam)
-        lam[2] = (lam[2][0] + GA.one(3), lam[2][1])
-        corrupted = DeformationParams(3, tuple(lam), params.kappaC, params.kappaL)
+        lam = params.lam.copy()
+        lam[2, 0, 0] += 1  # lambda(g^2, v1) + 1
+        corrupted = DeformationParams(3, lam, params.kappaC, params.kappaL)
         assert params_to_ab(corrupted) is None
 
     def test_kappa_c_is_ignored(self):
         a, b = running_example()
         params = build_candidate(a, b).with_kappaC(ga(3, "1+g"))
         assert params_to_ab(params) == (a, b)
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", ["lam", "kappaC", "kappaL"])
+    def test_tables_are_read_only(self, name):
+        table = getattr(build_candidate(*running_example()), name)
+        with pytest.raises(ValueError):
+            table[...] = 0
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
+
+    def test_derived_sets_share_no_writable_buffer(self):
+        params = build_candidate(*running_example())
+        lam = np.zeros((3, 2, 3), dtype=np.int64)
+        lam[1, 1, 0] = 2
+        other = DeformationParams(3, lam, np.ones(3), np.ones((2, 3)))
+        lam[1, 1, 0] = 0  # the constructor copied its input
+        assert other.lam[1, 1, 0] == 2
+        for derived in (params + other, other + params, params.with_kappaC(ga(3, "1+g"))):
+            for name in ("lam", "kappaC", "kappaL"):
+                table = getattr(derived, name)
+                assert not table.flags.writeable
+                for source in (params, other):
+                    assert not np.shares_memory(table, getattr(source, name))
+
+    def test_equality(self):
+        params = build_candidate(*running_example())
+        assert params == DeformationParams.from_json(params.to_json())
+        assert params != params.with_kappaC(ga(3, "1"))
+        assert params != DeformationParams.zero(3)
+        assert (params == object()) is False
+        assert params != object()
+        with pytest.raises(TypeError):
+            hash(params)
 
 
 class TestSerialization:
@@ -273,14 +379,31 @@ class TestSerialization:
          "expected a kappaL object, got list"),
         (lambda obj: obj.update(comment="x"),
          "unexpected key 'comment' in the parameter object; expected p, lambda, kappaC, kappaL"),
+        (lambda obj: obj.update(kappaC=[1, 2]), "kappaC needs 3 coefficients, got 2"),
+        (lambda obj: obj["kappaL"].update(v2=[1, 2, 3, 4]), "kappaL v2 needs 3 coefficients, got 4"),
+        (lambda obj: obj["lambda"][1].__setitem__(0, [1, 2]),
+         "lambda(g^1, v1) needs 3 coefficients, got 2"),
+        (lambda obj: obj["lambda"][2].__setitem__(1, [1, 2, 3, 4]),
+         "lambda(g^2, v2) needs 3 coefficients, got 4"),
+        (lambda obj: obj["lambda"].pop(), "lambda table needs 3 rows, got 2"),
+        (lambda obj: obj["lambda"].append([[0, 0, 0], [0, 0, 0]]), "lambda table needs 3 rows, got 4"),
     ], ids=["third_lambda_list", "one_lambda_list", "lambda_scalar", "kappaL_v3",
-            "kappaL_list", "top_level_key"])
+            "kappaL_list", "top_level_key", "kappaC_short", "kappaL_long", "lambda_row_short",
+            "lambda_row_long", "lambda_rows_short", "lambda_rows_long"])
     def test_from_json_rejects_entries_it_would_ignore(self, edit, message):
         obj = closed_form(ga(3, "1-g"), [-1]).to_json()
         DeformationParams.from_json(obj)
         edit(obj)
         with pytest.raises(ValueError, match=re.escape(message)):
             DeformationParams.from_json(obj)
+
+    def test_from_json_reduces_huge_coefficients(self):
+        obj = closed_form(ga(3, "1-g"), [-1]).to_json()
+        expected = DeformationParams.from_json(obj)
+        obj["lambda"][1][0][0] += 3 * 10**30
+        obj["kappaC"][2] -= 3 * 10**40
+        obj["kappaL"]["v1"][1] += 3 * 10**30
+        assert DeformationParams.from_json(obj) == expected
 
     def test_identity_row_enforced(self):
         p = 3

@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold.action import Vector, VGroupElement, act, sym_mul, v1, v2
+from orbifold.action import Vector, act, sym_mul, v1, v2
 from orbifold.group_algebra import GroupAlgebraElement as GA
 from orbifold.params import (
     CoboundaryData,
@@ -34,6 +35,31 @@ def all_pairs(p):
             yield a, b
 
 
+# -- element views -------------------------------------------------------------
+# The references below compute on F_pG elements.  These helpers wrap the rows
+# of the integer tables in GroupAlgebraElement, and build tables from elements.
+
+
+def elements(params):
+    """(lam, kappaC, kappaL) as elements: lam[i][m - 1] is lambda(g^i, v_m)
+    and kappaL[m - 1] the v_m row of kappa^L."""
+    p = params.p
+
+    def row(coeffs):
+        return GA.from_coeffs(p, coeffs.tolist())
+
+    lam = [[row(r) for r in rows] for rows in params.lam]
+    return lam, row(params.kappaC), [row(r) for r in params.kappaL]
+
+
+def from_elements(p, lam, kappaC, kappaL):
+    """The parameter set whose tables hold these elements, laid out as
+    elements() returns them."""
+    return DeformationParams(
+        p, [[x.coeffs for x in row] for row in lam], kappaC.coeffs, [x.coeffs for x in kappaL]
+    )
+
+
 # -- reference ---------------------------------------------------------------
 # Conditions 1 and 2 as loops over F_pG elements, as pbw.py computed them
 # before it decided them as array identities over the lambda table; kept as
@@ -42,19 +68,20 @@ def all_pairs(p):
 
 def reference_condition1(params):
     p = params.p
+    lam = elements(params)[0]
     bad = []
     for i in range(p):
         for j in range(p):
             for m in (1, 2):
                 # g^j fixes v1 and sends v2 to j*v1 + v2.
                 if m == 1:
-                    twisted = params.lam[i][0]
+                    twisted = lam[i][0]
                 else:
-                    twisted = params.lam[i][0].scale(j) + params.lam[i][1]
+                    twisted = lam[i][0].scale(j) + lam[i][1]
                 residual = (
-                    params.lam[(i + j) % p][m - 1]
+                    lam[(i + j) % p][m - 1]
                     - twisted.shift(j)
-                    - params.lam[j][m - 1].shift(i)
+                    - lam[j][m - 1].shift(i)
                 )
                 if not residual.is_zero():
                     bad.append(((i, j, m), list(residual.coeffs)))
@@ -62,9 +89,9 @@ def reference_condition1(params):
 
 
 def reference_condition2_ring(params):
-    kappa1, kappa2 = params.kappaL.row1, params.kappaL.row2
+    lam, _, (kappa1, kappa2) = elements(params)
     bad = []
-    for i, (lam1, lam2) in enumerate(params.lam):
+    for i, (lam1, lam2) in enumerate(lam):
         residual = (
             params.lam_ga(lam2, 1) - params.lam_ga(lam1, 2) + lam1 * kappa1 + lam2 * kappa2
         )
@@ -82,23 +109,24 @@ def wedge_coeff(u, w):
     return (u.x1 * w.x2 - u.x2 * w.x1) % u.p
 
 
-def kappa_column(params, m):
-    """The V-part of the g^m component of kappa^L(v1, v2)."""
-    return Vector(params.p, params.kappaL.row1.coeffs[m], params.kappaL.row2.coeffs[m])
+def kappa_column(kappaL, m):
+    """The V-part of the g^m component of kappa^L(v1, v2), from its rows."""
+    return Vector(kappaL[0].p, kappaL[0].coeffs[m], kappaL[1].coeffs[m])
 
 
 def reference_condition2(params):
     p = params.p
+    lam, kappaC, kappaL = elements(params)
     bad = []
     e1, e2 = v1(p), v2(p)
     for i in range(p):
-        rhs = params.lam_ga(params.lam[i][1], 1) - params.lam_ga(params.lam[i][0], 2)
+        rhs = params.lam_ga(lam[i][1], 1) - params.lam_ga(lam[i][0], 2)
         for m in range(p):
-            col = kappa_column(params, m)
+            col = kappa_column(kappaL, m)
             if not col.is_zero():
                 rhs = rhs + params.lam_v(i, col.x1, col.x2).shift(m)
         det = wedge_coeff(act(i, e1), act(i, e2))
-        lhs = params.kappaC.scale(det).shift(i) - params.kappaC.shift(i)
+        lhs = kappaC.scale(det).shift(i) - kappaC.shift(i)
         residual = rhs - lhs
         if not residual.is_zero():
             bad.append((i, list(residual.coeffs)))
@@ -107,16 +135,17 @@ def reference_condition2(params):
 
 def reference_condition3(params):
     p = params.p
+    lam, _, kappaL = elements(params)
     bad = []
     e1, e2 = v1(p), v2(p)
     for i in range(p):
         gu, gv = act(i, e1), act(i, e2)
         for n in range(p):
-            col = kappa_column(params, (n - i) % p)
+            col = kappa_column(kappaL, (n - i) % p)
             lhs = act(i, col) - col.scale(wedge_coeff(gu, gv))
-            rhs = (act(n, e2) - gv).scale(params.lam[i][0].coeffs[n]) - (
+            rhs = (act(n, e2) - gv).scale(lam[i][0].coeffs[n]) - (
                 act(n, e1) - gu
-            ).scale(params.lam[i][1].coeffs[n])
+            ).scale(lam[i][1].coeffs[n])
             residual = lhs - rhs
             if not residual.is_zero():
                 bad.append(((i, n), [residual.x1, residual.x2]))
@@ -125,10 +154,11 @@ def reference_condition3(params):
 
 def reference_condition6(params):
     p = params.p
+    kappaL = elements(params)[2]
     bad = []
     basis = {1: v1(p), 2: v2(p)}
     for i in range(p):
-        col = kappa_column(params, i)
+        col = kappa_column(kappaL, i)
         for mu in (1, 2):
             for mv in (1, 2):
                 for mw in (1, 2):
@@ -150,10 +180,9 @@ def tables(draw):
     of their coefficients zero so that some conditions hold at some g^i."""
     p = draw(st.sampled_from([3, 5, 7]))
     coeff = st.just(0) | st.integers(0, p - 1)
-    element = st.lists(coeff, min_size=p, max_size=p).map(lambda c: GA.from_coeffs(p, c))
-    z = GA.zero(p)
-    lam = ((z, z),) + tuple((draw(element), draw(element)) for _ in range(p - 1))
-    return DeformationParams(p, lam, draw(element), VGroupElement(draw(element), draw(element)))
+    row = st.lists(coeff, min_size=p, max_size=p)
+    lam = [[[0] * p] * 2] + [[draw(row), draw(row)] for _ in range(p - 1)]
+    return DeformationParams(p, lam, draw(row), [draw(row), draw(row)])
 
 
 def plain_ints(x):
@@ -230,9 +259,9 @@ class TestCondition1:
 
     def test_single_entry_fails_at_g_g(self):
         p = 3
-        z = GA.zero(p)
-        lam = [(z, z), (GA.one(p), z), (z, z)]
-        params = DeformationParams(p, tuple(lam), z, VGroupElement.zero(p))
+        lam = np.zeros((p, 2, p), dtype=int)
+        lam[1, 0, 0] = 1  # lambda(g, v1) = 1
+        params = DeformationParams(p, lam, np.zeros(p), np.zeros((2, p)))
         witnesses = check_condition1(params)
         assert witnesses
         # The (g, g) pair is the first defect: lambda(g^2, v1) = 0 while the
@@ -284,9 +313,7 @@ class TestCondition3:
         # kappa^L = v2 (x) 1 with lambda = 0 breaks equivariance at g = h = g^1.
         p = 3
         params = DeformationParams.zero(p)
-        params = DeformationParams(
-            p, params.lam, params.kappaC, VGroupElement(GA.zero(p), GA.one(p))
-        )
+        params = DeformationParams(p, params.lam, params.kappaC, [[0] * p, GA.one(p).coeffs])
         witnesses = check_condition3(params)
         assert ((1, 1), [1, 0]) in witnesses
 

@@ -73,7 +73,7 @@ class TestRules:
         rules = rules_from_params(params)
         for m in range(1, params.p):
             for x, v_part in ((V1, {(V1, m): 1}), (V2, {(V1, m): m, (V2, m): 1})):
-                lam = params.lam[m][-1 - x].coeffs
+                lam = params.lam[m, -1 - x].tolist()
                 group_part = {((n,) if n else ()): c for n, c in enumerate(lam) if c}
                 assert rules.table[(m, x)] == {**v_part, **group_part}
 
