@@ -54,7 +54,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows
-from .params import DeformationParams, times_g_i
+from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
 # sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4, 31 at 3, 97 at 2) take
@@ -394,17 +394,23 @@ def transfer_cochain(
     """Pull a 2-cochain on the periodic-twisted resolution back along pi.
 
     The result has graded degree -1, so it vanishes on group pairs and is a
-    parameter set with kappa^C = 0: lambda(g^i, v) = sum_(l=0)^(i-1)
-    lambda'(g^l . v) g^(i-1), and kappa^L is alpha, its value on the wedge,
-    as the (2, p) kappaL table.
+    parameter set with kappa^C = 0.  lambda(g^i, v) is lambda' on the image
+    of the degree-1 generator (0, i, 0) under ``_pi``, the map that
+    verify_chain_maps certifies: each term g^l (x) g^k adds
+    lambda'(g^l . v) g^(l+k), so lambda(g^i, v) = sum_(l=0)^(i-1)
+    lambda'(g^l . v) g^(i-1).  kappa^L is alpha, its value on the wedge, as
+    the (2, p) kappaL table.
     """
     lp1, lp2 = (np.array(x.coeffs) for x in lambda_prime)
     p = len(lp1)
-    l = np.arange(p)[:, None]
-    # [l, m - 1] = lambda'(g^l . v_m): g^l fixes v1 and sends v2 to l*v1 + v2.
-    terms = np.stack([np.broadcast_to(lp1, (p, p)), l * lp1 + lp2], axis=1)
-    sums = np.cumsum(terms, axis=0) - terms  # [i] = the sum over l < i
-    lam = np.roll(times_g_i(sums), -1, axis=-1)  # row i times g^(i-1)
+    image = _pi(p, _generators(p, 1, 0, p - 1))  # row i - 1: the image of (0, i, 0)
+    l, k = image.labels[:, :1], image.labels[:, 1:]
+    # [term, m - 1] = lambda'(g^l . v_m): g^l fixes v1 and sends v2 to l*v1 + v2.
+    terms = np.stack([np.broadcast_to(lp1, (len(l), p)), l * lp1 + lp2], axis=1)
+    lam = np.zeros((p, 2, p), np.int64)
+    columns = ((np.arange(p) + l + k) % p)[:, None]  # times g^(l+k)
+    np.add.at(lam, (image.rows[:, None, None] + 1, [[0], [1]], columns),
+              image.coeffs[:, None, None] * terms)
     return DeformationParams(p, lam, np.zeros(p), alpha)
 
 

@@ -132,7 +132,7 @@ def cmd_check(args) -> int:
         with open(args.params_file) as fh:
             obj = json.load(fh)
         params = DeformationParams.from_json(obj)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"cannot load parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = check_all(params)

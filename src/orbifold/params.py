@@ -171,6 +171,10 @@ class CoboundaryData:
     f1: GroupAlgebraElement
     f2: GroupAlgebraElement
 
+    def __post_init__(self):
+        if self.f1.p != self.f2.p:
+            raise ValueError("mismatched primes")
+
     @property
     def p(self) -> int:
         return self.f1.p

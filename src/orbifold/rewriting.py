@@ -39,8 +39,9 @@ forced, so no strategy can reach another normal form.
 ``check_associativity`` sweeps triples of normal words up to a degree bound
 instead and stays as its independent cross-check; ``check_dimension`` counts
 the irreducible words, in which no adjacent pair is a left-hand side, against
-the growth of the undeformed algebra up to a degree bound; the left-hand sides,
-and so the counts, are the same for every parameter set of one p.  None of
+the growth of the undeformed algebra up to a degree bound; the left-hand sides
+(``is_lhs``), and so the counts, are the same for every parameter set of one
+p.  The word reducer reads each right side off the same arrays.  None of
 this shares code with the six-condition checker, so agreement between the
 two is evidence, not tautology.
 
@@ -125,13 +126,21 @@ def _terms(form: np.ndarray) -> dict[Word, int]:
     }
 
 
+def is_lhs(x: int, y: int) -> bool:
+    """Whether x*y is a left-hand side: a group letter before any letter
+    (R1, R2 or R4), or v2*v1 (R3)."""
+    return x > 0 or (x, y) == (V2, V1)
+
+
 class RuleSet:
     """The oriented relations of one parameter set, plus reduction caches.
 
     R1-R3 are built once from the parameter tables, as arrays in the
     [block, n] layout of PREFIXES: ``forms`` (p, 3, 3, p) holds
     forms[a, w] = NF(g^a * w) for w = 1, v1, v2, and ``r3`` (6, p) the right
-    side of R3.  The reducer's ``table`` of {word: coeff} dicts is read off them.
+    side of R3.  They are the only copy of the rules: ``is_lhs`` says which
+    pairs are left-hand sides, and ``rhs`` reads a right side off the arrays
+    as a {word: coeff} dict when the word reducer rewrites that pair.
     """
 
     def __init__(self, params: DeformationParams):
@@ -151,26 +160,29 @@ class RuleSet:
         r3 %= p
         forms.flags.writeable = r3.flags.writeable = False
         self.forms, self.r3 = forms, r3
-        table: dict[tuple[int, int], dict[Word, int]] = {}
-        for m in range(1, p):
-            table[(m, V1)], table[(m, V2)] = _terms(forms[m, 1]), _terms(forms[m, 2])
-        table[(V2, V1)] = _terms(r3)
-        for m, m2 in itertools.product(range(1, p), repeat=2):  # R4: g^m * g^m' -> g^(m+m')
-            s = (m + m2) % p
-            table[(m, m2)] = {((s,) if s else ()): 1}
-        self.table = table
         self._memo: dict[Word, dict[Word, int]] = {}
         self._memo_rl: dict[Word, dict[Word, int]] = {}
 
     def rule_id(self, pair: tuple[int, int]) -> str:
-        a, b = pair
-        if a > 0 and b == V1:
-            return "R1"
-        if a > 0 and b == V2:
-            return "R2"
-        if (a, b) == (V2, V1):
-            return "R3"
-        return "R4"
+        x, y = pair
+        return "R3" if x < 0 else {V1: "R1", V2: "R2"}.get(y, "R4")
+
+    def rhs(self, x: int, y: int) -> dict[Word, int]:
+        """The right side of the rule with left side x*y, read off the arrays;
+        R4: g^m * g^m' -> g^(m+m' mod p) is computed, never stored."""
+        if not is_lhs(x, y):
+            raise ValueError(f"{word_to_text((x, y))} is not a left-hand side")
+        if x < 0:
+            return _terms(self.r3)
+        if y < 0:
+            return _terms(self.forms[x, -y])
+        s = (x + y) % self.p
+        return {((s,) if s else ()): 1}
+
+    def _rewrite(self, word: Word, i: int) -> dict[Word, int]:
+        """word with the rule at letters i, i + 1 applied once."""
+        prefix, suffix = word[:i], word[i + 2:]
+        return {prefix + u + suffix: c for u, c in self.rhs(word[i], word[i + 1]).items()}
 
     def reduce_word(self, word: Word, rightmost: bool = False) -> dict[Word, int]:
         """Normal form of a single word as a raw {word: coeff} dict.
@@ -191,20 +203,12 @@ class RuleSet:
         hit = memo.get(word)
         if hit is not None:
             return hit
-        table = self.table
         n = len(word) - 1
         positions = range(n - 1, -1, -1) if rightmost else range(n)
-        for i in positions:
-            rhs = table.get((word[i], word[i + 1]))
-            if rhs is None:
-                continue
-            prefix, suffix = word[:i], word[i + 2:]
-            out = self.reduce_poly({prefix + u + suffix: cu for u, cu in rhs.items()}, rightmost)
-            memo[word] = out
-            return out
-        result = {word: 1}
-        memo[word] = result
-        return result
+        i = next((i for i in positions if is_lhs(word[i], word[i + 1])), None)
+        out = {word: 1} if i is None else self.reduce_poly(self._rewrite(word, i), rightmost)
+        memo[word] = out
+        return out
 
     def reduce_poly(
         self, terms: dict[Word, int], rightmost: bool = False
@@ -329,7 +333,7 @@ def overlap_forms(
 
 
 def check_overlaps(rules: RuleSet) -> tuple[bool, dict | None]:
-    """Resolve every overlap ambiguity of the rule table; returns the first failure.
+    """Resolve every overlap ambiguity of the rules; returns the first failure.
 
     For letters x, y, z with (x, y) and (y, z) both left-hand sides, compare
     reduce(rhs(x, y) * z) with reduce(x * rhs(y, z)).  By the diamond lemma
@@ -339,7 +343,7 @@ def check_overlaps(rules: RuleSet) -> tuple[bool, dict | None]:
     The overlaps are g^a*g^b*v1 and g^a*g^b*v2 ((p-1)^2 each), g^m*v2*v1
     (p-1 of them), and the (p-1)^3 words g^a*g^b*g^c.  Only the first
     2(p-1)^2 + (p-1) read lambda and kappa, and they are the ones resolved
-    here, in table order: every g^m*v2*v1 by m, then g^a*g^b*v1 and
+    here, in rule order: every g^m*v2*v1 by m, then g^a*g^b*v1 and
     g^a*g^b*v2 by (a, b).  A g^a*g^b*g^c overlap involves R4 alone, so both
     sides reduce to g^(a+b+c mod p) for every parameter set, by associativity
     of the group law; skipping them changes neither the verdict nor which
@@ -375,14 +379,14 @@ def _followers(rules: RuleSet) -> dict[int | None, list[int]]:
     that do not form a left-hand side with it (None: the empty word)."""
     letters = [V1, V2] + list(range(1, rules.p))
     follow: dict[int | None, list[int]] = {
-        x: [y for y in letters if (x, y) not in rules.table] for x in letters
+        x: [y for y in letters if not is_lhs(x, y)] for x in letters
     }
     follow[None] = letters
     return follow
 
 
 def irreducible_words(rules: RuleSet, max_degree: int) -> list[Word]:
-    """Every word irreducible under the rule table, up to filtered degree max_degree.
+    """Every word irreducible under the rules, up to filtered degree max_degree.
 
     Depth-first extension with pruning: a word is extendable only while no
     adjacent pair matches a rule left-hand side.  Since every group letter
@@ -457,23 +461,16 @@ def trace_reduction(word: Word, rules: RuleSet) -> list[str]:
     poly = {tuple(word): 1}
     lines: list[str] = []
     while True:
-        target = None
-        for w, _ in sorted(poly.items(), key=_canonical):
-            for i in range(len(w) - 1):
-                if (w[i], w[i + 1]) in rules.table:
-                    target, pos = w, i
-                    break
-            if target is not None:
-                break
-        if target is None:
+        found = next((
+            (w, i) for w, _ in sorted(poly.items(), key=_canonical)
+            for i in range(len(w) - 1) if is_lhs(w[i], w[i + 1])
+        ), None)
+        if found is None:
             return lines
-        pair = (target[pos], target[pos + 1])
-        rhs = rules.table[pair]
-        replacement = {
-            target[:pos] + u + target[pos + 2:]: c for u, c in rhs.items()
-        }
+        target, pos = found
+        replacement = rules._rewrite(target, pos)
         lines.append(
-            f"{word_to_text(target)} --{rules.rule_id(pair)}--> "
+            f"{word_to_text(target)} --{rules.rule_id(target[pos:pos + 2])}--> "
             f"{poly_to_text(p, replacement)}"
         )
         _add_scaled(p, poly, replacement, poly.pop(target))

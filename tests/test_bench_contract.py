@@ -108,6 +108,17 @@ def test_every_params_file_loads(written):
     assert loaded.count("warmup") == 2 and "params" in loaded
 
 
+def test_certify_warmups_give_their_exit_codes(tmp_path):
+    """The set-up probe fails the whole certify run unless its two warm-ups,
+    check --oracle on the files write_certify_warmups writes, exit 0 and 2."""
+    perfbench_module("workloads").write_certify_warmups(str(tmp_path))
+    setup_probe = perfbench_module("setup_probe")
+    ops = setup_probe.warmup_ops("certify", str(tmp_path))
+    assert [code for _, code in ops] == [0, 2]
+    for argv, code in ops:
+        assert setup_probe.run_quietly(cli.main, argv)[0] == code, argv
+
+
 # sha256 over the exit code and stdout of check --oracle --degree 4 --format json
 # on each of the 132 parameter files of the certify workload's seed 1, in order,
 # so that every verdict, witness and dimension row the benchmark checks is pinned.

@@ -551,6 +551,23 @@ class TestBridge:
             a, b = GA.random(rng, 5), GA.random(rng, 5)
             assert rep_to_params(a, b) == build_candidate(a, b)
 
+    def test_runs_through_the_verified_pi(self, monkeypatch):
+        """lambda is read off chains._pi, the map verify_chain_maps certifies:
+        a pi that moves each image term by g (x) 1 breaks the bridge, against
+        the candidate's C(i,2) formula on the other side."""
+        import orbifold.chains as chains
+
+        real = chains._pi
+
+        def moved(p, x):
+            image = real(p, x)
+            return image._replace(labels=(image.labels + [1, 0]) % p)
+
+        monkeypatch.setattr(chains, "_pi", moved)
+        for p in (3, 5, 7):
+            a, b = ga(p, "1+g^2"), ga(p, "g")
+            assert rep_to_params(a, b) != build_candidate(a, b)
+
     def test_wedge_value(self):
         p = 3
         a, b = ga(p, "-1+g+g^2"), ga(p, "1-g")

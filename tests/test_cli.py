@@ -230,6 +230,15 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 1
 
+    def test_deeply_nested_file_exits_one_without_traceback(self, tmp_path):
+        # An array nested 100,000 deep passes the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = run_module("check", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("cannot load parameters: ")
+        assert "Traceback" not in proc.stderr
+
     def test_p_option_is_refused(self, capsys, params_file):
         # check reads p from the parameter file; it takes no --p beside it.
         code, out, err = run(capsys, "check", "--p", "3", str(params_file))

@@ -196,6 +196,10 @@ class TestAddCoboundary:
             f2 = GA.random(rng, 3)
             assert add_coboundary(params, CoboundaryData(GA.zero(3), f2)) == params
 
+    def test_mismatched_primes_raise_value_error(self):
+        with pytest.raises(ValueError, match="mismatched primes"):
+            CoboundaryData(GA.zero(3), GA.zero(5))
+
     def test_kappa_c_unchanged(self):
         p = 3
         params = DeformationParams.zero(p).with_kappaC(ga(p, "1+g"))

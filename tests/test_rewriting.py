@@ -1,7 +1,9 @@
 """The rewriting system: rules, normal forms, confluence, the two certificates."""
 
+import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -56,12 +58,12 @@ def random_word(rng, p, max_len):
 class TestRules:
     def test_zero_params_r1_is_a_plain_swap(self):
         rules = rules_from_params(DeformationParams.zero(3))
-        assert rules.table[(1, V1)] == {(V1, 1): 1}
+        assert rules.rhs(1, V1) == {(V1, 1): 1}
 
     def test_running_example_r3(self):
         # v2 v1 -> v1 v2 + v1 + v2*g since kappa^L = -v1 - v2 g and kappa^C = 0.
         rules = running_rules()
-        assert rules.table[(V2, V1)] == {(V1, V2): 1, (V1,): 1, (V2, 1): 1}
+        assert rules.rhs(V2, V1) == {(V1, V2): 1, (V1,): 1, (V2, 1): 1}
 
     @settings(max_examples=40, deadline=None)
     @given(tables())
@@ -75,12 +77,17 @@ class TestRules:
             for x, v_part in ((V1, {(V1, m): 1}), (V2, {(V1, m): m, (V2, m): 1})):
                 lam = params.lam[m, -1 - x].tolist()
                 group_part = {((n,) if n else ()): c for n, c in enumerate(lam) if c}
-                assert rules.table[(m, x)] == {**v_part, **group_part}
+                assert rules.rhs(m, x) == {**v_part, **group_part}
 
     def test_r4_group_law(self):
         rules = rules_from_params(DeformationParams.zero(5))
-        assert rules.table[(2, 3)] == {(): 1}
-        assert rules.table[(4, 3)] == {(2,): 1}
+        assert rules.rhs(2, 3) == {(): 1}
+        assert rules.rhs(4, 3) == {(2,): 1}
+
+    @pytest.mark.parametrize("pair, text", [((V1, V2), "v1*v2"), ((V1, 1), "v1*g^1"), ((V2, V2), "v2*v2")])
+    def test_rhs_refuses_a_pair_that_is_no_left_hand_side(self, pair, text):
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)} is not a left-hand side$"):
+            rules_from_params(DeformationParams.zero(3)).rhs(*pair)
 
 
 class TestReduce:
@@ -157,7 +164,7 @@ class TestOracleMultiply:
 
     def test_v2_times_v1_is_r3(self):
         rules = running_rules()
-        assert rules.reduce_word((V2,) + (V1,)) == rules.table[(V2, V1)]
+        assert rules.reduce_word((V2,) + (V1,)) == rules.rhs(V2, V1)
 
 
 class TestAssociativity:
@@ -192,10 +199,19 @@ class TestAssociativity:
             check_associativity(running_rules(), 2)
 
 
+def rule_table(rules):
+    """The rules as a {left side: right side} dict read off rules.rhs, in rule
+    order: R1 and R2 by m, then R3, then R4 by (m, m').  The overlap sweeps
+    below take their order from it."""
+    group = range(1, rules.p)
+    pairs = [(m, x) for m in group for x in (V1, V2)] + [(V2, V1)]
+    return {pair: rules.rhs(*pair) for pair in pairs + list(itertools.product(group, group))}
+
+
 def reference_check_overlaps(rules):
     """check_overlaps before it skipped the g^a*g^b*g^c overlaps: every
     overlap of the rule table, in table order."""
-    table = rules.table
+    table = rule_table(rules)
     followers: dict[int, list[int]] = {}
     for y, z in table:
         followers.setdefault(y, []).append(z)
@@ -213,7 +229,7 @@ def reducer_overlaps(rules):
     forms from the word reducer: (overlap, lhs, rhs).  Each word met in these
     expansions has a single reducible pair, so the rightmost strategy must
     reach the same normal forms as the leftmost one."""
-    table = rules.table
+    table = rule_table(rules)
     followers: dict[int, list[int]] = {}
     for y, z in table:
         if z < 0:
@@ -308,8 +324,8 @@ class TestOverlaps:
         for a, b, c in itertools.product(range(1, p), repeat=3):
             s = (a + b + c) % p
             expected = {((s,) if s else ()): 1}
-            lhs = rules.reduce_poly({w + (c,): k for w, k in rules.table[(a, b)].items()})
-            rhs = rules.reduce_poly({(a,) + w: k for w, k in rules.table[(b, c)].items()})
+            lhs = rules.reduce_poly({w + (c,): k for w, k in rules.rhs(a, b).items()})
+            rhs = rules.reduce_poly({(a,) + w: k for w, k in rules.rhs(b, c).items()})
             assert lhs == rhs == expected
 
 
@@ -518,6 +534,60 @@ def test_trace_reduction_is_line_oriented():
     assert lines
     assert lines[0].startswith("g^1*v2*v1 --R2-->")
     assert all("-->" in line for line in lines)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_is_lhs_is_the_four_rule_families(p):
+    """Every pair of letters: a left-hand side exactly when it is in one of
+    R1 (g^m*v1), R2 (g^m*v2), R3 (v2*v1) or R4 (g^m*g^m'), named by rule_id."""
+    group = range(1, p)
+    families = {(m, V1): "R1" for m in group}
+    families.update({(m, V2): "R2" for m in group})
+    families[(V2, V1)] = "R3"
+    families.update({(m, n): "R4" for m in group for n in group})
+    rules = rules_from_params(DeformationParams.zero(p))
+    letters = [V1, V2, *group]
+    for x, y in itertools.product(letters, repeat=2):
+        assert rewriting.is_lhs(x, y) is ((x, y) in families)
+    assert {pair: rules.rule_id(pair) for pair in families} == families
+
+
+def test_certificate_builds_no_rule_dicts(monkeypatch):
+    """rules_from_params, check_overlaps and check_dimension read the rule
+    arrays alone: no {word: coeff} dict is made on a PBW file, and a failing
+    one makes the two of its witness sides."""
+    calls = []
+    terms = rewriting._terms
+    monkeypatch.setattr(rewriting, "_terms", lambda form: calls.append(1) or terms(form))
+    f = CoboundaryData(GA.g(5, 2), GA.one(5))
+    pbw = add_coboundary(closed_form(gminus1_power(5, 1), [1], GA.g(5)), f)
+    for params, ok, made in ((pbw, True, 0), (perturbed(pbw, 2, 2, 3), False, 2)):
+        calls.clear()
+        rules = rules_from_params(params)
+        assert check_overlaps(rules)[0] is ok and check_dimension(rules, 4)[0]
+        assert len(calls) == made
+
+
+# sha256 over the trace_reduction lines of every overlap word x*y*z, (x, y)
+# and (y, z) both left-hand sides, by letters v1, v2, g^1, ..., g^4, of a
+# non-PBW candidate and of a PBW closed form with a coboundary at p = 5.
+TRACE_SHA256 = "6aa3066b48b7ddc42373295ef9b2a639f22eac146563b5aa60c8d6131eacead5"
+
+
+def test_trace_reduction_lines_are_pinned():
+    p = 5
+    f = CoboundaryData(GA.g(p, 2), GA.one(p))
+    pbw = add_coboundary(closed_form(gminus1_power(p, 1), [1], GA.g(p)), f)
+    letters = [V1, V2, *range(1, p)]
+    digest, words = hashlib.sha256(), 0
+    for params in (build_candidate(GA.one(p), gminus1_power(p, 1)), pbw):
+        rules = rules_from_params(params)
+        for x, y, z in itertools.product(letters, repeat=3):
+            if rewriting.is_lhs(x, y) and rewriting.is_lhs(y, z):
+                words += 1
+                digest.update("".join(f"{line}\n" for line in trace_reduction((x, y, z), rules)).encode())
+    assert words == 2 * ((p - 1) ** 3 + 2 * (p - 1) ** 2 + (p - 1))
+    assert digest.hexdigest() == TRACE_SHA256
 
 
 def test_word_rendering():
