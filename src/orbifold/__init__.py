@@ -29,7 +29,6 @@ from .params import (
     closed_form,
     coboundary,
     implied_a,
-    mu,
     params_to_ab,
 )
 from .pbw import ConditionReport, check_all

@@ -401,8 +401,10 @@ def transfer_cochain(
     lambda'(g^l . v) g^(i-1).  kappa^L is alpha, its value on the wedge, as
     the (2, p) kappaL table.
     """
+    p = lambda_prime[0].p
+    if lambda_prime[1].p != p or np.shape(alpha)[-1:] != (p,):
+        raise ValueError("mismatched primes")
     lp1, lp2 = (np.array(x.coeffs) for x in lambda_prime)
-    p = len(lp1)
     image = _pi(p, _generators(p, 1, 0, p - 1))  # row i - 1: the image of (0, i, 0)
     l, k = image.labels[:, :1], image.labels[:, 1:]
     # [term, m - 1] = lambda'(g^l . v_m): g^l fixes v1 and sends v2 to l*v1 + v2.

@@ -206,37 +206,20 @@ class GroupAlgebraElement:
         return sum(self.coeffs) % self.p
 
     def gminus1_coords(self) -> tuple[int, ...]:
-        """Coordinates z with x = sum z_i (g-1)^i.
-
-        Since g^j = (1 + (g-1))^j, the change of basis is the binomial
-        transform z_i = sum_j C(j, i) x_j, exact over the integers before
-        reduction.
-        """
-        p = self.p
-        return tuple(
-            sum(binom_mod(j, i, p) * x for j, x in enumerate(self.coeffs)) % p
-            for i in range(p)
-        )
+        """Coordinates z with x = sum z_i (g-1)^i: x times the first matrix of gminus1_basis."""
+        return tuple((np.array(self.coeffs) @ gminus1_basis(self.p)[0] % self.p).tolist())
 
     @classmethod
     def from_gminus1_coords(cls, p: int, z: Sequence[int]) -> "GroupAlgebraElement":
-        """Inverse of gminus1_coords: x_j = sum_i z_i (-1)^(i-j) C(i, j)."""
-        coeffs = [
-            # The exponent is taken mod 2: (-1) ** n is a float for negative n.
-            sum(z[i] * (-1) ** ((i - j) % 2) * binom_mod(i, j, p) for i in range(p)) % p
-            for j in range(p)
-        ]
-        return cls(p, tuple(coeffs))
+        """Inverse of gminus1_coords; z must hold exactly p coordinates."""
+        if len(z) != p:
+            raise ValueError(f"expected {p} coordinates, got {len(z)}")
+        return cls(p, tuple((np.array([zi % p for zi in z]) @ gminus1_basis(p)[1] % p).tolist()))
 
     def gminus1_factor(self) -> Factorization:
         """Factor x = (g-1)^k * btilde with btilde a unit; (p, 1) for x = 0."""
-        p = self.p
-        z = self.gminus1_coords()
-        k = next((i for i, zi in enumerate(z) if zi != 0), p)
-        if k == p:
-            return Factorization(p, GroupAlgebraElement.one(p))
-        btilde = GroupAlgebraElement.from_gminus1_coords(p, z[k:] + (0,) * k)
-        return Factorization(k, btilde)
+        k, btilde = gminus1_factor_rows(self.p, np.array([self.coeffs]))
+        return Factorization(int(k[0]), GroupAlgebraElement(self.p, tuple(btilde[0].tolist())))
 
     def invert(self) -> "GroupAlgebraElement":
         """Multiplicative inverse by Frobenius: x^p = aug(x) * 1 in F_pG, so
@@ -358,10 +341,43 @@ def digit_rows(base: int, width: int, index: np.ndarray) -> np.ndarray:
     return index[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
+@lru_cache(maxsize=8)
+def gminus1_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (g-1)-basis change B and its inverse, as read-only int64 matrices.
+
+    Since g^j = (1 + (g-1))^j, a coefficient row x has (g-1)-adic
+    coordinates z = x B with B[j, i] = C(j, i), and x = z B^-1 with
+    B^-1[i, j] = (-1)^(i-j) C(i, j), row i being (g-1)^i.
+    """
+    index = np.arange(p)
+    basis = np.array([[comb(j, i) % p for i in range(p)] for j in range(p)])
+    inverse = basis * (1 - 2 * ((index[:, None] + index) % 2)) % p
+    basis.flags.writeable = inverse.flags.writeable = False
+    return basis, inverse
+
+
+def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factorization x = (g-1)^k * btilde of every coefficient row: (k, btilde rows).
+
+    k is the first nonzero (g-1)-adic coordinate (p for x = 0), and btilde
+    has the coordinates shifted down by k, so that its top k vanish; the
+    zero row gets the coordinates of 1, so its btilde is 1.
+    """
+    basis, inverse = gminus1_basis(p)
+    z = rows @ basis % p
+    nonzero = z != 0
+    k = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), p)
+    shifted = np.zeros_like(z)
+    for kk in range(p):
+        shifted[k == kk, : p - kk] = z[k == kk, kk:]
+    shifted[k == p, 0] = 1
+    return k, shifted @ inverse % p
+
+
 def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     """(g-1)^k for k >= 0; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
     if k < 0:
         raise ValueError(f"(g-1)^k needs k >= 0, got {k}")
     if k >= p:
         return GroupAlgebraElement.zero(p)
-    return GroupAlgebraElement.from_gminus1_coords(p, [int(i == k) for i in range(p)])
+    return GroupAlgebraElement(p, tuple(gminus1_basis(p)[1][k].tolist()))

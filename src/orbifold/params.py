@@ -11,8 +11,9 @@ the cohomologically admissible families:
 * ``coboundary(f)`` -- the shift induced by a linear map f: V -> F_pG,
   which ``add_coboundary`` adds to a parameter set,
 * ``closed_form(b, d, kappa_c)`` -- the fully solved family in which the
-  remaining degrees of freedom are the (g-1)-adic class data of b: the
-  candidate at (implied_a(b, d), b) with kappa^C added.
+  remaining degrees of freedom are the coordinates d on the kernel basis of
+  b: the candidate at (implied_a(b, d), b) with kappa^C added, where
+  implied_a is solver.a_from_c on the kernel element with coordinates d.
 
 Each family is written out once; the others are sums of these tables.
 
@@ -29,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, binom_mod, check_prime, json_int, scalar_inv, shift_index
+from .group_algebra import GroupAlgebraElement, check_prime, json_int, shift_index
+from .solver import a_from_c, kernel_basis
 
 
 def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
@@ -62,9 +64,9 @@ class DeformationParams:
 
     ``lam`` (p, 2, p): lam[i, m - 1, n] is the coefficient of g^n in
     lambda(g^i, v_m).  ``kappaC`` (p,) and ``kappaL`` (2, p): kappaL[m - 1, n]
-    is the coefficient of v_m g^n in kappa^L(v1, v2).  The constructor takes
-    array-likes of integers, reduces them mod p into read-only int64 arrays
-    and checks the shapes.  The row at i = 0 must vanish: lambda(1, v) = 0 is
+    is the coefficient of v_m g^n in kappa^L(v1, v2).  The constructor checks
+    p, reduces array-likes of integers mod p into read-only int64 arrays and
+    checks the shapes.  The row at i = 0 must vanish: lambda(1, v) = 0 is
     forced by the group-compatibility condition at g = h = 1.
     """
 
@@ -74,7 +76,7 @@ class DeformationParams:
     kappaL: np.ndarray
 
     def __post_init__(self):
-        p = self.p
+        p = check_prime(self.p)
         for name, shape in (("lam", (p, 2, p)), ("kappaC", (p,)), ("kappaL", (2, p))):
             table = np.asarray(getattr(self, name), dtype=np.int64) % p
             if table.shape != shape:
@@ -226,31 +228,13 @@ def add_coboundary(params: DeformationParams, f: CoboundaryData) -> DeformationP
     return params + coboundary(f)
 
 
-def mu(p: int, d: Sequence[int], j: int) -> int:
-    """The alternating binomial functional of the free coordinates d at index j.
-
-    mu(d, j) = (-1)^(p-j) * sum_{m=1..k} (-1)^(m+1) C(p-m, p-j) d_m, which
-    vanishes for j = 0 and for empty d; j must lie in [0, p).
-    """
-    if not 0 <= j < p:
-        raise ValueError(f"mu needs j in [0, {p}), got {j}")
-    total = sum(
-        (-1) ** (m + 1) * binom_mod(p - m, p - j, p) * dm
-        for m, dm in enumerate(d, start=1)
-    )
-    return ((-1) ** (p - j) * total) % p
-
-
 def implied_a(b: GroupAlgebraElement, d: Sequence[int]) -> GroupAlgebraElement:
-    """The unique a paired with (b, d): a_0 is the alternating d-sum and
-    a_j = j^(p-2) * (mu(d, j) + C(j+1, 2) b_j) for j >= 1."""
-    p = b.p
-    coeffs = [sum((-1) ** (m + 1) * dm for m, dm in enumerate(d, start=1)) % p]
-    for j in range(1, p):
-        coeffs.append(
-            scalar_inv(j, p) * (mu(p, d, j) + binom_mod(j + 1, 2, p) * b.coeffs[j]) % p
-        )
-    return GroupAlgebraElement.from_coeffs(p, coeffs)
+    """The unique a paired with (b, d): a_from_c of c = sum_m d_m (g-1)^(p-m), whose
+    coordinates on kernel_basis(b) are d; len(d) must be the class k of b."""
+    basis = kernel_basis(b)
+    if len(d) != (k := len(basis)):
+        raise ValueError(f"b has (g-1)-adic class k={k}; expected {k} d-values, got {len(d)}")
+    return a_from_c(sum(map(GroupAlgebraElement.scale, basis, d), GroupAlgebraElement.zero(b.p)), b)
 
 
 def closed_form(
@@ -265,12 +249,10 @@ def closed_form(
                       + i sum_j j^(p-2) mu(d, j) g^(i+j)
     kappa(v1, v2)   = (d_1 - d_2 + ... +- d_k) v1 + sum_j j b_j v2 g^j + kappa^C
 
-    These are the candidate tables at (implied_a(b, d), b) plus kappa^C.
-    len(d) must equal the (g-1)-adic class k of b.
+    with mu(d, j) = (-1)^(p-j) sum_(m=1..k) (-1)^(m+1) C(p-m, p-j) d_m, the
+    g^(p-j) coefficient of sum_m d_m (g-1)^(p-m).  These are the candidate tables
+    at (implied_a(b, d), b) plus kappa^C; len(d) must be the class k of b.
     """
-    k = b.gminus1_factor().k
-    if len(d) != k:
-        raise ValueError(f"b has (g-1)-adic class k={k}; expected {k} d-values, got {len(d)}")
     candidate = build_candidate(implied_a(b, d), b)
     return candidate if kappaC is None else candidate.with_kappaC(kappaC)
 

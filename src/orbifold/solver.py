@@ -5,20 +5,21 @@ equations
 
     0 = a_0 b_l + sum_{j+k = l (mod p)} b_k * (-C(j+1,2) b_j + j a_j),
 
-one per l in [0, p).  The system is quadratic in the pair but linear once b
-is fixed: packaging c_0 = a_0, c_m = -C(j+1,2) b_j + j a_j (with j = p - m)
+one per l in [0, p), written once as _system_tables; system_residual is its
+one-row case.  The system is quadratic in the pair but linear once b is
+fixed: packaging c_0 = a_0, c_m = -C(j+1,2) b_j + j a_j (with j = p - m)
 turns it into phi_b(c) = b * sigma(c) = 0, so the solutions for a fixed b
 are the kernel of multiplication by b composed with the antipode.  That
 kernel is spanned by the powers (g-1)^(p-j) for 0 <= j <= k where k is the
-(g-1)-adic class of b, giving p^k solutions per b and p^(p+1) in total.
+(g-1)-adic class of b, giving p^k solutions per b and p^(p+1) in total;
+params.implied_a is a_from_c of the kernel element with coordinates d.
 
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
 An enumeration is one Listing, the same for both modes: the class k and the
 btilde row of every b, the p + 1 class kernel bases, and flat c and a
-row-index arrays in b-row order with cumulative offsets.  The (g-1)-adic
-factorization of every b is one binomial matrix product.  The closed form
-uses that the kernel depends on b only through its class k and that
+row-index arrays in b-row order with cumulative offsets; the classes come
+from group_algebra.gminus1_factor_rows.  The closed form uses that the kernel depends on b only through its class k and that
 a = c L + const(b) is affine in c: per class it spans the kernel once (its
 p^k lexicographic coordinate rows times the basis) and then maps it to the
 a rows of every b of the class with one broadcast.  Brute force, the
@@ -51,6 +52,7 @@ from .group_algebra import (
     binom_mod,
     check_prime,
     digit_rows,
+    gminus1_factor_rows,
     gminus1_power,
     scalar_inv,
     shift_index,
@@ -83,20 +85,12 @@ class SolutionRecord:
 
 
 def system_residual(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The p residuals of the compatibility system, as the element sum_l r_l g^l."""
+    """The residuals r_l of the system as the element sum_l r_l g^l: one row of _system_tables."""
     if a.p != b.p:
         raise ValueError("mismatched primes")
     p = a.p
-    out = [0] * p
-    a0 = a.coeffs[0]
-    for l in range(p):
-        total = a0 * b.coeffs[l]
-        for j in range(p):
-            bk = b.coeffs[(l - j) % p]
-            if bk:
-                total += bk * (-binom_mod(j + 1, 2, p) * b.coeffs[j] + j * a.coeffs[j])
-        out[l] = total % p
-    return GroupAlgebraElement.from_coeffs(p, out)
+    lin, const = _system_tables(p, np.array([b.coeffs]))
+    return GroupAlgebraElement(p, tuple(((np.array(a.coeffs) @ lin[0] + const[0]) % p).tolist()))
 
 
 def c_from_ab(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -184,25 +178,6 @@ def _linear_rows(p: int, f: Callable[[GroupAlgebraElement], Sequence[int]]) -> n
     return np.array([f(GroupAlgebraElement.g(p, i)) for i in range(p)], dtype=np.int64)
 
 
-def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GroupAlgebraElement.gminus1_factor of every coefficient row: (k, btilde rows).
-
-    The (g-1)-adic coordinates z are one product with the matrix of
-    gminus1_coords, k is the first nonzero one (p for x = 0), and btilde is z
-    shifted down by k and taken back through from_gminus1_coords.  The zero
-    row gets the coordinates of 1, so its btilde is 1.
-    """
-    z = rows @ _linear_rows(p, GroupAlgebraElement.gminus1_coords) % p
-    nonzero = z != 0
-    k = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), p)
-    shifted = np.zeros_like(z)
-    for kk in range(p):
-        shifted[k == kk, : p - kk] = z[k == kk, kk:]
-    shifted[k == p, 0] = 1
-    from_z = _linear_rows(p, lambda z: GroupAlgebraElement.from_gminus1_coords(p, z.coeffs).coeffs)
-    return k, shifted @ from_z % p
-
-
 def _affine(
     p: int, f: Callable[[GroupAlgebraElement, GroupAlgebraElement], GroupAlgebraElement],
     rows: np.ndarray,
@@ -240,11 +215,11 @@ def kernel_agrees(b: GroupAlgebraElement) -> bool:
 
 
 def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lin, const) with system_residual(a, b) = a lin[i] + const[i] mod p
-    for b = row i.
+    """(lin, const) with residual r = a lin[i] + const[i] mod p for b = row i.
 
-    The residual is affine in a: the coefficient of a_0 in r_l is b_l, the
-    coefficient of a_j (j >= 1) is j * b_(l-j), and the constant part is
+    The residual r_l = a_0 b_l + sum_j b_(l-j) (-C(j+1,2) b_j + j a_j) is
+    affine in a: the coefficient of a_0 in r_l is b_l, the coefficient of
+    a_j (j >= 1) is j * b_(l-j), and the constant part is
     -sum_j C(j+1,2) b_j b_(l-j).
     """
     shifted = rows[:, shift_index(p)]  # [i, j, l] = b_(l-j)

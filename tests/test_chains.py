@@ -516,6 +516,15 @@ class TestTransfer:
         assert np.array_equal(cochain.kappaL, alpha)
         assert not cochain.lam.any()
 
+    @pytest.mark.parametrize("lambda_prime, alpha", [
+        ((GA.one(3), GA.one(5)), np.zeros((2, 3))),
+        ((GA.one(5), GA.one(3)), np.zeros((2, 5))),
+        ((GA.one(3), GA.one(3)), np.zeros((2, 5))),
+    ], ids=["v2", "v1", "alpha"])
+    def test_mismatched_primes_raise_value_error(self, lambda_prime, alpha):
+        with pytest.raises(ValueError, match="mismatched primes"):
+            transfer_cochain(lambda_prime, alpha)
+
     def test_identity_slot_is_empty_sum(self):
         p = 3
         cochain = transfer_cochain((ga(p, "1+g"), ga(p, "g")), np.zeros((2, p)))

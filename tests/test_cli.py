@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -523,6 +524,60 @@ def test_build_stdout_is_pinned(capsys, argv):
     code, out, err = run(capsys, "build", *argv)
     assert (code, err) == (0, implied + "\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def class_b_text(p, k):
+    """(g-1)^k (1 + g), of (g-1)-adic class k, expanded by the binomial theorem."""
+    coeffs = [0] * p
+    for i in range(k + 1):
+        term = math.comb(k, i) * (-1) ** (k - i)
+        coeffs[i % p] += term
+        coeffs[(i + 1) % p] += term
+    return GA.from_coeffs(p, coeffs).to_text()
+
+
+def class_commands(command, p):
+    """One argv of command per class k of p: build gets the d-values 1..k."""
+    for k in range(p + 1):
+        argv = [command, "--p", str(p), f"--b={class_b_text(p, k)}"]
+        if command == "build" and k:
+            argv.append("--d=" + ",".join(str(m) for m in range(1, k + 1)))
+        yield argv + (["--format", "json"] if command == "kernel" else [])
+
+
+# sha256 of the exit codes, stdout and stderr of build and kernel for one b
+# of every class, so that the factorization and the implied a (build's
+# stderr) are pinned in every class.
+CLASS_TRANSCRIPT_SHA256 = {
+    ("build", 3):
+        "895ba07875615ab75a197cf8ca248f3ff97d11e6c018a7ab188f745c5503a325",
+    ("build", 5):
+        "56e5174c4c7e9bf815c09696a92efc28b3276d37b074af67b0202638341b1f74",
+    ("build", 7):
+        "9784e28d1a180f98139013a4e6a35d4f8f87a7db12c08e3a9f7831f9b9fb4db6",
+    ("kernel", 3):
+        "172cd9aaf122b70bdc3e87bd520fe2b087ce7f93993aa52cb18f15e26022cf7b",
+    ("kernel", 5):
+        "d3733ed7a68deec870884c5140a0d205ffeaa40084ed04777add7e0d956dacf7",
+    ("kernel", 7):
+        "2b9e2badf3071752379d5e04ec830956b2c63dfbaa175d5fef2b168d4b408f54",
+    ("kernel", 97):
+        "f26345146104fc463d570ca357371e54279710da55f193ec8324936da97b7fc0",
+}
+
+
+def class_transcript(capsys, command, p):
+    parts = []
+    for argv in class_commands(command, p):
+        code, out, err = run(capsys, *argv)
+        parts.append(f"$ {' '.join(argv)}\nexit {code}\nstdout:\n{out}stderr:\n{err}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("command, p", list(CLASS_TRANSCRIPT_SHA256))
+def test_every_class_is_pinned(capsys, command, p):
+    transcript = class_transcript(capsys, command, p)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == CLASS_TRANSCRIPT_SHA256[command, p]
 
 
 class TestBuild:

@@ -14,6 +14,7 @@ from orbifold.group_algebra import (
     binom_mod,
     check_prime,
     digit_rows,
+    gminus1_basis,
     gminus1_power,
     scalar_inv,
     shift_index,
@@ -259,6 +260,24 @@ def test_gminus1_coords_round_trip():
             for i, zi in enumerate(z):
                 acc = acc + gminus1_power(p, i).scale(zi)
             assert acc == x
+
+
+@pytest.mark.parametrize("z", [[1, 2], [1, 2, 0, 1]])
+def test_from_gminus1_coords_takes_exactly_p_coordinates(z):
+    with pytest.raises(ValueError, match=f"expected 3 coordinates, got {len(z)}"):
+        GA.from_gminus1_coords(3, z)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_gminus1_basis_is_the_binomial_change(p):
+    # Row i of the inverse is (g-1)^i multiplied out in the ring, and the
+    # two matrices are inverse to each other.
+    basis, inverse = gminus1_basis(p)
+    t, power = GA.g(p) - GA.one(p), GA.one(p)
+    for row in inverse.tolist():
+        assert tuple(row) == power.coeffs
+        power = power * t
+    assert np.array_equal(basis @ inverse % p, np.eye(p, dtype=np.int64))
 
 
 @pytest.mark.parametrize("k", [-1, -4])

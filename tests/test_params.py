@@ -19,7 +19,6 @@ from orbifold.params import (
     closed_form,
     coboundary,
     implied_a,
-    mu,
     params_to_ab,
 )
 from test_chains import reference_coboundary
@@ -28,6 +27,29 @@ from test_pbw import elements, from_elements
 
 def ga(p, text):
     return GA.from_text(p, text)
+
+
+def mu(p, d, j):
+    """The alternating binomial functional of the free coordinates d at index j,
+    as the paper writes it:
+
+    mu(d, j) = (-1)^(p-j) * sum_{m=1..k} (-1)^(m+1) C(p-m, p-j) d_m.
+    """
+    total = sum(
+        (-1) ** (m + 1) * binom_mod(p - m, p - j, p) * dm
+        for m, dm in enumerate(d, start=1)
+    )
+    return ((-1) ** (p - j) * total) % p
+
+
+def reference_implied_a(b, d):
+    """The a paired with (b, d) as the paper writes it: a_0 is the alternating
+    d-sum and a_j = j^(p-2) * (mu(d, j) + C(j+1, 2) b_j) for j >= 1."""
+    p = b.p
+    coeffs = [sum((-1) ** (m + 1) * dm for m, dm in enumerate(d, start=1))]
+    coeffs += [scalar_inv(j, p) * (mu(p, d, j) + binom_mod(j + 1, 2, p) * b.coeffs[j])
+               for j in range(1, p)]
+    return GA.from_coeffs(p, coeffs)
 
 
 def reference_closed_form(b, d, kappaC):
@@ -208,6 +230,8 @@ class TestAddCoboundary:
 
 
 class TestMu:
+    """The reference mu that reference_closed_form and reference_implied_a read."""
+
     def test_empty_d_vanishes(self):
         for j in range(5):
             assert mu(5, [], j) == 0
@@ -218,13 +242,10 @@ class TestMu:
     def test_p3_single_d_at_j0(self):
         assert mu(3, [2], 0) == 0
 
-    @pytest.mark.parametrize("j", [-1, 3, 4])
-    def test_refuses_j_outside_the_exponents(self, j):
-        with pytest.raises(ValueError, match=rf"mu needs j in \[0, 3\), got {j}"):
-            mu(3, [2], j)
-
     def test_matches_direct_formula_p5(self):
-        # Independent evaluation of the alternating binomial sum.
+        # Independent evaluation of the alternating binomial sum, and the
+        # coefficient closed_form's docstring names: mu(d, j) is that of
+        # g^(p-j) in the kernel element with coordinates d.
         from math import comb
 
         p = 5
@@ -232,6 +253,7 @@ class TestMu:
         for _ in range(50):
             k = rng.randrange(p + 1)
             d = [rng.randrange(p) for _ in range(k)]
+            c = sum((gminus1_power(p, p - m).scale(dm) for m, dm in enumerate(d, 1)), GA.zero(p))
             for j in range(p):
                 direct = (-1) ** (p - j) * sum(
                     (-1) ** (m + 1) * comb(p - m, p - j) * d[m - 1]
@@ -239,6 +261,7 @@ class TestMu:
                     if p - j <= p - m
                 )
                 assert mu(p, d, j) == direct % p
+                assert j == 0 or mu(p, d, j) == c.coeffs[p - j]
 
 
 class TestClosedForm:
@@ -300,6 +323,8 @@ class TestClosedForm:
         b = ga(3, "1-g")  # k = 1
         with pytest.raises(ValueError, match="k=1"):
             closed_form(b, [1, 2])
+        with pytest.raises(ValueError, match="class k=1; expected 1 d-values, got 4"):
+            implied_a(b, [1, 2, 0, 1])
 
 
 class TestParamsToAb:
@@ -354,6 +379,15 @@ class TestTables:
         assert params != object()
         with pytest.raises(TypeError):
             hash(params)
+
+    @pytest.mark.parametrize("p, message", [
+        (4, "p must be an odd prime >= 3, got 4"),
+        (9, "p=9 is not prime"),
+        (101, "p=101 exceeds the ceiling 97"),
+    ])
+    def test_constructor_refuses_p_that_check_prime_refuses(self, p, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeformationParams(p, np.zeros((p, 2, p)), np.zeros(p), np.zeros((2, p)))
 
 
 class TestSerialization:

@@ -16,6 +16,7 @@ from orbifold.group_algebra import (
     GroupAlgebraElement as GA,
     TooLarge,
     binom_mod,
+    gminus1_factor_rows,
     gminus1_power,
 )
 import orbifold.solver as solver
@@ -31,7 +32,6 @@ from orbifold.solver import (
     c_from_ab,
     census,
     enumerate_solutions,
-    gminus1_factor_rows,
     kernel_agrees,
     kernel_basis,
     phi_b,
@@ -41,10 +41,41 @@ from orbifold.solver import (
     span,
     system_residual,
 )
+from test_params import reference_implied_a
 
 
 def ga(p, text):
     return GA.from_text(p, text)
+
+
+def reference_residual(a, b):
+    """The p residuals of the compatibility system summed term by term:
+    r_l = a_0 b_l + sum_j b_(l-j) (-C(j+1,2) b_j + j a_j)."""
+    p = a.p
+    out = [0] * p
+    for l in range(p):
+        total = a.coeffs[0] * b.coeffs[l]
+        for j in range(p):
+            total += b.coeffs[(l - j) % p] * (-math.comb(j + 1, 2) * b.coeffs[j] + j * a.coeffs[j])
+        out[l] = total
+    return GA.from_coeffs(p, out)
+
+
+def reference_factor(b):
+    """(k, btilde coefficients) the scalar way: the (g-1)-adic coordinates z by
+    the binomial transform, k the first nonzero one, and btilde the sum of
+    z_(k+i) (g-1)^i expanded back into powers of g."""
+    p = b.p
+    z = [sum(math.comb(j, i) * x for j, x in enumerate(b.coeffs)) % p for i in range(p)]
+    k = next((i for i, zi in enumerate(z) if zi), p)
+    if k == p:
+        return p, GA.one(p).coeffs
+    shifted = z[k:] + [0] * k
+    coeffs = [
+        sum(zi * (-1) ** ((i - j) % 2) * math.comb(i, j) for i, zi in enumerate(shifted))
+        for j in range(p)
+    ]
+    return k, GA.from_coeffs(p, coeffs).coeffs
 
 
 class TestSystemResidual:
@@ -117,6 +148,20 @@ class TestPhiB:
             a, b = GA.random(rng, 5), GA.random(rng, 5)
             c = c_from_ab(a, b)
             assert phi_b(b, c).is_zero() == system_residual(a, b).is_zero()
+
+    def test_residual_is_phi_b_of_c_every_pair_p3(self):
+        # Not only the zero sets: the residual is phi_b(c) itself.
+        for a in GA.all_elements(3):
+            for b in GA.all_elements(3):
+                assert system_residual(a, b) == phi_b(b, c_from_ab(a, b))
+
+    @pytest.mark.parametrize("p, n", [(5, 400), (7, 200), (97, 20)])
+    def test_residual_is_phi_b_of_c_sampled(self, p, n):
+        rng = random.Random(p)
+        for _ in range(n):
+            a = GA.random(rng, p)
+            b = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
+            assert system_residual(a, b) == phi_b(b, c_from_ab(a, b))
 
 
 class TestKernel:
@@ -420,12 +465,12 @@ def test_csv_export_shape():
 
 
 def test_closed_form_coordinates_match_kernel_description():
-    # The free coordinates d weight the kernel basis: feeding
-    # c = sum_m d_m (g-1)^(p-m) through a_from_c recovers the solved a.
+    # The free coordinates d weight the kernel basis: c = sum_m d_m (g-1)^(p-m)
+    # is in the kernel, and a_from_c takes it to the a of the paper's formula.
     from orbifold.params import implied_a
 
     rng = random.Random(37)
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for _ in range(60):
             b = GA.random(rng, p)
             k = b.gminus1_factor().k
@@ -433,7 +478,7 @@ def test_closed_form_coordinates_match_kernel_description():
             c = GA.zero(p)
             for m, dm in enumerate(d, start=1):
                 c = c + gminus1_power(p, p - m).scale(dm)
-            assert a_from_c(c, b) == implied_a(b, d)
+            assert a_from_c(c, b) == implied_a(b, d) == reference_implied_a(b, d)
             assert phi_b(b, c).is_zero()
 
 
@@ -455,10 +500,13 @@ class TestArrayPath:
 
     @staticmethod
     def assert_factors_agree(p, bs):
+        # Against the scalar reference and the defining property: b is
+        # (g-1)^k btilde with btilde a unit.
         ks, btildes = gminus1_factor_rows(p, np.array([b.coeffs for b in bs], dtype=np.int64))
         for b, k, btilde in zip(bs, ks.tolist(), btildes.tolist()):
             fact = b.gminus1_factor()
-            assert (k, tuple(btilde)) == (fact.k, fact.btilde.coeffs)
+            assert (k, tuple(btilde)) == (fact.k, fact.btilde.coeffs) == reference_factor(b)
+            assert gminus1_power(p, k) * fact.btilde == b and fact.btilde.augmentation() != 0
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_factor_rows_every_b(self, p):
@@ -551,9 +599,8 @@ class TestPairSweep:
         @settings(max_examples=40, deadline=None)
         @given(elements(p), b_of_any_class(p))
         def check(a, b):
-            lin, const = _system_tables(p, np.array([b.coeffs], dtype=np.int64))
-            residual = (np.array(a.coeffs) @ lin[0] + const[0]) % p
-            assert tuple(residual.tolist()) == system_residual(a, b).coeffs
+            # system_residual is the one-row case of _system_tables.
+            assert system_residual(a, b) == reference_residual(a, b)
 
         check()
 
