@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows
+from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows, same_prime
 from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
@@ -401,9 +401,7 @@ def transfer_cochain(
     lambda'(g^l . v) g^(i-1).  kappa^L is alpha, its value on the wedge, as
     the (2, p) kappaL table.
     """
-    p = lambda_prime[0].p
-    if lambda_prime[1].p != p or np.shape(alpha)[-1:] != (p,):
-        raise ValueError("mismatched primes")
+    p = same_prime(*(x.p for x in lambda_prime), *np.shape(alpha)[-1:])
     lp1, lp2 = (np.array(x.coeffs) for x in lambda_prime)
     image = _pi(p, _generators(p, 1, 0, p - 1))  # row i - 1: the image of (0, i, 0)
     l, k = image.labels[:, :1], image.labels[:, 1:]
@@ -438,6 +436,5 @@ def rep_to_params(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformation
     that agreement is the bridge between the resolution on which cohomology
     is computed and the one on which the lifting conditions live.
     """
-    if a.p != b.p:
-        raise ValueError("mismatched primes")
+    same_prime(a.p, b.p)
     return transfer_cochain(*distinguished_cocycle(a, b))

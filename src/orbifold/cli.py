@@ -16,15 +16,15 @@ import sys
 
 from .chains import verify_chain_maps
 from .group_algebra import GroupAlgebraElement, check_prime
-from .params import CoboundaryData, DeformationParams, add_coboundary, closed_form, implied_a
+from .params import CoboundaryData, DeformationParams, add_coboundary, build_candidate, implied_a
 from .pbw import check_all
 from .rewriting import MAX_DIMENSION_DEGREE, check_dimension, check_overlaps, rules_from_params
 from .solver import (
     Listing,
     build_listing,
     census,
+    class_kernel_basis,
     kernel_agrees,
-    kernel_basis,
     records_to_csv,
     records_to_json,
     records_to_text,
@@ -199,12 +199,15 @@ def cmd_build(args) -> int:
             raise UsageError(f"bad --d list {args.d!r}: {exc}") from exc
     kappaC = _parse_element(p, args.kappaC, "--kappaC") if args.kappaC else None
     try:
-        params = closed_form(b, d, kappaC)
+        a = implied_a(b, d)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    params = build_candidate(a, b)
+    if kappaC is not None:
+        params = params.with_kappaC(kappaC)
     if args.f:
         params = add_coboundary(params, _parse_coboundary(p, args.f))
-    print(f"implied a = {implied_a(b, d).to_text()}", file=sys.stderr)
+    print(f"implied a = {a.to_text()}", file=sys.stderr)
     if args.format == "text":
         print(params.to_text())
     else:
@@ -248,7 +251,7 @@ def cmd_kernel(args) -> int:
     p = check_prime(args.p)
     b = _parse_element(p, args.b, "--b")
     fact = b.gminus1_factor()
-    basis = kernel_basis(b)
+    basis = class_kernel_basis(p, fact.k)
     payload = {
         "p": p,
         "b": list(b.coeffs),

@@ -39,8 +39,13 @@ def json_int(value) -> int:
 
 def check_prime(p: int) -> int:
     """p, validated as an odd prime in [3, DEFAULT_PRIME_CEILING]; each sweep has its own guard."""
-    if not isinstance(p, int):
+    if not isinstance(p, int):  # outside the cache, where 3.0 would hit the entry of 3
         raise ValueError(f"p must be an integer, got {p!r}")
+    return _check_int_prime(p)
+
+
+@lru_cache(maxsize=None)
+def _check_int_prime(p: int) -> int:
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     if p > DEFAULT_PRIME_CEILING:
@@ -48,6 +53,13 @@ def check_prime(p: int) -> int:
     if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
         raise ValueError(f"p={p} is not prime")
     return p
+
+
+def same_prime(*ps: int) -> int:
+    """The one prime shared by ps; ValueError("mismatched primes: ...") if they differ."""
+    if len(set(ps)) != 1:
+        raise ValueError(f"mismatched primes: {sorted(set(ps))}")
+    return ps[0]
 
 
 @lru_cache(maxsize=None)
@@ -83,15 +95,16 @@ class Factorization:
 class GroupAlgebraElement:
     """An element of F_p[G], G = <g> cyclic of order p.
 
-    coeffs[i] is the coefficient of g^i, reduced to [0, p).  Instances are
-    immutable and all operations are pure, so one value may sit in many tables
-    and serve as a dict key.
+    coeffs[i] is the coefficient of g^i, reduced to [0, p), and p passes
+    check_prime.  Instances are immutable and all operations are pure, so one
+    value may sit in many tables and serve as a dict key.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        check_prime(self.p)
         if len(self.coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
         if min(self.coeffs) < 0 or max(self.coeffs) >= self.p:
@@ -144,31 +157,20 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.p, tuple((-a) % self.p for a in self.coeffs))
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Cyclic convolution: (xy)_l = sum over i+j = l (mod p) of x_i y_j."""
+        """x y = x times the circulant of y, whose row a is y g^a."""
         if not self._same_ring(other):
             return NotImplemented
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = i + j
-                    if k >= p:
-                        k -= p
-                    out[k] = (out[k] + a * b) % p
-        return GroupAlgebraElement(p, tuple(out))
+        product = np.array(self.coeffs) @ np.array(other.coeffs)[shift_index(self.p)]
+        return GroupAlgebraElement(self.p, tuple((product % self.p).tolist()))
 
     def scale(self, c: int) -> "GroupAlgebraElement":
         c %= self.p
         return GroupAlgebraElement(self.p, tuple((c * a) % self.p for a in self.coeffs))
 
     def shift(self, m: int) -> "GroupAlgebraElement":
-        """Multiply by the basis element g^m (a cyclic coefficient shift)."""
-        p = self.p
-        m %= p
-        return GroupAlgebraElement(p, tuple(self.coeffs[(i - m) % p] for i in range(p)))
+        """Multiply by the basis element g^m: row m of the circulant of x."""
+        row = np.array(self.coeffs)[shift_index(self.p)[m % self.p]]
+        return GroupAlgebraElement(self.p, tuple(row.tolist()))
 
     def __pow__(self, n: int) -> "GroupAlgebraElement":
         if n < 0:
@@ -190,8 +192,7 @@ class GroupAlgebraElement:
         and Python raises TypeError; ValueError for an element of another F_pG."""
         if not isinstance(other, GroupAlgebraElement):
             return False
-        if self.p != other.p:
-            raise ValueError(f"mismatched primes: {self.p} != {other.p}")
+        same_prime(self.p, other.p)
         return True
 
     # -- structural maps -------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, check_prime, json_int, shift_index
+from .group_algebra import GroupAlgebraElement, check_prime, json_int, same_prime, shift_index
 from .solver import a_from_c, kernel_basis
 
 
@@ -107,10 +107,9 @@ class DeformationParams:
         return GroupAlgebraElement.from_coeffs(self.p, row.tolist())
 
     def __add__(self, other: "DeformationParams") -> "DeformationParams":
-        if self.p != other.p:
-            raise ValueError("mismatched primes")
         return DeformationParams(
-            self.p, self.lam + other.lam, self.kappaC + other.kappaC, self.kappaL + other.kappaL
+            same_prime(self.p, other.p),
+            self.lam + other.lam, self.kappaC + other.kappaC, self.kappaL + other.kappaL,
         )
 
     def with_kappaC(self, kappaC: GroupAlgebraElement) -> "DeformationParams":
@@ -174,8 +173,7 @@ class CoboundaryData:
     f2: GroupAlgebraElement
 
     def __post_init__(self):
-        if self.f1.p != self.f2.p:
-            raise ValueError("mismatched primes")
+        same_prime(self.f1.p, self.f2.p)
 
     @property
     def p(self) -> int:
@@ -199,9 +197,7 @@ def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformati
 
     a_0 enters only kappa^L.
     """
-    if a.p != b.p:
-        raise ValueError("mismatched primes")
-    p = a.p
+    p = same_prime(a.p, b.p)
     i = np.arange(p)[:, None]
     a_tail = np.array((0,) + a.coeffs[1:])
     bv = np.array(b.coeffs)

@@ -7,27 +7,27 @@ equations
 
 one per l in [0, p), written once as _system_tables; system_residual is its
 one-row case.  The system is quadratic in the pair but linear once b is
-fixed: packaging c_0 = a_0, c_m = -C(j+1,2) b_j + j a_j (with j = p - m)
-turns it into phi_b(c) = b * sigma(c) = 0, so the solutions for a fixed b
-are the kernel of multiplication by b composed with the antipode.  That
-kernel is spanned by the powers (g-1)^(p-j) for 0 <= j <= k where k is the
-(g-1)-adic class of b, giving p^k solutions per b and p^(p+1) in total;
-params.implied_a is a_from_c of the kernel element with coordinates d.
+fixed: the packing c = a P + b Q (c_0 = a_0, c_m = -C(j+1,2) b_j + j a_j with
+j = p - m), whose matrices and P^-1 are _packing, turns it into phi_b(c) =
+b * sigma(c) = 0, whose matrices, one per b, are _phi_stack.  Its kernel is
+spanned by the powers (g-1)^(p-j) for 0 <= j <= k, k the (g-1)-adic class of
+b, giving p^k solutions per b and p^(p+1) in total; params.implied_a is
+a_from_c of the kernel element with coordinates d.
 
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
 An enumeration is one Listing, the same for both modes: the class k and the
 btilde row of every b, the p + 1 class kernel bases, and flat c and a
 row-index arrays in b-row order with cumulative offsets; the classes come
-from group_algebra.gminus1_factor_rows.  The closed form uses that the kernel depends on b only through its class k and that
-a = c L + const(b) is affine in c: per class it spans the kernel once (its
-p^k lexicographic coordinate rows times the basis) and then maps it to the
-a rows of every b of the class with one broadcast.  Brute force, the
-independent check, decides every pair (a, b) with the system itself as one
-exact meet-in-the-middle join: a prefix and a suffix of a each give a packed
-part of the residual, the suffix parts of each b are sorted, and each prefix
-part finds its equal suffix parts by binary search; its offsets count the
-hits.
+from group_algebra.gminus1_factor_rows.  The closed form uses that the
+kernel depends on b only through its class k and that a = c P^-1 - b Q P^-1
+is affine in c: per class it spans the kernel once (its p^k lexicographic
+coordinate rows times the basis) and then maps it to the a rows of every b
+of the class with one broadcast.  Brute force, the independent check,
+decides every pair (a, b) with the system itself as one exact
+meet-in-the-middle join: a prefix and a suffix of a each give a packed part
+of the residual, the suffix parts of each b are sorted, and each prefix part
+finds its equal suffix parts by binary search; its offsets count the hits.
 
 The writers render each row's text once per call and write the pairs in
 pieces of at most WRITE_PIECE_PAIRS: per piece, one object array of cells,
@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -54,8 +55,10 @@ from .group_algebra import (
     digit_rows,
     gminus1_factor_rows,
     gminus1_power,
+    same_prime,
     scalar_inv,
     shift_index,
+    sum_index,
 )
 
 #: Guard for the p^(2p) pair sweeps (5^10 is about 1e7 pairs).
@@ -86,58 +89,45 @@ class SolutionRecord:
 
 def system_residual(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """The residuals r_l of the system as the element sum_l r_l g^l: one row of _system_tables."""
-    if a.p != b.p:
-        raise ValueError("mismatched primes")
-    p = a.p
+    p = same_prime(a.p, b.p)
     lin, const = _system_tables(p, np.array([b.coeffs]))
     return GroupAlgebraElement(p, tuple(((np.array(a.coeffs) @ lin[0] + const[0]) % p).tolist()))
 
 
 def c_from_ab(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Package (a, b) into the cyclic coefficient vector c.
-
-    c_0 = a_0 and c_m = -C(j+1,2) b_j + j a_j for the j with m + j = 0 mod p;
-    b enters only through b_j for j >= 1.
-    """
-    if a.p != b.p:
-        raise ValueError("mismatched primes")
-    p = a.p
-    coeffs = [a.coeffs[0]]
-    for m in range(1, p):
-        j = p - m
-        coeffs.append((-binom_mod(j + 1, 2, p) * b.coeffs[j] + j * a.coeffs[j]) % p)
-    return GroupAlgebraElement.from_coeffs(p, coeffs)
+    """Package (a, b) into the cyclic coefficient vector c = a P + b Q (see _packing)."""
+    p = same_prime(a.p, b.p)
+    pack, _, pack_b = _packing(p)
+    c = np.array(a.coeffs) @ pack + np.array(b.coeffs) @ pack_b
+    return GroupAlgebraElement(p, tuple((c % p).tolist()))
 
 
 def a_from_c(c: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Invert c_from_ab on the a-coordinate for fixed b.
-
-    a_0 = c_0 and a_j = j^(p-2) (c_(p-j) + C(j+1,2) b_j) for 1 <= j < p.
-    """
-    if c.p != b.p:
-        raise ValueError("mismatched primes")
-    p = c.p
-    coeffs = [c.coeffs[0]]
-    for j in range(1, p):
-        coeffs.append(
-            scalar_inv(j, p) * (c.coeffs[p - j] + binom_mod(j + 1, 2, p) * b.coeffs[j]) % p
-        )
-    return GroupAlgebraElement.from_coeffs(p, coeffs)
+    """Invert c_from_ab on the a-coordinate for fixed b: a = (c - b Q) P^-1."""
+    p = same_prime(c.p, b.p)
+    _, unpack, pack_b = _packing(p)
+    a = (np.array(c.coeffs) - np.array(b.coeffs) @ pack_b) @ unpack
+    return GroupAlgebraElement(p, tuple((a % p).tolist()))
 
 
 def phi_b(b: GroupAlgebraElement, c: GroupAlgebraElement) -> GroupAlgebraElement:
-    """b * sigma(c): the linear map whose kernel is the solution set for fixed b."""
-    return b * c.sigma()
+    """b * sigma(c): the linear map whose kernel is the solution set for fixed b,
+    as c times one matrix of _phi_stack."""
+    p = same_prime(b.p, c.p)
+    image = np.array(c.coeffs) @ _phi_stack(p, np.array([b.coeffs]))[0]
+    return GroupAlgebraElement(p, tuple((image % p).tolist()))
+
+
+def class_kernel_basis(p: int, k: int) -> tuple[GroupAlgebraElement, ...]:
+    """Basis of ker(phi_b) for every b of class k: the nonzero powers (g-1)^(p-j)
+    for 0 <= j <= k.  (g-1)^p = 0 is dropped, so the basis has k elements and
+    the kernel has p^k points; in particular the basis is empty for a unit b."""
+    return tuple(gminus1_power(p, p_minus_j) for p_minus_j in range(p - 1, p - k - 1, -1))
 
 
 def kernel_basis(b: GroupAlgebraElement) -> tuple[GroupAlgebraElement, ...]:
-    """Basis of ker(phi_b): the nonzero powers (g-1)^(p-j) for 0 <= j <= k.
-
-    (g-1)^p = 0 is dropped, so the basis has k elements and the kernel has
-    p^k points; in particular the basis is empty when b is a unit.
-    """
-    k = b.gminus1_factor().k
-    return tuple(gminus1_power(b.p, p_minus_j) for p_minus_j in range(b.p - 1, b.p - k - 1, -1))
+    """Basis of ker(phi_b): class_kernel_basis of the (g-1)-adic class of b."""
+    return class_kernel_basis(b.p, b.gminus1_factor().k)
 
 
 def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraElement]:
@@ -172,45 +162,16 @@ def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
     return rows @ (p ** np.arange(p - 1, -1, -1, dtype=np.int64))
 
 
-def _linear_rows(p: int, f: Callable[[GroupAlgebraElement], Sequence[int]]) -> np.ndarray:
-    """The matrix of an F_p-linear map f on F_pG, acting on coefficient rows
-    from the right: row i is f(g^i)."""
-    return np.array([f(GroupAlgebraElement.g(p, i)) for i in range(p)], dtype=np.int64)
-
-
-def _affine(
-    p: int, f: Callable[[GroupAlgebraElement, GroupAlgebraElement], GroupAlgebraElement],
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L, const) with f(x, b) = x L + const[i] for b = row i.
-
-    f is a_from_c or c_from_ab; both are F_p-linear in (x, b) jointly.
-    """
-    zero = GroupAlgebraElement.zero(p)
-    lin = _linear_rows(p, lambda x: f(x, zero).coeffs)
-    return lin, rows @ _linear_rows(p, lambda b: f(zero, b).coeffs) % p
-
-
-def _kernel_hits(b: GroupAlgebraElement) -> np.ndarray:
-    """The row indices of {c : phi_b(c) = 0}, ascending, by exhaustive sweep
-    over all p^p candidates.
-
-    phi_b is linear in c, so this is the pair sweep of _sweep_hits with the
-    matrix of phi_b and no constant.  Guarded by MAX_COEFF_ROWS, so p <= 7.
-    """
-    p = b.p
-    _check_rows(p, p)
-    lin = _linear_rows(p, lambda c: phi_b(b, c).coeffs)
-    return _sweep_hits(p, lin[None], np.zeros((1, p), dtype=np.int64))[1]
-
-
 def kernel_agrees(b: GroupAlgebraElement) -> bool:
     """{c : phi_b(c) = 0}, by exhaustive sweep over all p^p candidates (p <= 7),
     equals set(span(b.p, kernel_basis(b))) with no element spanned twice, i.e.
     the basis independent; compared as sorted row indices without building
-    either set's elements."""
-    hits = _kernel_hits(b)
-    spanned = _row_index(b.p, _span_rows(b.p, kernel_basis(b)))
+    either set's elements.  phi_b is linear in c, so the sweep is _sweep_hits
+    with the matrix of phi_b and no constant, guarded by MAX_COEFF_ROWS."""
+    p = b.p
+    _check_rows(p, p)
+    hits = _sweep_hits(p, _phi_stack(p, np.array([b.coeffs])), np.zeros((1, p), np.int64))[1]
+    spanned = _row_index(p, _span_rows(p, kernel_basis(b)))
     return np.array_equal(hits, np.sort(spanned))
 
 
@@ -228,6 +189,27 @@ def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     binom = np.array([binom_mod(j + 1, 2, p) for j in range(p)], dtype=np.int64)
     const = -np.einsum("ij,ijl->il", rows * binom, shifted)
     return lin % p, const % p
+
+
+@lru_cache(maxsize=8)
+def _packing(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, P^-1, Q) with c = a P + b Q and a = (c - b Q) P^-1, read-only int64.
+
+    c_0 = a_0 and c_(p-j) = j a_j - C(j+1,2) b_j for 1 <= j < p, so P and Q
+    hold their entries at [j, -j mod p] and P^-1 the inverses at [-j mod p, j].
+    """
+    j, packing = np.arange(p), np.zeros((3, p, p), dtype=np.int64)
+    packing[0, j, -j % p] = weight = np.maximum(j, 1)
+    packing[1, -j % p, j] = [scalar_inv(w, p) for w in weight.tolist()]
+    packing[2, j, -j % p] = -j * (j + 1) // 2 % p
+    packing.flags.writeable = False
+    return tuple(packing)
+
+
+def _phi_stack(p: int, rows: np.ndarray) -> np.ndarray:
+    """The matrices of phi_b for b = each row: [i, j, l] = b_(j+l), so that row
+    j of matrix i is b g^(-j) = phi_b(g^j), and phi_b(c) = c @ matrix i."""
+    return rows[:, sum_index(p)]
 
 
 def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -334,9 +316,10 @@ def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
     rows = _lex_rows(p, p)
     ks, btilde_rows = gminus1_factor_rows(p, rows)
-    bases = tuple(kernel_basis(gminus1_power(p, k)) for k in range(p + 1))  # one per class
+    bases = tuple(class_kernel_basis(p, k) for k in range(p + 1))
+    pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
-        lin, const = _affine(p, a_from_c, rows)
+        const = rows @ (-pack_b @ unpack) % p  # a = c P^-1 + const[i] for b = row i
         ends = np.cumsum(p**ks)
         # Row indices are below p^p <= MAX_COEFF_ROWS, so int32 holds them.
         c_index, a_index = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
@@ -344,11 +327,11 @@ def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
             kernel, members = _span_rows(p, basis), np.flatnonzero(ks == k)
             slots = (ends[members] - p**k)[:, None] + np.arange(p**k)
             c_index[slots] = _row_index(p, kernel)
-            a_index[slots] = _row_index(p, ((kernel @ lin)[None] + const[members][:, None]) % p)
+            a_index[slots] = _row_index(p, ((kernel @ unpack)[None] + const[members][:, None]) % p)
     else:
-        lin, const = _affine(p, c_from_ab, rows)
         b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
-        c_index = _row_index(p, (rows[a_index] @ lin + const[b_index]) % p).astype(np.int32)
+        c_rows = (rows[a_index] @ pack + rows[b_index] @ pack_b) % p
+        c_index = _row_index(p, c_rows).astype(np.int32)
         a_index = a_index.astype(np.int32)
         ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))
     return Listing(p, ks, _row_index(p, btilde_rows), bases, ends, c_index, a_index)

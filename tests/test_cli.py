@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import orbifold.group_algebra as group_algebra
 from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
@@ -537,17 +538,20 @@ def class_b_text(p, k):
 
 
 def class_commands(command, p):
-    """One argv of command per class k of p: build gets the d-values 1..k."""
+    """One argv of command per class k of p: build gets the d-values 1..k;
+    a command such as "kernel --brute" puts its flags after the b."""
+    name, *flags = command.split()
     for k in range(p + 1):
-        argv = [command, "--p", str(p), f"--b={class_b_text(p, k)}"]
-        if command == "build" and k:
+        argv = [name, "--p", str(p), f"--b={class_b_text(p, k)}", *flags]
+        if name == "build" and k:
             argv.append("--d=" + ",".join(str(m) for m in range(1, k + 1)))
-        yield argv + (["--format", "json"] if command == "kernel" else [])
+        yield argv + (["--format", "json"] if name == "kernel" else [])
 
 
 # sha256 of the exit codes, stdout and stderr of build and kernel for one b
 # of every class, so that the factorization and the implied a (build's
-# stderr) are pinned in every class.
+# stderr) are pinned in every class.  kernel --brute also pins the exhaustive
+# sweep of phi_b, the one command that reads phi_b's matrix.
 CLASS_TRANSCRIPT_SHA256 = {
     ("build", 3):
         "895ba07875615ab75a197cf8ca248f3ff97d11e6c018a7ab188f745c5503a325",
@@ -563,6 +567,12 @@ CLASS_TRANSCRIPT_SHA256 = {
         "2b9e2badf3071752379d5e04ec830956b2c63dfbaa175d5fef2b168d4b408f54",
     ("kernel", 97):
         "f26345146104fc463d570ca357371e54279710da55f193ec8324936da97b7fc0",
+    ("kernel --brute", 3):
+        "86a8b54c2911c581f4693d6b23c6b14f60cd5eff076e960e6634fcb2705de7c7",
+    ("kernel --brute", 5):
+        "76d7241b3234ae1b62db7b9e452b6cd5ea47cd78fd4c92ed3b2527e4f9e80687",
+    ("kernel --brute", 7):
+        "89e669d7b0d369203f11df7dca240c9eb6fd0eca090633b4107371ba15ffd2c8",
 }
 
 
@@ -578,6 +588,21 @@ def class_transcript(capsys, command, p):
 def test_every_class_is_pinned(capsys, command, p):
     transcript = class_transcript(capsys, command, p)
     assert hashlib.sha256(transcript.encode()).hexdigest() == CLASS_TRANSCRIPT_SHA256[command, p]
+
+
+@pytest.mark.parametrize("argv, factorizations", [
+    (["kernel", "--p", "5", "--b", "1-g"], 1),
+    (["build", "--p", "5", "--b", "1-g", "--d", "1"], 1),
+    (["build", "--p", "5", "--b", "1-g", "--d", "1", "--kappaC", "g", "--f", "v1:g"], 1),
+    # The sweep checks kernel_basis(b) itself, which factors b once more.
+    (["kernel", "--p", "5", "--b", "1-g", "--brute"], 2),
+])
+def test_build_and_kernel_factor_b_once(capsys, monkeypatch, argv, factorizations):
+    calls, factor = [], group_algebra.gminus1_factor_rows
+    counted = lambda p, rows: calls.append(len(rows)) or factor(p, rows)
+    monkeypatch.setattr(group_algebra, "gminus1_factor_rows", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [1] * factorizations
 
 
 class TestBuild:

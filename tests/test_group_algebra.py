@@ -16,6 +16,7 @@ from orbifold.group_algebra import (
     digit_rows,
     gminus1_basis,
     gminus1_power,
+    same_prime,
     scalar_inv,
     shift_index,
     sum_index,
@@ -35,6 +36,38 @@ def test_check_prime_accepts_odd_primes():
 def test_check_prime_rejects(bad):
     with pytest.raises(ValueError):
         check_prime(bad)
+
+
+@pytest.mark.parametrize("p, message", [
+    (4, "p must be an odd prime >= 3, got 4"),
+    (9, "p=9 is not prime"),
+    (101, "p=101 exceeds the ceiling 97"),
+])
+def test_elements_refuse_what_check_prime_refuses(p, message):
+    # Every element-level map ran mod a composite before the constructor
+    # checked p: GA.one(4).gminus1_factor() gave k = 0.
+    with pytest.raises(ValueError, match=message):
+        check_prime(p)
+    for make in (GA.one, GA.zero, lambda p: GA.from_coeffs(p, [1] * p), lambda p: GA(p, (0,) * p)):
+        with pytest.raises(ValueError, match=message):
+            make(p)
+
+
+def test_check_prime_type_check_is_not_cached():
+    # 3.0 == 3 and hash(3.0) == hash(3), so a cache in front of the type
+    # check would pass 3.0 once 3 had been checked.
+    assert check_prime(3) == 3
+    for p in (3.0, True, "3"):
+        with pytest.raises(ValueError):
+            check_prime(p)
+    with pytest.raises(ValueError, match="p must be an integer, got 3.0"):
+        GA(3.0, (0, 0, 0))
+
+
+def test_same_prime_names_the_primes():
+    assert same_prime(5) == same_prime(5, 5, 5) == 5
+    with pytest.raises(ValueError, match=r"^mismatched primes: \[3, 5\]$"):
+        same_prime(3, 5, 3)
 
 
 @pytest.mark.parametrize("coeffs, reduced", [
@@ -91,6 +124,35 @@ def test_mul_telescoping():
 def test_mul_mismatched_p():
     with pytest.raises(ValueError):
         ga(3, "g") * ga(5, "g")
+
+
+def reference_mul(x, y):
+    """The cyclic convolution (xy)_l = sum over i + j = l (mod p) of x_i y_j,
+    term by term: the loop GroupAlgebraElement.__mul__ was first written as."""
+    p = x.p
+    out = [0] * p
+    for i, a in enumerate(x.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(y.coeffs):
+            if b:
+                k = i + j
+                if k >= p:
+                    k -= p
+                out[k] = (out[k] + a * b) % p
+    return GA(p, tuple(out))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97])
+def test_mul_and_shift_equal_the_convolution(p):
+    # The product is x times the circulant of y, and shift(m) is its row m.
+    rng = random.Random(p)
+    for _ in range(100 if p < 97 else 30):
+        x = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
+        y, m = GA.random(rng, p), rng.randrange(-2 * p, 2 * p)
+        assert x * y == reference_mul(x, y) == reference_mul(y, x)
+        assert x.shift(m) == reference_mul(x, GA.g(p, m)) == x * GA.g(p, m)
+        assert x * GA.zero(p) == reference_mul(x, GA.zero(p)) == GA.zero(p)
 
 
 def test_sigma_on_g():
@@ -221,7 +283,8 @@ def test_frobenius_power_is_the_augmentation(x):
 def test_shift_index_rows_are_the_shifts(x):
     """Row a of a coefficient row gathered through shift_index is x g^a."""
     circulant = np.array(x.coeffs)[shift_index(x.p)]
-    assert [tuple(row) for row in circulant.tolist()] == [x.shift(a).coeffs for a in range(x.p)]
+    expected = [reference_mul(x, GA.g(x.p, a)).coeffs for a in range(x.p)]
+    assert [tuple(row) for row in circulant.tolist()] == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

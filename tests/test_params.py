@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold.chains import rep_to_params
+from orbifold.chains import rep_to_params, transfer_cochain
 from orbifold.group_algebra import GroupAlgebraElement as GA, binom_mod, gminus1_power, scalar_inv
 from orbifold.params import (
     CoboundaryData,
@@ -21,6 +21,7 @@ from orbifold.params import (
     implied_a,
     params_to_ab,
 )
+from orbifold.solver import a_from_c, c_from_ab, system_residual
 from test_chains import reference_coboundary
 from test_pbw import elements, from_elements
 
@@ -149,6 +150,24 @@ def test_families_equal_their_element_loops(inputs):
 def running_example():
     """p = 3, b = 1 - g, a = -1 + g + g^2: the worked solution."""
     return ga(3, "-1+g+g^2"), ga(3, "1-g")
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, y: x + y,
+    system_residual,
+    c_from_ab,
+    a_from_c,
+    build_candidate,
+    CoboundaryData,
+    lambda x, y: transfer_cochain((x, x), np.zeros((2, y.p))),
+    rep_to_params,
+    lambda x, y: DeformationParams.zero(x.p) + DeformationParams.zero(y.p),
+], ids=["ring", "system_residual", "c_from_ab", "a_from_c", "build_candidate",
+        "CoboundaryData", "transfer_cochain", "rep_to_params", "params_add"])
+def test_every_prime_check_names_the_primes(call):
+    # One helper, group_algebra.same_prime, makes every one of these checks.
+    with pytest.raises(ValueError, match=r"^mismatched primes: \[3, 5\]$"):
+        call(GA.one(3), GA.one(5))
 
 
 class TestBuildCandidate:

@@ -18,12 +18,15 @@ from orbifold.group_algebra import (
     binom_mod,
     gminus1_factor_rows,
     gminus1_power,
+    scalar_inv,
 )
 import orbifold.solver as solver
 from orbifold.solver import (
     SWEEP_CHUNK_PAIRS,
     SolutionRecord,
     _lex_rows,
+    _packing,
+    _phi_stack,
     _row_index,
     _sweep_hits,
     _system_tables,
@@ -41,7 +44,10 @@ from orbifold.solver import (
     span,
     system_residual,
 )
+from test_group_algebra import reference_mul
 from test_params import reference_implied_a
+
+ODD_PRIMES = [p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))]
 
 
 def ga(p, text):
@@ -59,6 +65,29 @@ def reference_residual(a, b):
             total += b.coeffs[(l - j) % p] * (-math.comb(j + 1, 2) * b.coeffs[j] + j * a.coeffs[j])
         out[l] = total
     return GA.from_coeffs(p, out)
+
+
+def reference_c_from_ab(a, b):
+    """c_0 = a_0 and c_m = -C(j+1,2) b_j + j a_j for m + j = 0 mod p, term by
+    term: the loop c_from_ab was first written as."""
+    p = a.p
+    coeffs = [a.coeffs[0]]
+    for m in range(1, p):
+        j = p - m
+        coeffs.append((-binom_mod(j + 1, 2, p) * b.coeffs[j] + j * a.coeffs[j]) % p)
+    return GA.from_coeffs(p, coeffs)
+
+
+def reference_a_from_c(c, b):
+    """a_0 = c_0 and a_j = j^(p-2) (c_(p-j) + C(j+1,2) b_j) for 1 <= j < p, term
+    by term: the loop a_from_c was first written as."""
+    p = c.p
+    coeffs = [c.coeffs[0]]
+    for j in range(1, p):
+        coeffs.append(
+            scalar_inv(j, p) * (c.coeffs[p - j] + binom_mod(j + 1, 2, p) * b.coeffs[j]) % p
+        )
+    return GA.from_coeffs(p, coeffs)
 
 
 def reference_factor(b):
@@ -124,6 +153,26 @@ class TestCyclicPackaging:
         with pytest.raises(ValueError, match="mismatched primes"):
             a_from_c(GA.one(3), GA.one(5))
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 97])
+    def test_matrices_equal_the_loops(self, p):
+        # c_from_ab and a_from_c read one row of the _packing matrices.
+        rng = random.Random(p)
+        for _ in range(200 if p < 97 else 50):
+            a, c = GA.random(rng, p), GA.random(rng, p)
+            b = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
+            assert c_from_ab(a, b) == reference_c_from_ab(a, b)
+            assert a_from_c(c, b) == reference_a_from_c(c, b)
+            assert a_from_c(c_from_ab(a, b), b) == a
+            assert c_from_ab(a_from_c(c, b), b) == c
+
+    @pytest.mark.parametrize("p", ODD_PRIMES)
+    def test_unpacking_inverts_packing(self, p):
+        pack, unpack, pack_b = _packing(p)
+        eye = np.eye(p, dtype=np.int64)
+        assert np.array_equal(pack @ unpack % p, eye)
+        assert np.array_equal(unpack @ pack % p, eye)
+        assert not any(m.flags.writeable for m in (pack, unpack, pack_b))
+
 
 class TestPhiB:
     def test_zero(self):
@@ -155,6 +204,17 @@ class TestPhiB:
             for b in GA.all_elements(3):
                 assert system_residual(a, b) == phi_b(b, c_from_ab(a, b))
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 97])
+    def test_stack_equals_the_convolution(self, p):
+        # phi_b reads one matrix of _phi_stack, whose row j is b g^(-j).
+        rng = random.Random(p)
+        for _ in range(100 if p < 97 else 30):
+            b = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
+            c = GA.random(rng, p)
+            assert phi_b(b, c) == b * c.sigma() == reference_mul(b, c.sigma())
+            rows = [tuple(row) for row in _phi_stack(p, np.array([b.coeffs]))[0].tolist()]
+            assert rows == [reference_mul(b, GA.g(p, -j)).coeffs for j in range(p)]
+
     @pytest.mark.parametrize("p, n", [(5, 400), (7, 200), (97, 20)])
     def test_residual_is_phi_b_of_c_sampled(self, p, n):
         rng = random.Random(p)
@@ -162,6 +222,44 @@ class TestPhiB:
             a = GA.random(rng, p)
             b = gminus1_power(p, rng.randrange(p + 1)) * GA.random(rng, p)
             assert system_residual(a, b) == phi_b(b, c_from_ab(a, b))
+
+
+def assert_system_is_phi_of_packing(p, rows):
+    """_system_tables(p, rows) == (P Phi_b, (b Q) Phi_b) mod p for each row b."""
+    lin, const = _system_tables(p, rows)
+    pack, _, pack_b = solver._packing(p)
+    phi = _phi_stack(p, rows)
+    assert np.array_equal(lin, pack @ phi % p)
+    assert np.array_equal(const, np.einsum("ij,ijl->il", rows @ pack_b, phi) % p)
+
+
+class TestSystemIsPhiOfPacking:
+    """The exact link from the system to phi_b after c_from_ab.  The residual
+    is a lin(b) + const(b) and phi_b(c_from_ab(a, b)) = a P Phi_b + (b Q) Phi_b,
+    so equal tables give equal residuals for every a at once."""
+
+    @pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p <= 31])
+    def test_every_b(self, p):
+        # lin is linear in b, so 0 and the basis vectors e_i decide it.  const
+        # is quadratic in b, and over F_p with p odd a polynomial of degree
+        # <= 2 vanishes identically once it vanishes at 0, every +-e_i and
+        # every e_i + e_j: this proves the identity for every (a, b) at p.
+        eye = np.eye(p, dtype=np.int64)
+        i, j = np.triu_indices(p, 1)
+        points = np.concatenate([np.zeros((1, p), np.int64), eye, -eye % p, eye[i] + eye[j]])
+        assert len(points) == 1 + 2 * p + p * (p - 1) // 2
+        assert_system_is_phi_of_packing(p, points)
+
+    def test_seeded_b_p97(self):
+        rng = random.Random(97)
+        bs = [gminus1_power(97, rng.randrange(98)) * GA.random(rng, 97) for _ in range(50)]
+        assert_system_is_phi_of_packing(97, np.array([b.coeffs for b in bs]))
+
+    def test_sees_a_wrong_packing(self, monkeypatch):
+        pack, unpack, pack_b = _packing(5)
+        monkeypatch.setattr(solver, "_packing", lambda p: (pack, unpack, pack_b * 2 % p))
+        with pytest.raises(AssertionError):
+            assert_system_is_phi_of_packing(5, _lex_rows(5, 2) @ np.eye(2, 5, dtype=np.int64))
 
 
 class TestKernel:
