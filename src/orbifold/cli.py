@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, Iterable
 
 from .chains import verify_chain_maps
 from .group_algebra import GroupAlgebraElement, check_prime
@@ -42,17 +43,14 @@ SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
 # The solution listings also write CSV; the reports do not.
 TABLE_FORMATS = ("json", "csv", "text")
 REPORT_FORMATS = ("json", "text")
-
-
-class UsageError(ValueError):
-    pass
+Text = Callable[[], Iterable[str]]  # a report's text lines, rendered only for --format text
 
 
 def _parse_element(p: int, text: str, what: str) -> GroupAlgebraElement:
     try:
         return GroupAlgebraElement.from_text(p, text)
     except ValueError as exc:
-        raise UsageError(f"bad {what}: {exc}") from exc
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
@@ -88,46 +86,48 @@ def _count_status(p: int, total: int) -> int:
     return EXIT_MATH_FAIL
 
 
-def _census(p: int) -> tuple[list[dict], int]:
-    """The census rows and the number of solutions they count."""
+def _print_report(fmt: str, payload: dict, text: Text) -> None:
+    """Print a report command's payload as one JSON line, or else its text lines."""
+    if fmt == "json":
+        print(json.dumps(payload))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in text()))
+
+
+def _census(p: int) -> tuple[dict, Text]:
+    """The census payload (rows, and the number of solutions they count) and its text."""
     rows = census(p)
-    return rows, sum(r["b_class_size"] * r["a_per_b"] for r in rows)
+    payload = {"p": p, "rows": rows, "total": sum(r["b_class_size"] * r["a_per_b"] for r in rows)}
+    return payload, lambda: [
+        f"census for p = {p} (total solutions: {payload['total']})",
+        *(f"k = {r['k']}: {r['b_class_size']} b-value(s), {r['a_per_b']} solution(s) per b"
+          for r in rows),
+    ]
 
 
-def _census_lines(p: int, rows: list[dict], total: int) -> list[str]:
-    lines = [f"census for p = {p} (total solutions: {total})"]
-    for r in rows:
-        lines.append(
-            f"k = {r['k']}: {r['b_class_size']} b-value(s), {r['a_per_b']} solution(s) per b"
-        )
-    return lines
-
-
-def _write_listing(listing: Listing, fmt: str, json_tail: dict, text_head: list[str]) -> None:
-    """Write the listing of enumerate or table; text_head precedes the text table."""
+def _write_listing(listing: Listing, fmt: str, json_tail: dict, text_head: Text) -> None:
+    """Write the listing of enumerate or table; the text_head lines precede the text table."""
     if fmt == "json":
         records_to_json(listing, sys.stdout, json_tail)
     elif fmt == "csv":
         records_to_csv(listing, sys.stdout)
     else:
-        sys.stdout.write("".join(f"{line}\n" for line in text_head))
+        sys.stdout.write("".join(f"{line}\n" for line in text_head()))
         records_to_text(listing, sys.stdout)
 
 
 def cmd_enumerate(args) -> int:
     p = check_prime(args.p)
     listing = build_listing(p, args.mode)
-    rows, census_total = _census(p)
-    tail = {"census": rows, "total": listing.total}
-    _write_listing(listing, args.format, tail, _census_lines(p, rows, census_total))
+    payload, text = _census(p)
+    _write_listing(listing, args.format, {"census": payload["rows"], "total": listing.total}, text)
     return _count_status(p, listing.total)
 
 
 def cmd_check(args) -> int:
-    if args.oracle and args.degree < 3:
-        raise UsageError(f"degree bound must be >= 3, got {args.degree}")
-    if args.oracle and args.degree > MAX_DIMENSION_DEGREE:
-        raise UsageError(f"degree bound must be <= {MAX_DIMENSION_DEGREE}, got {args.degree}")
+    if not 3 <= args.degree <= MAX_DIMENSION_DEGREE:
+        bound = ">= 3" if args.degree < 3 else f"<= {MAX_DIMENSION_DEGREE}"
+        raise ValueError(f"degree bound must be {bound}, got {args.degree}")
     try:
         with open(args.params_file) as fh:
             obj = json.load(fh)
@@ -137,81 +137,66 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
     report = check_all(params)
     payload = report.to_json()
+    ok_all = report.pbw
     if args.oracle:
         rules = rules_from_params(params)
         ok, witness = check_overlaps(rules)
         dim_ok, dim_rows = check_dimension(rules, args.degree)
-        payload["oracle"] = {
-            "degree": args.degree,
-            "associative": ok,
-            "witness": witness,
-            "dimension": dim_ok,
-            "dimension_rows": dim_rows,
-        }
+        payload["oracle"] = {"degree": args.degree, "associative": ok, "witness": witness,
+                             "dimension": dim_ok, "dimension_rows": dim_rows}
         if ok != report.pbw:
             payload["oracle"]["agrees_with_conditions"] = False
-        ok_all = report.pbw and ok and dim_ok
-    else:
-        ok_all = report.pbw
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
+        ok_all = ok_all and ok and dim_ok
+
+    def text():
         for i in sorted(report.passed):
-            status = "pass" if report.passed[i] else "FAIL"
-            print(f"condition {i}: {status}")
+            yield f"condition {i}: {'pass' if report.passed[i] else 'FAIL'}"
             if not report.passed[i]:
-                for witness in report.witnesses[i][:5]:
-                    print(f"  witness: {witness}")
+                yield from (f"  witness: {w}" for w in report.witnesses[i][:5])
         if args.oracle:
-            print(f"oracle (degree {args.degree}): "
-                  f"{'pass' if payload['oracle']['associative'] and payload['oracle']['dimension'] else 'FAIL'}")
-            if payload["oracle"]["witness"]:
-                print(f"  witness: {payload['oracle']['witness']}")
-        print(f"PBW: {'yes' if ok_all else 'no'}")
+            yield f"oracle (degree {args.degree}): {'pass' if ok and dim_ok else 'FAIL'}"
+            if witness:
+                yield f"  witness: {witness}"
+        yield f"PBW: {'yes' if ok_all else 'no'}"
+
+    _print_report(args.format, payload, text)
     return EXIT_OK if ok_all else EXIT_MATH_FAIL
 
 
 def cmd_table(args) -> int:
-    _write_listing(build_listing(check_prime(args.p)), args.format, {}, [])
+    _write_listing(build_listing(check_prime(args.p)), args.format, {}, lambda: [])
     return EXIT_OK
 
 
 def cmd_chaincheck(args) -> int:
     report = verify_chain_maps(check_prime(args.p), args.degree)
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
+
+    def text():
         for c in report["checks"]:
             status = "pass" if c["passed"] else f"FAIL at {c.get('witness')}"
-            print(f"degree {c['degree']}: {c['identity']}: {status}")
-        print(f"chain maps: {'ok' if report['passed'] else 'BROKEN'}")
+            yield f"degree {c['degree']}: {c['identity']}: {status}"
+        yield f"chain maps: {'ok' if report['passed'] else 'BROKEN'}"
+
+    _print_report(args.format, report, text)
     return EXIT_OK if report["passed"] else EXIT_MATH_FAIL
 
 
 def cmd_build(args) -> int:
     p = check_prime(args.p)
     b = _parse_element(p, args.b, "--b")
-    d = []
-    if args.d:
-        try:
-            d = [int(x) % p for x in args.d.split(",") if x.strip() != ""]
-        except ValueError as exc:
-            raise UsageError(f"bad --d list {args.d!r}: {exc}") from exc
-    kappaC = _parse_element(p, args.kappaC, "--kappaC") if args.kappaC else None
     try:
-        a = implied_a(b, d)
+        d = [int(x) % p for x in args.d.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"bad --d list {args.d!r}: {exc}") from exc
+    kappaC = _parse_element(p, args.kappaC, "--kappaC") if args.kappaC else None
+    a = implied_a(b, d)
     params = build_candidate(a, b)
     if kappaC is not None:
         params = params.with_kappaC(kappaC)
     if args.f:
         params = add_coboundary(params, _parse_coboundary(p, args.f))
     print(f"implied a = {a.to_text()}", file=sys.stderr)
-    if args.format == "text":
-        print(params.to_text())
-    else:
-        print(json.dumps(params.to_json()))
+    _print_report(args.format, params.to_json(), lambda: [params.to_text()])
     return EXIT_OK
 
 
@@ -220,13 +205,13 @@ def _parse_coboundary(p: int, text: str) -> CoboundaryData:
     values = {}
     for piece in text.split(","):
         if ":" not in piece:
-            raise UsageError(f"bad --f entry {piece!r}: expected v1:ELEM or v2:ELEM")
+            raise ValueError(f"bad --f entry {piece!r}: expected v1:ELEM or v2:ELEM")
         name, _, elem = piece.partition(":")
         name = name.strip()
         if name not in ("v1", "v2"):
-            raise UsageError(f"bad --f entry {piece!r}: unknown vector {name!r}")
+            raise ValueError(f"bad --f entry {piece!r}: unknown vector {name!r}")
         if name in values:
-            raise UsageError(f"bad --f entry {piece!r}: repeated vector {name!r}")
+            raise ValueError(f"bad --f entry {piece!r}: repeated vector {name!r}")
         values[name] = _parse_element(p, elem, f"--f {name}")
     zero = GroupAlgebraElement.zero(p)
     return CoboundaryData(values.get("v1", zero), values.get("v2", zero))
@@ -234,17 +219,12 @@ def _parse_coboundary(p: int, text: str) -> CoboundaryData:
 
 def cmd_census(args) -> int:
     p = check_prime(args.p)
-    rows, total = _census(p)
-    if args.format == "json":
-        print(json.dumps({"p": p, "rows": rows, "total": total}))
-    elif args.format == "csv":
-        print("k,b_class_size,a_per_b")
-        for r in rows:
-            print(f"{r['k']},{r['b_class_size']},{r['a_per_b']}")
-    else:
-        for line in _census_lines(p, rows, total):
-            print(line)
-    return _count_status(p, total)
+    payload, text = _census(p)
+    if args.format == "csv":
+        text = lambda: ["k,b_class_size,a_per_b",
+                        *(f"{r['k']},{r['b_class_size']},{r['a_per_b']}" for r in payload["rows"])]
+    _print_report(args.format, payload, text)
+    return _count_status(p, payload["total"])
 
 
 def cmd_kernel(args) -> int:
@@ -252,27 +232,16 @@ def cmd_kernel(args) -> int:
     b = _parse_element(p, args.b, "--b")
     fact = b.gminus1_factor()
     basis = class_kernel_basis(p, fact.k)
-    payload = {
-        "p": p,
-        "b": list(b.coeffs),
-        "k": fact.k,
-        "btilde": list(fact.btilde.coeffs),
-        "kernel_basis": [list(e.coeffs) for e in basis],
-        "kernel_size": p ** fact.k,
-    }
+    payload = {"p": p, "b": list(b.coeffs), "k": fact.k, "btilde": list(fact.btilde.coeffs),
+               "kernel_basis": [list(e.coeffs) for e in basis], "kernel_size": p ** fact.k}
     brute_ok = True
     if args.brute:
-        brute_ok = kernel_agrees(b)
-        payload["bruteforce_agrees"] = brute_ok
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(f"b = {b.to_text()}")
-        print(f"k = {fact.k}, btilde = {fact.btilde.to_text()}")
-        print(f"kernel basis: {[e.to_text() for e in basis]}")
-        print(f"kernel size: {p ** fact.k}")
-        if args.brute:
-            print(f"brute-force sweep agrees: {brute_ok}")
+        brute_ok = payload["bruteforce_agrees"] = kernel_agrees(b)
+    _print_report(args.format, payload, lambda: [
+        f"b = {b.to_text()}", f"k = {fact.k}, btilde = {fact.btilde.to_text()}",
+        f"kernel basis: {[e.to_text() for e in basis]}", f"kernel size: {p ** fact.k}",
+        *([f"brute-force sweep agrees: {brute_ok}"] if args.brute else []),
+    ])
     return EXIT_OK if brute_ok else EXIT_MATH_FAIL
 
 
@@ -348,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         # that the flush at exit is quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except ValueError as exc:  # UsageError, TooLarge and bad values alike
+    except ValueError as exc:  # bad input, TooLarge and refused values alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

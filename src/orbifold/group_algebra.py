@@ -11,6 +11,7 @@ the whole solver, so it lives here next to the basic ring operations.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +36,15 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+def exact_int(value) -> int:
+    """value as a Python int if it is an integer (numpy integers and integral floats too)."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if not hasattr(value, "__index__"):
+        raise ValueError(f"expected an integer coefficient, got {value!r}")
+    return operator.index(value)
 
 
 def check_prime(p: int) -> int:
@@ -95,20 +105,20 @@ class Factorization:
 class GroupAlgebraElement:
     """An element of F_p[G], G = <g> cyclic of order p.
 
-    coeffs[i] is the coefficient of g^i, reduced to [0, p), and p passes
-    check_prime.  Instances are immutable and all operations are pure, so one
-    value may sit in many tables and serve as a dict key.
+    coeffs[i] is the coefficient of g^i, a Python int reduced to [0, p) (see
+    exact_int), and p passes check_prime.  Instances are immutable and all
+    operations are pure, so one value may sit in many tables and serve as a dict key.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        check_prime(self.p)
-        if len(self.coeffs) != self.p:
-            raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
-        if min(self.coeffs) < 0 or max(self.coeffs) >= self.p:
-            object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+        p, coeffs = check_prime(self.p), self.coeffs
+        if len(coeffs) != p:
+            raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
+        if type(coeffs) is not tuple or not all(type(c) is int and 0 <= c < p for c in coeffs):
+            object.__setattr__(self, "coeffs", tuple(exact_int(c) % p for c in coeffs))
 
     # -- constructors ---------------------------------------------------
 
@@ -133,7 +143,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def from_coeffs(cls, p: int, coeffs: Iterable[int]) -> "GroupAlgebraElement":
-        return cls(p, tuple(c % p for c in coeffs))
+        return cls(p, tuple(coeffs))
 
     # -- ring structure -------------------------------------------------
 
@@ -377,7 +387,7 @@ def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     """(g-1)^k for k >= 0; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
-    if k < 0:
+    if operator.index(k) < 0:
         raise ValueError(f"(g-1)^k needs k >= 0, got {k}")
     if k >= p:
         return GroupAlgebraElement.zero(p)

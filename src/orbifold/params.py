@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, check_prime, json_int, same_prime, shift_index
+from .group_algebra import (GroupAlgebraElement, check_prime, exact_int, json_int, same_prime,
+                            shift_index)
 from .solver import a_from_c, kernel_basis
 
 
@@ -65,9 +66,9 @@ class DeformationParams:
     ``lam`` (p, 2, p): lam[i, m - 1, n] is the coefficient of g^n in
     lambda(g^i, v_m).  ``kappaC`` (p,) and ``kappaL`` (2, p): kappaL[m - 1, n]
     is the coefficient of v_m g^n in kappa^L(v1, v2).  The constructor checks
-    p, reduces array-likes of integers mod p into read-only int64 arrays and
-    checks the shapes.  The row at i = 0 must vanish: lambda(1, v) = 0 is
-    forced by the group-compatibility condition at g = h = 1.
+    p, reduces array-likes of integers (see exact_int) mod p into read-only
+    int64 arrays and checks the shapes.  The row at i = 0 must vanish:
+    lambda(1, v) = 0 is forced by the group-compatibility condition at g = h = 1.
     """
 
     p: int
@@ -78,7 +79,10 @@ class DeformationParams:
     def __post_init__(self):
         p = check_prime(self.p)
         for name, shape in (("lam", (p, 2, p)), ("kappaC", (p,)), ("kappaL", (2, p))):
-            table = np.asarray(getattr(self, name), dtype=np.int64) % p
+            table = np.asarray(getattr(self, name))
+            if table.dtype.kind not in "biu":
+                table = np.reshape([exact_int(c) % p for c in table.ravel().tolist()], table.shape)
+            table = table.astype(np.int64, copy=False) % p
             if table.shape != shape:
                 raise ValueError(f"{name} needs shape {shape}, got {table.shape}")
             table.flags.writeable = False
@@ -94,7 +98,7 @@ class DeformationParams:
 
     @classmethod
     def zero(cls, p: int) -> "DeformationParams":
-        return cls(p, np.zeros((p, 2, p)), np.zeros(p), np.zeros((2, p)))
+        return cls(p, np.zeros((p, 2, p), int), np.zeros(p, int), np.zeros((2, p), int))
 
     def lam_v(self, i: int, x1: int, x2: int) -> GroupAlgebraElement:
         """lambda(g^i, x1*v1 + x2*v2), by linearity in the vector slot."""
@@ -107,6 +111,8 @@ class DeformationParams:
         return GroupAlgebraElement.from_coeffs(self.p, row.tolist())
 
     def __add__(self, other: "DeformationParams") -> "DeformationParams":
+        if not isinstance(other, DeformationParams):
+            return NotImplemented
         return DeformationParams(
             same_prime(self.p, other.p),
             self.lam + other.lam, self.kappaC + other.kappaC, self.kappaL + other.kappaL,
@@ -173,6 +179,8 @@ class CoboundaryData:
     f2: GroupAlgebraElement
 
     def __post_init__(self):
+        if not all(isinstance(f, GroupAlgebraElement) for f in (self.f1, self.f2)):
+            raise TypeError(f"f1, f2 must be group-algebra elements, got {self.f1!r}, {self.f2!r}")
         same_prime(self.f1.p, self.f2.p)
 
     @property
@@ -203,7 +211,7 @@ def build_candidate(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformati
     bv = np.array(b.coeffs)
     lam = np.stack([i * bv, i * (i - 1) // 2 * bv + i * a_tail], axis=1)
     kappaL = [[a.coeffs[0]] + [0] * (p - 1), np.arange(p) * bv]
-    return DeformationParams(p, times_g_i(lam), np.zeros(p), kappaL)
+    return DeformationParams(p, times_g_i(lam), np.zeros(p, int), kappaL)
 
 
 def coboundary(f: CoboundaryData) -> DeformationParams:
@@ -216,7 +224,7 @@ def coboundary(f: CoboundaryData) -> DeformationParams:
     p = f.p
     f1 = np.array(f.f1.coeffs)
     lam = np.stack([np.zeros((p, p), dtype=np.int64), -np.arange(p)[:, None] * f1], axis=1)
-    return DeformationParams(p, times_g_i(lam), np.zeros(p), [np.arange(p) * f1, np.zeros(p)])
+    return DeformationParams(p, times_g_i(lam), [0] * p, [np.arange(p) * f1, [0] * p])
 
 
 def add_coboundary(params: DeformationParams, f: CoboundaryData) -> DeformationParams:

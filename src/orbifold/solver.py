@@ -122,6 +122,8 @@ def class_kernel_basis(p: int, k: int) -> tuple[GroupAlgebraElement, ...]:
     """Basis of ker(phi_b) for every b of class k: the nonzero powers (g-1)^(p-j)
     for 0 <= j <= k.  (g-1)^p = 0 is dropped, so the basis has k elements and
     the kernel has p^k points; in particular the basis is empty for a unit b."""
+    if not 0 <= k <= p:
+        raise ValueError(f"class k must be in [0, {p}], got {k}")
     return tuple(gminus1_power(p, p_minus_j) for p_minus_j in range(p - 1, p - k - 1, -1))
 
 

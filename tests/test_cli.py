@@ -178,6 +178,13 @@ class TestCheck:
         assert out == ""
         assert err == "error: degree bound must be <= 16, got 1500\n"
 
+    @pytest.mark.parametrize("degree, message", [
+        ("2", "degree bound must be >= 3, got 2"), ("1500", "degree bound must be <= 16, got 1500"),
+    ])
+    def test_degree_is_guarded_without_the_oracle(self, capsys, params_file, degree, message):
+        code, out, err = run(capsys, "check", str(params_file), "--degree", degree)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_nonsolution_exits_two_with_witness(self, capsys, tmp_path):
         params = build_candidate(GA.from_text(3, "g"), GA.from_text(3, "1-g"))
         path = tmp_path / "bad.json"
@@ -588,6 +595,59 @@ def class_transcript(capsys, command, p):
 def test_every_class_is_pinned(capsys, command, p):
     transcript = class_transcript(capsys, command, p)
     assert hashlib.sha256(transcript.encode()).hexdigest() == CLASS_TRANSCRIPT_SHA256[command, p]
+
+
+def report_sweep():
+    """argv of every report command in every format, the listings at p = 3 and
+    four refusals; a check argv names its file, written from report_files."""
+    both, all_three = ("json", "text"), ("json", "csv", "text")
+    for name, fmt, flags in itertools.product(
+        report_files(), both, [(), ("--oracle",), ("--oracle", "--degree", "6")]
+    ):
+        yield ["check", name, "--format", fmt, *flags]
+    for p in (3, 5, 7, 97):
+        yield from (["census", "--p", str(p), "--format", fmt] for fmt in all_three)
+        for fmt in both:
+            common = ["--p", str(p), "--format", fmt]
+            yield ["chaincheck", *common, "--degree", "2"]
+            for b in ("0", "1", "1-g", "g^2-2g+1", "2+g"):
+                yield ["kernel", *common, f"--b={b}"]
+                if p <= 5:
+                    yield ["kernel", *common, f"--b={b}", "--brute"]
+            yield ["build", *common, "--b=1-g", "--d=1", "--kappaC=2+g", "--f=v1:g,v2:1"]
+            yield ["build", *common, "--b=0", "--d=" + ",".join(map(str, range(p)))]
+    for fmt in all_three:
+        yield ["enumerate", "--p", "3", "--format", fmt]
+        yield ["enumerate", "--p", "3", "--format", fmt, "--mode", "brute_force"]
+        yield ["table", "--p", "3", "--format", fmt]
+    yield ["census", "--p", "9"]
+    yield ["kernel", "--p", "3", "--b=g^5"]
+    yield ["build", "--p", "3", "--b=1-g", "--d=1,2"]
+    yield ["chaincheck", "--p", "3", "--degree", "99"]
+
+
+def report_files():
+    """A PBW file and a non-PBW file at p = 3 and at p = 5, by name."""
+    return {
+        f"{name}_p{p}.json": check_files(p)[name] for p in (3, 5) for name in ("pbw", "condition2")
+    }
+
+
+# sha256 of the exit codes, stdout and stderr of report_sweep, so that each
+# report command's output is pinned in every format it writes.
+REPORT_SWEEP_SHA256 = "471a0f71cd2d1cc4744ab5e87000f4cacba4f32cca882a165869dd6778ccdddf"
+
+
+def test_report_sweep_is_pinned(capsys, tmp_path):
+    files = report_files()
+    for name, params in files.items():
+        (tmp_path / name).write_text(json.dumps(params.to_json()))
+    parts = []
+    for argv in report_sweep():
+        code, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+        parts.append(f"$ {' '.join(argv)}\nexit {code}\nstdout:\n{out}stderr:\n{err}")
+    transcript = "".join(parts)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == REPORT_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("argv, factorizations", [

@@ -1,8 +1,10 @@
 """Ring arithmetic, structural maps, and serialization of F_p[G]."""
 
 import itertools
+import json
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +349,40 @@ def test_gminus1_basis_is_the_binomial_change(p):
 def test_gminus1_power_refuses_a_negative_exponent(k):
     with pytest.raises(ValueError, match=f"needs k >= 0, got {k}"):
         gminus1_power(5, k)
+
+
+def test_gminus1_power_refuses_a_float_exponent():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        gminus1_power(3, 1.0)
+
+
+class TestExactCoefficients:
+    """The constructor stores a tuple of Python ints in [0, p), from any
+    integers (integral floats too), and refuses any other value by name."""
+
+    def test_from_coeffs_refuses_a_fraction(self):
+        with pytest.raises(ValueError, match="expected an integer coefficient, got 1.5"):
+            GA.from_coeffs(3, [1.5, 2, 0])
+
+    def test_integral_floats_become_ints(self):
+        x = GA(3, (1.0, 0, -1.0))
+        assert x.coeffs == (1, 0, 2) and all(type(c) is int for c in x.coeffs)
+        assert x.to_text() == "1 - g^2"
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        x = GA(3, [1, 0, 0])
+        assert x.coeffs == (1, 0, 0) and type(x.coeffs) is tuple
+        assert hash(x) == hash(GA.one(3))
+
+    def test_numpy_ints_become_python_ints(self):
+        x = GA(3, tuple(np.array([1, 0, 2])))
+        assert all(type(c) is int for c in x.coeffs)
+        assert json.dumps(x.coeffs) == "[1, 0, 2]"
+
+    @pytest.mark.parametrize("value", ["1", None, float("nan"), float("inf"), 0.5])
+    def test_non_integers_are_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            GA(3, (value, 0, 0))
 
 
 def test_binom_mod_vanishes_out_of_range():

@@ -399,6 +399,26 @@ class TestTables:
         with pytest.raises(TypeError):
             hash(params)
 
+    def test_constructor_refuses_a_fraction(self):
+        with pytest.raises(ValueError, match="expected an integer coefficient, got 0.5"):
+            DeformationParams(3, np.full((3, 2, 3), 0.5), np.zeros(3), np.zeros((2, 3)))
+
+    def test_integral_floats_and_large_ints_are_reduced_exactly(self):
+        params = DeformationParams(3, np.zeros((3, 2, 3)), [2**70, -1.0, 4], np.zeros((2, 3)))
+        assert params.kappaC.tolist() == [2**70 % 3, 2, 1] and params.kappaC.dtype == np.int64
+
+    def test_sum_with_a_foreign_operand_raises_type_error(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            DeformationParams.zero(3) + 1
+
+    def test_coboundary_data_refuses_non_elements(self):
+        with pytest.raises(TypeError, match="f1, f2 must be group-algebra elements, got 1, 2"):
+            CoboundaryData(1, 2)
+
+    def test_implied_a_refuses_a_fractional_d(self):
+        with pytest.raises(ValueError, match="expected an integer coefficient, got 1.5"):
+            implied_a(GA.zero(3), [1.5, 0, 0])
+
     @pytest.mark.parametrize("p, message", [
         (4, "p must be an odd prime >= 3, got 4"),
         (9, "p=9 is not prime"),

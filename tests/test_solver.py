@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -34,6 +35,7 @@ from orbifold.solver import (
     build_listing,
     c_from_ab,
     census,
+    class_kernel_basis,
     enumerate_solutions,
     kernel_agrees,
     kernel_basis,
@@ -281,6 +283,11 @@ class TestKernel:
     def test_basis_elements_are_gminus1_powers(self):
         b = gminus1_power(5, 2)  # k = 2
         assert kernel_basis(b) == (gminus1_power(5, 4), gminus1_power(5, 3))
+
+    @pytest.mark.parametrize("k", [-1, 4, 5])
+    def test_class_kernel_basis_refuses_k_outside_0_to_p(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"class k must be in [0, 3], got {k}")):
+            class_kernel_basis(3, k)
 
     def test_bruteforce_equals_span_p3(self):
         for b in GA.all_elements(3):
