@@ -89,6 +89,16 @@ class TestRules:
         with pytest.raises(ValueError, match=rf"^{re.escape(text)} is not a left-hand side$"):
             rules_from_params(DeformationParams.zero(3)).rhs(*pair)
 
+    @pytest.mark.parametrize("call, letter", [
+        (lambda rules: rules.rhs(3, V1), 3),
+        (lambda rules: rules.reduce_word((3, V1)), 3),
+        (lambda rules: trace_reduction((5, V2), rules), 5),
+        (lambda rules: rules.rhs(1, 7), 7),
+    ], ids=["rhs", "reduce_word", "trace_reduction", "rhs_r4"])
+    def test_a_group_letter_past_p_is_refused(self, call, letter):
+        with pytest.raises(ValueError, match=rf"^group letter g\^{letter} is outside 1\.\.2$"):
+            call(rules_from_params(DeformationParams.zero(3)))
+
 
 class TestReduce:
     def test_single_r1_application(self):
@@ -99,7 +109,7 @@ class TestReduce:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_normal_word_is_fixed(self, p, rightmost):
         # Every irreducible word is its own normal form, PBW or not, so
-        # check_dimension can count these words without reducing them.
+        # the dimension rows count normal words without reducing them.
         pbw = closed_form(gminus1_power(p, 1), [1], GA.g(p))
         non_pbw = build_candidate(GA.one(p), gminus1_power(p, 1))
         for params, is_pbw in ((pbw, True), (non_pbw, False)):
@@ -478,7 +488,7 @@ class TestDimension:
         assert ok
         assert [r["count"] for r in rows] == [5, 15, 30]
 
-    @pytest.mark.parametrize("p, degree", [(3, 8), (5, 8), (7, 8), (13, 8), (97, 16)])
+    @pytest.mark.parametrize("p, degree", [(3, 8), (5, 8), (7, 8), (11, 8), (13, 8), (31, 16), (97, 16)])
     def test_counts_equal_the_listed_words(self, p, degree):
         rules = rules_from_params(DeformationParams.zero(p))
         listed = [0] * (degree + 1)
@@ -496,6 +506,16 @@ class TestDimension:
     def test_zero_bound_is_one_row(self):
         ok, rows = check_dimension(running_rules(), 0)
         assert ok and [(r["degree"], r["count"]) for r in rows] == [(0, 3)]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 97])
+    def test_irreducible_words_are_the_normal_words(self, p):
+        """The lemma behind the rows: the irreducible words are v1^i*v2^j*g^m."""
+        rules = rules_from_params(DeformationParams.zero(p))
+        assert set(irreducible_words(rules, 6)) == set(normal_words(p, 6))
+
+    def test_irreducible_words_refuse_a_negative_bound(self):
+        with pytest.raises(ValueError, match="^degree bound must be >= 0, got -1$"):
+            irreducible_words(running_rules(), -1)
 
 
 class TestCrossOracleP5:
