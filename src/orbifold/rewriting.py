@@ -162,6 +162,7 @@ class RuleSet:
         r3 %= p
         forms.flags.writeable = r3.flags.writeable = False
         self.forms, self.r3 = forms, r3
+        self._letters = frozenset((V1, V2, *range(1, p)))
         self._memo: dict[Word, dict[Word, int]] = {}
         self._memo_rl: dict[Word, dict[Word, int]] = {}
 
@@ -169,12 +170,16 @@ class RuleSet:
         x, y = pair
         return "R3" if x < 0 else {V1: "R1", V2: "R2"}.get(y, "R4")
 
+    def _check_letters(self, word: Word) -> None:
+        """Raise ValueError naming a letter of word that is not v1, v2 or g^1..g^(p-1)."""
+        if not self._letters.issuperset(word):
+            letter = min(set(word) - self._letters)
+            raise ValueError(f"group letter g^{letter} is outside 1..{self.p - 1}")
+
     def rhs(self, x: int, y: int) -> dict[Word, int]:
         """The right side of the rule with left side x*y, read off the arrays;
         R4: g^m * g^m' -> g^(m+m' mod p) is computed, never stored."""
-        for letter in (x, y):
-            if letter not in (V1, V2) and not 0 < letter < self.p:
-                raise ValueError(f"group letter g^{letter} is outside 1..{self.p - 1}")
+        self._check_letters((x, y))
         if not is_lhs(x, y):
             raise ValueError(f"{word_to_text((x, y))} is not a left-hand side")
         if x < 0:
@@ -193,8 +198,8 @@ class RuleSet:
         """Normal form of a single word as a raw {word: coeff} dict.
 
         The canonical strategy rewrites the leftmost reducible pair; the
-        rightmost strategy exists for the confluence cross-check.  Results
-        are memoized per strategy.
+        rightmost strategy exists for the confluence cross-check.  Results are
+        memoized per strategy; a word's letters are checked on a memo miss.
 
         Terminates because every rule application strictly lowers the word
         measure (v-degree, g-before-v inversions, v2-before-v1 inversions,
@@ -208,6 +213,7 @@ class RuleSet:
         hit = memo.get(word)
         if hit is not None:
             return hit
+        self._check_letters(word)
         n = len(word) - 1
         positions = range(n - 1, -1, -1) if rightmost else range(n)
         i = next((i for i in positions if is_lhs(word[i], word[i + 1])), None)
@@ -434,6 +440,7 @@ def trace_reduction(word: Word, rules: RuleSet) -> list[str]:
     the first non-normal word in canonical order until none remain.
     """
     p = rules.p
+    rules._check_letters(word)
     poly = {tuple(word): 1}
     lines: list[str] = []
     while True:

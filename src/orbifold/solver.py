@@ -25,9 +25,10 @@ is affine in c: per class it spans the kernel once (its p^k lexicographic
 coordinate rows times the basis) and then maps it to the a rows of every b
 of the class with one broadcast.  Brute force, the independent check,
 decides every pair (a, b) with the system itself as one exact
-meet-in-the-middle join: a prefix and a suffix of a each give a packed part
-of the residual, the suffix parts of each b are sorted, and each prefix part
-finds its equal suffix parts by binary search; its offsets count the hits.
+meet-in-the-middle join: a prefix and a suffix of a each pack a part of the
+residual from uint8 digits reduced by wrap-around, a presence table of the
+suffix parts of each b picks the prefix parts that are compared with them,
+and its offsets count the hits.
 
 The writers render each row's text once per call and write the pairs in
 pieces of at most WRITE_PIECE_PAIRS: per piece, one object array of cells,
@@ -66,8 +67,8 @@ PAIR_SWEEP_MAX_P = 5
 #: The array path holds one row per element of F_pG, so p^p must stay
 #: within this many rows (p <= 7).
 MAX_COEFF_ROWS = 10**7
-#: Pairs decided per chunk of the pair sweep: 125 rows of b at p = 5, one
-#: row at p = 7.  A chunk's transient arrays peak at about 0.6 MB at p = 5.
+#: Pairs decided per chunk of the pair sweep, one presence-table byte each:
+#: 125 rows of b at p = 5, one at p = 7; a chunk peaks near 0.7 MB at p = 5.
 SWEEP_CHUNK_PAIRS = 5**8
 #: Most solution pairs in one write of the listing writers, so that a b with
 #: many solutions (the zero b has p^p) is never rendered as one string.
@@ -218,15 +219,16 @@ def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The base-p value of (start + sum_j x_j lin_j) mod p for every x in
     [0, p)^m, lexicographic, one column per row of a chunk.
 
-    Digit plane first: start[l, i] is the start of row i, and tables[l, j, v, i]
-    is v * lin_j[i, l] for the m coordinates j of x.  Each coordinate of x
-    widens the sums by one less significant place.
+    Digit plane first, uint8 digits in [0, p): start[l, i] starts row i, and
+    tables[l, j, v, i] = v lin_j[i, l] mod p for the m coordinates j of x.
+    Each widens the sums by one less significant place, reduced mod p as
+    min(s, s - p), since a digit sum s is below 2p and s - p wraps iff s < p.
     """
     sums = start[:, None]
     for j in range(tables.shape[1]):
-        sums = (sums[:, :, None] + tables[:, j, None]).reshape(p, -1, start.shape[1])
-    sums %= p
-    packed = sums[0]
+        sums = (sums[:, :, None] + tables[:, j, None]).reshape(p, -1, tables.shape[3])
+        sums = np.minimum(sums, sums - p)
+    packed = sums[0].astype(np.int16 if p**p < 2**15 else np.int32)  # values below p^p
     for digits in sums[1:]:
         packed = packed * p + digits
     return packed
@@ -234,39 +236,30 @@ def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (i, x) with x lin[i] + const[i] = 0 mod p, as row-index arrays
-    ordered by i, then x.
+    ordered by i, then x; the entries of lin and const are in [0, p).
 
-    Every pair is decided by an exact meet-in-the-middle join: x splits after
-    h = p // 2 coordinates into x_hi and x_lo, and the residual vanishes
-    exactly when -(const + x_hi lin_hi) = x_lo lin_lo mod p.  Per chunk of
-    rows both sides are packed into their base-p values, the lo side is
-    stably sorted per row, and each hi value finds its run of equal lo values
-    by binary search on the keys row * p^p + value.  The stable sort keeps
-    each run ascending in x_lo, so the hits come out in (i, x) order.
+    An exact meet-in-the-middle join decides every pair: with x split into
+    x_hi and x_lo after h = p // 2 coordinates, the residual vanishes exactly
+    when const + x_hi lin_hi = -x_lo lin_lo mod p.  Per chunk of rows both
+    sides are packed into base-p values, a presence table seen[row, value] of
+    SWEEP_CHUNK_PAIRS bytes marks the lo values, and only the slots (row, x_hi)
+    with a marked hi value meet the lo values of their row, in (i, x) order.
     """
     h = p // 2
-    n_hi, n_lo = p**h, p ** (p - h)
-    dtype = np.int16 if p**p < 2**15 else np.int32  # packed values are below p^p
-    digits = np.arange(p, dtype=dtype)[:, None]
     chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
-    found_i, found_x = [], []
+    digits = np.arange(p, dtype=np.uint8)[:, None]
+    found = []
     for start in range(0, len(lin), chunk):
-        tables = lin[start:start + chunk].T.astype(dtype)[:, :, None] * digits  # [l, j, v, i]
-        neg_const = -const[start:start + chunk].T.astype(dtype)
-        hi = _packed_sums(p, neg_const, -tables[:, :h]).T
-        lo = _packed_sums(p, np.zeros_like(neg_const), tables[:, h:]).T
-        order = np.argsort(lo, axis=1, kind="stable")
+        tables = lin[start:start + chunk].T.astype(np.uint8)[:, :, None] * digits % p
+        hi = _packed_sums(p, const[start:start + chunk].T.astype(np.uint8), tables[:, :h]).T
+        lo = _packed_sums(p, np.zeros((p, 1), np.uint8), (p - tables[:, h:]) % p).T
         offsets = np.arange(len(lo))[:, None] * p**p
-        keys = (offsets + np.take_along_axis(lo, order, axis=1)).ravel()
-        wanted = (offsets + hi).ravel()
-        first = np.searchsorted(keys, wanted, "left")
-        counts = np.searchsorted(keys, wanted, "right") - first
-        # Hit t of the run of hi slot s sits at sorted position first[s] + t.
-        slot = np.repeat(np.arange(len(wanted)), counts)
-        sorted_pos = np.repeat(first + counts - np.cumsum(counts), counts) + np.arange(len(slot))
-        found_i.append(slot // n_hi + start)
-        found_x.append(slot % n_hi * n_lo + order.ravel()[sorted_pos])
-    return np.concatenate(found_i), np.concatenate(found_x)
+        seen = np.zeros(len(lo) * p**p, dtype=bool)
+        seen[lo + offsets] = True
+        r, x_hi = np.divmod(np.flatnonzero(seen[hi + offsets]), hi.shape[1])
+        t, x_lo = np.divmod(np.flatnonzero(hi[r, x_hi][:, None] == lo[r]), lo.shape[1])
+        found.append(((r + start)[t], x_hi[t] * lo.shape[1] + x_lo))
+    return tuple(np.concatenate(side) for side in zip(*found))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +325,7 @@ def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
             a_index[slots] = _row_index(p, ((kernel @ unpack)[None] + const[members][:, None]) % p)
     else:
         b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
-        c_rows = (rows[a_index] @ pack + rows[b_index] @ pack_b) % p
+        c_rows = ((rows @ pack)[a_index] + (rows @ pack_b)[b_index]) % p
         c_index = _row_index(p, c_rows).astype(np.int32)
         a_index = a_index.astype(np.int32)
         ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))

@@ -94,7 +94,13 @@ class TestRules:
         (lambda rules: rules.reduce_word((3, V1)), 3),
         (lambda rules: trace_reduction((5, V2), rules), 5),
         (lambda rules: rules.rhs(1, 7), 7),
-    ], ids=["rhs", "reduce_word", "trace_reduction", "rhs_r4"])
+        # Letters that no left-hand side reads: checked where the word enters.
+        (lambda rules: rules.reduce_word((V1, 5)), 5),
+        (lambda rules: rules.reduce_word((7,)), 7),
+        (lambda rules: rules.reduce_word((V1, 0)), 0),
+        (lambda rules: trace_reduction((V2, 9), rules), 9),
+    ], ids=["rhs", "reduce_word", "trace_reduction", "rhs_r4",
+            "reduce_word_last", "reduce_word_alone", "reduce_word_identity", "trace_reduction_last"])
     def test_a_group_letter_past_p_is_refused(self, call, letter):
         with pytest.raises(ValueError, match=rf"^group letter g\^{letter} is outside 1\.\.2$"):
             call(rules_from_params(DeformationParams.zero(3)))

@@ -8,6 +8,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -757,11 +758,32 @@ def system_rows(p, n):
 
 
 class TestJoin:
-    """The sorted join of _sweep_hits against the broadcast sweep it replaced."""
+    """The presence-table join of _sweep_hits against the broadcast sweep of
+    reference_sweep_hits."""
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_every_b(self, p):
         assert_join_equals_broadcast(p, *_system_tables(p, _lex_rows(p, p)))
+
+    @pytest.mark.parametrize("p, chunk", [(3, 2), (3, 13), (5, 4), (5, 1562)])
+    def test_uneven_chunks(self, monkeypatch, p, chunk):
+        # Uneven chunks of rows whose last chunk is a single row, so that the
+        # row offset of a remainder chunk is exercised.
+        assert p**p % chunk == 1
+        monkeypatch.setattr(solver, "SWEEP_CHUNK_PAIRS", chunk * p**p)
+        assert_join_equals_broadcast(p, *_system_tables(p, _lex_rows(p, p)))
+
+    def test_memory_is_bounded(self):
+        # All 3125 rows at p = 5 peak near 1.1 MB in chunks of 125 rows; one
+        # presence table for every row, or a wider one per chunk, passes 2 MB.
+        lin, const = _system_tables(5, _lex_rows(5, 5))
+        tracemalloc.start()
+        try:
+            _sweep_hits(5, lin, const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_drawn_rows(self, p):
