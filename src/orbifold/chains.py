@@ -19,15 +19,16 @@ k of g^k.  The first and last slots of a label are outer, the others inner.
 A chain holds its (label, coeff) terms mod p, sorted by label.
 
 The maps work on batches of chains.  A batch is three integer arrays: the
-row (which chain) of each term, its label as one digit per slot, and its
-coefficient.  ``_reduce`` sums equal (row, label) terms mod p and drops the
-zeros.  All four maps (bar d, periodic d, pi, iota) are bimodule maps, so,
-as Shepler and Witherspoon define chain maps of bimodule complexes, each is
-fixed by its value on a free generator and sends g^a . x . g^b to
-g^a . f(x) . g^b.  Each is written once, as ``_bar_d``, ``_periodic_d``,
-``_pi`` and ``_iota`` from one batch to another, and the outer slots ride
-along as columns: a joins the first slot of every image term, b the last.
-The public maps on chains run the same functions on a batch of one row.
+row (which chain) of each term, its label as one digit per slot (one array
+row per slot, one column per term), and its coefficient.  ``_reduce`` sums
+equal (row, label) terms mod p and drops the zeros.  All four maps (bar d,
+periodic d, pi, iota) are bimodule maps, so, as Shepler and Witherspoon
+define chain maps of bimodule complexes, each is fixed by its value on a
+free generator and sends g^a . x . g^b to g^a . f(x) . g^b.  Each is
+written once, as ``_bar_d``, ``_periodic_d``, ``_pi`` and ``_iota`` from one
+batch to another, and the outer slots ride along: a joins the first slot of
+every image term, b the last.  The public maps on chains run the same
+functions on a batch of one row.
 
 In degree n the bar resolution is a free F_pG-bimodule on the (p-1)^n
 tensors 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1 and the periodic one on
@@ -37,8 +38,18 @@ by a + b on both sides, so an identity holds at g^a . x . g^b exactly when
 it holds at x.  Shifting is invertible, so the lexicographically first
 failing basis element, (0, 0) or (0, i_1, ..., i_n, 0), is always a
 generator.  A degree's generators go through the maps in batches, one row
-per generator in lexicographic order, and an identity first fails at the
-first row that its reduced difference leaves nonzero.
+per generator in lexicographic order.
+
+Each identity is checked as a residual: its two sides with opposite signs,
+or, for a grading check, the image terms of the wrong grade (a grade
+depends on the label alone, so keeping them commutes with reducing).  The
+residual terms of every identity in every degree go into one batch, in
+which each (degree, identity) owns a range of rows, one for 1 (x) 1 or one
+per bar generator, and one ``_reduce`` sums them.  An identity first fails
+at the lowest row of its range that the reduction leaves nonzero.  A degree
+whose generators take several batches is reduced batch by batch, so no
+array outgrows a batch; the other degrees are reduced together, at the end
+or once their terms reach CHUNK_TERMS.
 
 The G-grading conventions: a bar tensor is graded by the sum of all its
 exponents; the degree-n component of the periodic resolution places
@@ -58,66 +69,73 @@ from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
 # sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4, 31 at 3, 97 at 2) take
-# 0.4-0.7 s end to end, at a peak RSS of 30-32 MB, on a shared 2-core host.
+# 0.3-0.6 s end to end, at a peak RSS of 31-32 MB, on a shared 2-core host.
 MAX_BAR_TENSORS = 30_000
-#: Terms a batch of generators may put through its widest map.  At 2^14 those
-#: sweeps peak at 30-32 MB; 2^16 and 2^17 took as long and peaked at 37 and 44 MB.
+#: Terms a batch of generators may put through its widest map, and the pending
+#: residual terms that start a reduction.  At 2^14 those sweeps take 0.3-0.5 s
+#: and peak at 31-32 MB; at 2^12 they took 0.3-0.7 s, and at 2^16 and 2^17
+#: 0.3-0.5 s but peaked at 34-36 and 35-41 MB.
 CHUNK_TERMS = 2**14
 
 
 class _Batch(NamedTuple):
-    """Terms of many chains: coeffs[k] times labels[k] (one digit in [0, p)
-    per slot) in the chain numbered rows[k]."""
+    """Terms of many chains: coeffs[k] times the label in column k of labels
+    (one row per slot, digits in [0, p)) in the chain numbered rows[k]."""
 
     rows: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray
 
-
-def _concat(*batches: _Batch) -> _Batch:
-    return _Batch(*(np.concatenate(field) for field in zip(*batches)))
-
-
-def _minus(x: _Batch, y: _Batch) -> _Batch:
-    return _concat(x, y._replace(coeffs=-y.coeffs))
+    def take(self, keep) -> "_Batch":
+        """The terms that keep selects, a boolean mask or term indices."""
+        return _Batch(self.rows[keep], self.labels[:, keep], self.coeffs[keep])
 
 
 def _reduce(p: int, x: _Batch) -> _Batch:
     """x with equal (row, label) terms summed mod p and zeros dropped, sorted by row, then label."""
     if not len(x.rows):
         return x
-    # (row, label) packed base p into int64 words below 2^62, most significant first.
+    # (row, label, coeff mod p) packed base p into int64 words below 2^62, most significant first.
     words, word, room = [], x.rows, 2**62 // (int(x.rows.max()) + 1)
-    for column in x.labels.T:
+    for digits in (*x.labels, x.coeffs % p):
         if room < p:
             words.append(word)
             word, room = 0, 2**62
-        word, room = word * p + column, room // p
+        word, room = word * p + digits, room // p
     words.append(word)
-    order = np.lexsort(words[::-1])
-    new = np.zeros(len(order), bool)
+    # One word sorts as values and unpacks; several sort a permutation.
+    order = np.lexsort(words[::-1]) if len(words) > 1 else slice(None)
+    words = [np.sort(word)] if len(words) == 1 else [word[order] for word in words]
+    key = words[-1] // p  # the last word without its coefficient digit
+    new = np.empty(len(key), bool)
     new[0] = True
-    for word in words:
-        new[1:] |= np.diff(word[order]) != 0
-    starts = order[new]
-    sums = np.add.reduceat(x.coeffs[order], np.flatnonzero(new)) % p
-    keep = starts[sums != 0]
-    return _Batch(x.rows[keep], x.labels[keep], sums[sums != 0])
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    for word in words[:-1]:
+        new[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat(words[-1] - key * p, starts) % p
+    starts, sums = starts[sums != 0], sums[sums != 0]
+    if len(words) > 1:
+        return x.take(order[starts])._replace(coeffs=sums)
+    key, labels = key[starts], np.empty((len(x.labels), len(starts)), np.int64)
+    for slot in range(len(x.labels) - 1, -1, -1):
+        key, labels[slot] = np.divmod(key, p)
+    return _Batch(key, labels, sums)
 
 
 def _one_row(terms, width: int) -> _Batch:
     """The batch of one chain, row 0, from (label, coeff) pairs with labels of this width."""
     terms = list(terms)
     labels = np.array([label for label, _ in terms], np.int64).reshape(len(terms), width)
-    return _Batch(np.zeros(len(terms), np.int64), labels,
+    return _Batch(np.zeros(len(terms), np.int64), labels.T,
                   np.array([c for _, c in terms], np.int64))
 
 
 def _generators(p: int, n: int, start: int, stop: int) -> _Batch:
     """The degree-n bar generators (0, i_1, ..., i_n, 0) numbered start to
     stop - 1 in lexicographic order, one row each."""
-    labels = np.zeros((stop - start, n + 2), np.int64)
-    labels[:, 1:-1] = digit_rows(p - 1, n, np.arange(start, stop)) + 1
+    labels = np.zeros((n + 2, stop - start), np.int64)
+    labels[1:-1] = digit_rows(p - 1, n, np.arange(start, stop)).T + 1
     return _Batch(np.arange(stop - start), labels, np.ones(stop - start, np.int64))
 
 
@@ -126,29 +144,57 @@ def _generators(p: int, n: int, start: int, stop: int) -> _Batch:
 
 def _bar_d(p: int, x: _Batch) -> _Batch:
     """Bar d: the alternating sum of adjacent slot merges, without the faces
-    whose merged inner slot is the identity (the reduced-bar quotient)."""
-    t, n = x.labels, x.labels.shape[1] - 2
-    faces = []
-    for m in range(n + 1):
-        merged = (t[:, m] + t[:, m + 1]) % p
-        keep = slice(None) if m in (0, n) else merged != 0
-        labels = np.column_stack((t[:, :m], merged, t[:, m + 2:]))[keep]
-        faces.append(_Batch(x.rows[keep], labels, x.coeffs[keep] * (-1) ** m))
-    return _concat(*faces)
+    whose merged inner slot is the identity (the reduced-bar quotient).
+
+    Face m of a label keeps its slots below m, merges slots m and m + 1, and
+    keeps the slots above, one place lower.  A batch with at most CHUNK_TERMS
+    slots over all its faces gathers them at once; a larger one writes the
+    kept terms face by face, which holds no array of every face.
+    """
+    t, n = x.labels, len(x.labels) - 2
+    merged = (t[:-1] + t[1:]) % p  # row m: the merged slot of face m
+    keep = merged != 0
+    keep[0] = keep[n] = True
+    signs = np.ones((n + 1, 1), np.int64)
+    signs[1::2] = -1
+    rows = x.rows[None].repeat(n + 1, axis=0)  # [face, term], as keep
+    coeffs = signs * x.coeffs
+    if (n + 1) ** 2 * len(x.rows) <= CHUNK_TERMS:
+        face = np.arange(n + 1)
+        slot = face[:, None]
+        source = slot + (slot >= face) + (slot == face) * (n + 1 + face - slot)
+        labels = np.concatenate((t, merged))[source].reshape(n + 1, -1)
+        keep = keep.ravel()
+        return _Batch(rows.ravel()[keep], labels.compress(keep, axis=1), coeffs.ravel()[keep])
+    stops = np.cumsum(np.add.reduce(keep, axis=1)).tolist()
+    labels, start = np.empty((n + 1, stops[-1]), np.int64), 0
+    for m, stop in enumerate(stops):
+        face = t.compress(keep[m], axis=1)
+        labels[:m, start:stop] = face[:m]
+        labels[m, start:stop] = merged[m, keep[m]]
+        labels[m + 1:, start:stop] = face[m + 2:]
+        start = stop
+    return _Batch(rows[keep], labels, coeffs[keep])
+
+
+# gamma as (shifts, signs): g^(i+1) (x) g^j minus g^i (x) g^(j+1).
+_GAMMA = (np.array([[1, 0], [0, 1]]), np.array([[1], [-1]]))
 
 
 def _periodic_d(p: int, n: int, x: _Batch) -> _Batch:
     """Periodic d in degree n: m onto g^(i+j) at n = 0, gamma = g (x) 1 - 1 (x) g
     at odd n, eta = sum_l g^l (x) g^(p-1-l) at even n."""
-    i, j = x.labels.T
+    i, j = x.labels
     if n == 0:
-        return x._replace(labels=((i + j) % p)[:, None])
+        return x._replace(labels=((i + j) % p)[None])
     if n % 2 == 1:
-        return _minus(x._replace(labels=np.column_stack(((i + 1) % p, j))),
-                      x._replace(labels=np.column_stack((i, (j + 1) % p))))
-    l = np.arange(p)
-    labels = np.stack(((i[:, None] + l) % p, (j[:, None] - 1 - l) % p), axis=-1)
-    return _Batch(np.repeat(x.rows, p), labels.reshape(-1, 2), np.repeat(x.coeffs, p))
+        shifts, signs = _GAMMA
+    else:
+        l = np.arange(p)
+        shifts, signs = np.array((l, -1 - l)), np.ones((p, 1), np.int64)
+    labels = (x.labels[:, None] + shifts[:, :, None]) % p  # [slot, term of the map, term of x]
+    return _Batch(x.rows[None].repeat(len(signs), axis=0).ravel(), labels.reshape(2, -1),
+                  (signs * x.coeffs).ravel())
 
 
 def _pi(p: int, x: _Batch) -> _Batch:
@@ -159,18 +205,17 @@ def _pi(p: int, x: _Batch) -> _Batch:
     sum_(l=0)^(i_1-1) g^l (x) g^(i_1-l-1) in front of the even product over
     the remaining pairs.
     """
-    t, odd = x.labels, (x.labels.shape[1] - 2) % 2
-    sums = t[:, 1 + odd:-1:2] + t[:, 2 + odd:-1:2]
-    keep = (sums >= p).all(axis=1)
-    rows, t, coeffs = x.rows[keep], t[keep], x.coeffs[keep]
-    a, e = t[:, 0], (sums[keep] - p).sum(axis=1) + t[:, -1]
+    t, odd = x.labels, (len(x.labels) - 2) % 2
+    sums = t[1 + odd:-1:2] + t[2 + odd:-1:2]
+    keep = np.logical_and.reduce(sums >= p)
+    e = np.add.reduce(sums) + t[-1] - p * len(sums)  # the exponent on the right
     if not odd:
-        return _Batch(rows, np.column_stack((a, e % p)), coeffs)
-    first = t[:, 1]
+        return _Batch(x.rows[keep], np.array((t[0][keep], e[keep] % p)), x.coeffs[keep])
+    first = t[1] * keep  # the number of image terms of each term
     term = np.repeat(np.arange(len(first)), first)
     l = np.arange(len(term)) - np.repeat(np.cumsum(first) - first, first)
-    labels = np.column_stack(((a[term] + l) % p, (e[term] + first[term] - l - 1) % p))
-    return _Batch(rows[term], labels, coeffs[term])
+    labels = np.array(((t[0][term] + l) % p, (e[term] + t[1][term] - l - 1) % p))
+    return _Batch(x.rows[term], labels, x.coeffs[term])
 
 
 def _iota(p: int, n: int, x: _Batch) -> _Batch:
@@ -182,15 +227,15 @@ def _iota(p: int, n: int, x: _Batch) -> _Batch:
     map graded of degree zero.
     """
     k = n // 2
-    choice = digit_rows(p - 1, k, np.arange((p - 1) ** k)) + 1
-    image = np.ones((len(choice), n + 2), np.int64)
-    image[:, 1 + n % 2:-1:2] = choice[:, ::-1]
-    image[:, 0], image[:, -1] = 0, (k * p - choice.sum(axis=1) - k) % p
-    labels = np.repeat(image[None], len(x.rows), axis=0)
-    labels[:, :, 0] += x.labels[:, :1]
-    labels[:, :, -1] += x.labels[:, 1:]
-    return _Batch(np.repeat(x.rows, len(image)), labels.reshape(-1, n + 2) % p,
-                  np.repeat(x.coeffs, len(image)))
+    choice = digit_rows(p - 1, k, np.arange((p - 1) ** k)).T + 1
+    image = np.ones((n + 2, choice.shape[1]), np.int64)
+    image[1 + n % 2:-1:2] = choice[::-1]
+    image[0], image[-1] = 0, (k * p - k) - np.add.reduce(choice)
+    outer = np.zeros((n + 2, len(x.rows)), np.int64)
+    outer[[0, -1]] = x.labels  # a joins the first slot, b the last
+    labels = (outer[:, :, None] + image[:, None]) % p  # [slot, term of x, term of the image]
+    return _Batch(x.rows.repeat(image.shape[1]), labels.reshape(n + 2, -1),
+                  x.coeffs.repeat(image.shape[1]))
 
 
 # -- chains ------------------------------------------------------------------------
@@ -218,7 +263,7 @@ class _Chain:
     def _of(cls, p: int, degree: int, x: _Batch):
         """The chain of a batch of one row, reduced."""
         x = _reduce(p, x)
-        return cls(p, degree, tuple(zip(map(tuple, x.labels.tolist()), x.coeffs.tolist())))
+        return cls(p, degree, tuple(zip(map(tuple, x.labels.T.tolist()), x.coeffs.tolist())))
 
 
 class BarGroupChain(_Chain):
@@ -272,7 +317,7 @@ def periodic_differential(x: PeriodicChain) -> "PeriodicChain | GroupAlgebraElem
     out = _periodic_d(p, n, x._batch())
     if n == 0:
         coeffs = np.zeros(p, np.int64)
-        np.add.at(coeffs, out.labels[:, 0], out.coeffs)
+        np.add.at(coeffs, out.labels[0], out.coeffs)
         return GroupAlgebraElement.from_coeffs(p, coeffs.tolist())
     return PeriodicChain._of(p, n - 1, out)
 
@@ -290,8 +335,8 @@ def iota_chain(x: PeriodicChain) -> BarGroupChain:
 
 
 def bar_grade(t, p: int) -> int:
-    """The grade of a bar label t, or of each label when t holds the columns of a label array."""
-    return sum(t) % p
+    """The grade of a bar label t, or of each label of a label array t (one row per slot)."""
+    return np.add.reduce(t) % p
 
 
 def periodic_grade(degree: int, i: int, j: int, p: int) -> int:
@@ -309,14 +354,83 @@ CHAIN_IDENTITIES = (
     "pi_commutes_with_differentials",
     "iota_commutes_with_differentials",
 )
+# The lowest degree of the identities not checked from degree 0 on.
+_FROM_DEGREE = {
+    "bar_differential_squares_to_zero": 2,
+    "periodic_differential_squares_to_zero": 1,
+    "pi_commutes_with_differentials": 1,
+    "iota_commutes_with_differentials": 1,
+}
+# The identities checked on the periodic generator 1 (x) 1; the others are
+# checked on the bar generators.
+_ON_UNIT = frozenset(
+    ("pi_iota_identity", "iota_graded", "periodic_differential_squares_to_zero",
+     "iota_commutes_with_differentials")
+)
 
 
-def _note_failures(first: dict, failing: dict, witness) -> None:
-    """Record witness(rows[0]) for each identity in failing with failing rows
-    (sorted) and no witness yet in first; list the others as passing so far."""
-    for identity, rows in failing.items():
-        if first.setdefault(identity, None) is None and len(rows):
-            first[identity] = witness(int(rows[0]))
+class _Residuals:
+    """The signed residual terms of every identity in every degree, as one batch.
+
+    Each (degree, identity) owns a range of global rows, in report order: one
+    row for 1 (x) 1, or one per bar generator in lexicographic order.  A term
+    enters as one int64 word, its row times p^(max_degree+2) plus its label
+    read base p: the label zero-padded to the widest one, which merges no
+    terms, since a row fixes its width.  A reduction treats each word as a
+    chain of its own.  Every term of a row is added before the next
+    reduction, so the lowest row a range keeps nonzero is its first witness.
+    """
+
+    def __init__(self, p: int, max_degree: int):
+        self.p, self.base = p, p ** (max_degree + 2)
+        self.powers = p ** np.arange(max_degree + 1, -1, -1)  # a label read base p: powers @ label
+        self.keys = [(n, identity) for n in range(max_degree + 1) for identity in CHAIN_IDENTITIES
+                     if n >= _FROM_DEGREE.get(identity, 0)]
+        sizes = [1 if identity in _ON_UNIT else (p - 1) ** n for n, identity in self.keys]
+        self.ends = np.cumsum(sizes)
+        self.starts = self.ends - sizes
+        # Within MAX_BAR_TENSORS and p <= 97 a word stays below 2^44, far from int64 overflow.
+        assert int(self.ends[-1]) * self.base < 2**52
+        self.start = dict(zip(self.keys, self.starts.tolist()))
+        self.lowest = self.ends.copy()  # per range, its lowest failing row, or its end
+        self.words: list[np.ndarray] = []
+        self.coeffs: list[np.ndarray] = []
+        self.terms = 0
+
+    def add(self, n: int, identity: str, x: _Batch, offset: int = 0, sign: int = 1) -> None:
+        """Add sign times x, whose row r is row offset + r of the range of (n, identity)."""
+        word = (x.rows + (self.start[n, identity] + offset)) * self.base
+        self.words.append(word + self.powers[len(self.powers) - len(x.labels):] @ x.labels)
+        self.coeffs.append(-x.coeffs if sign < 0 else x.coeffs)
+        self.terms += len(word)
+
+    def reduce(self) -> None:
+        """Reduce the pending terms and lower each range's lowest failing row
+        to the first row the reduction keeps in it."""
+        if not self.words:
+            return
+        words = np.concatenate(self.words)
+        x = _Batch(words, np.empty((0, len(words)), np.int64), np.concatenate(self.coeffs))
+        self.words, self.coeffs, self.terms = [], [], 0
+        # The kept rows are sorted; the sentinel past every range ends the search.
+        kept = np.append(_reduce(self.p, x).rows // self.base, self.ends[-1])
+        self.lowest = np.minimum(self.lowest, kept[np.searchsorted(kept, self.starts)])
+
+    def checks(self) -> list[dict]:
+        """The report entries: a witness for each range with a failing row,
+        (n, 0, 0) on the periodic side and (n, t) on the bar side."""
+        checks = []
+        for (n, identity), start, row, end in zip(
+            self.keys, self.starts.tolist(), self.lowest.tolist(), self.ends.tolist()
+        ):
+            entry = {"identity": identity, "degree": n, "passed": row == end}
+            if row < end and identity in _ON_UNIT:
+                entry["witness"] = (n, 0, 0)
+            elif row < end:
+                t = _generators(self.p, n, row - start, row - start + 1).labels[:, 0]
+                entry["witness"] = (n, tuple(t.tolist()))
+            checks.append(entry)
+        return checks
 
 
 def verify_chain_maps(p: int, max_degree: int) -> dict:
@@ -345,44 +459,38 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                 f"chain check to degree {max_degree} is past the limit of {MAX_BAR_TENSORS} "
                 f"bar tensors (free generators): degrees <= {n} already hold {generators}"
             )
-    checks: list[dict] = []
+    residuals = _Residuals(p, max_degree)
     unit = _one_row([((0, 0), 1)], 2)  # 1 (x) 1
     for n in range(max_degree + 1):
-        first: dict[str, tuple | None] = {}  # identity -> first witness, None while passing
         up, down = _iota(p, n, unit), _periodic_d(p, n, unit)
-        graded = _reduce(p, up)
-        failing = {
-            "pi_iota_identity": _reduce(p, _minus(_pi(p, up), unit)).rows,
-            "iota_graded": graded.rows[bar_grade(graded.labels.T, p) != periodic_grade(n, 0, 0, p)],
-        }
+        residuals.add(n, "pi_iota_identity", _pi(p, up))
+        residuals.add(n, "pi_iota_identity", unit, sign=-1)
+        off_grade = bar_grade(up.labels, p) != periodic_grade(n, 0, 0, p)
+        if off_grade.any():
+            residuals.add(n, "iota_graded", up.take(off_grade))
         if n >= 1:
-            failing["periodic_differential_squares_to_zero"] = _reduce(
-                p, _periodic_d(p, n - 1, down)).rows
-            failing["iota_commutes_with_differentials"] = _reduce(
-                p, _minus(_bar_d(p, up), _iota(p, n - 1, down))).rows
-        _note_failures(first, failing, lambda row: (n, 0, 0))
+            residuals.add(n, "periodic_differential_squares_to_zero", _periodic_d(p, n - 1, down))
+            residuals.add(n, "iota_commutes_with_differentials", _bar_d(p, up))
+            residuals.add(n, "iota_commutes_with_differentials", _iota(p, n - 1, down), sign=-1)
         # A generator's widest batch: bar d twice, or pi and d either way round.
         step = max(1, CHUNK_TERMS // ((n + 3) * max(n, p)))
+        several = step < (p - 1) ** n
         for start in range(0, (p - 1) ** n, step):
             x = _generators(p, n, start, min(start + step, (p - 1) ** n))
-            image = _reduce(p, _pi(p, x))
-            grade = bar_grade(x.labels.T, p)[image.rows]
-            failing = {"pi_graded": image.rows[periodic_grade(n, *image.labels.T, p) != grade]}
+            image = _pi(p, x)
+            off_grade = periodic_grade(n, *image.labels, p) != bar_grade(x.labels, p)[image.rows]
+            if off_grade.any():
+                residuals.add(n, "pi_graded", image.take(off_grade), start)
             if n >= 1:
                 dx = _bar_d(p, x)
                 if n >= 2:
-                    failing["bar_differential_squares_to_zero"] = _reduce(p, _bar_d(p, dx)).rows
-                failing["pi_commutes_with_differentials"] = _reduce(
-                    p, _minus(_periodic_d(p, n, image), _pi(p, dx))).rows
-            _note_failures(first, failing, lambda row: (n, tuple(x.labels[row].tolist())))
-        for identity in CHAIN_IDENTITIES:
-            if identity in first:
-                witness = first[identity]
-                entry = {"identity": identity, "degree": n, "passed": witness is None}
-                if witness is not None:
-                    entry["witness"] = witness
-                checks.append(entry)
-
+                    residuals.add(n, "bar_differential_squares_to_zero", _bar_d(p, dx), start)
+                residuals.add(n, "pi_commutes_with_differentials", _periodic_d(p, n, image), start)
+                residuals.add(n, "pi_commutes_with_differentials", _pi(p, dx), start, -1)
+            if several or residuals.terms >= CHUNK_TERMS:
+                residuals.reduce()
+    residuals.reduce()
+    checks = residuals.checks()
     passed = all(c["passed"] for c in checks)
     return {"p": p, "max_degree": max_degree, "passed": passed, "checks": checks}
 
@@ -404,7 +512,7 @@ def transfer_cochain(
     p = same_prime(*(x.p for x in lambda_prime), *np.shape(alpha)[-1:])
     lp1, lp2 = (np.array(x.coeffs) for x in lambda_prime)
     image = _pi(p, _generators(p, 1, 0, p - 1))  # row i - 1: the image of (0, i, 0)
-    l, k = image.labels[:, :1], image.labels[:, 1:]
+    l, k = image.labels[:, :, None]
     # [term, m - 1] = lambda'(g^l . v_m): g^l fixes v1 and sends v2 to l*v1 + v2.
     terms = np.stack([np.broadcast_to(lp1, (len(l), p)), l * lp1 + lp2], axis=1)
     lam = np.zeros((p, 2, p), np.int64)

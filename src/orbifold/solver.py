@@ -165,6 +165,15 @@ def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
     return rows @ (p ** np.arange(p - 1, -1, -1, dtype=np.int64))
 
 
+def _span_index(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
+    """_row_index of each row of _span_rows(p, basis), in the same order, as
+    the packed sums of the uint8 tables v B[j, l] mod p of the basis rows
+    B[j], without building the p^k coefficient rows (p <= 7, so v B[j, l] < 2^8)."""
+    rows = np.array([e.coeffs for e in basis], dtype=np.uint8).reshape(len(basis), p)
+    tables = rows.T[:, :, None, None] * np.arange(p, dtype=np.uint8)[:, None] % p
+    return _packed_sums(p, np.zeros((p, 1), np.uint8), tables).ravel()
+
+
 def kernel_agrees(b: GroupAlgebraElement) -> bool:
     """{c : phi_b(c) = 0}, by exhaustive sweep over all p^p candidates (p <= 7),
     equals set(span(b.p, kernel_basis(b))) with no element spanned twice, i.e.
@@ -174,8 +183,7 @@ def kernel_agrees(b: GroupAlgebraElement) -> bool:
     p = b.p
     _check_rows(p, p)
     hits = _sweep_hits(p, _phi_stack(p, np.array([b.coeffs])), np.zeros((1, p), np.int64))[1]
-    spanned = _row_index(p, _span_rows(p, kernel_basis(b)))
-    return np.array_equal(hits, np.sort(spanned))
+    return np.array_equal(hits, np.sort(_span_index(p, kernel_basis(b))))
 
 
 def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,16 +394,18 @@ def test_public_maps_equal_the_reference(p):
 
 
 def test_labels_past_one_sort_word():
-    # At p = 97 a degree-10 label and its row need two int64 words to sort by.
-    # Labels that differ only in the last slot, in the second word, stay
-    # apart; labels equal mod p merge.
-    p, n = 97, 10
-    t = (0, *range(1, n + 1), 0)
-    u = t[:-1] + (1,)
-    x = BarGroupChain.make(p, n, {t: 1, u: 2, t[:-1] + (p,): 3})
-    assert x.terms == ((t, 4), (u, 2))
-    assert bar_differential(x) == reference_chain(
-        BarGroupChain, p, n - 1, _linear(p, _bimodule(p, _bar_d), x.terms))
+    # At p = 97 a degree-10 label, its row and its coefficient need two int64
+    # words to sort by; at degree 7 the label fills the first word and the
+    # coefficient takes the second alone.  Labels that differ only in the last
+    # slot stay apart; labels equal mod p merge.
+    p = 97
+    for n in (7, 10):
+        t = (0, *range(1, n + 1), 0)
+        u = t[:-1] + (1,)
+        x = BarGroupChain.make(p, n, {t: 1, u: 2, t[:-1] + (p,): 3})
+        assert x.terms == ((t, 4), (u, 2))
+        assert bar_differential(x) == reference_chain(
+            BarGroupChain, p, n - 1, _linear(p, _bimodule(p, _bar_d), x.terms))
 
 
 def test_verify_guard():
@@ -440,15 +443,16 @@ def break_both(monkeypatch, name):
 
     def array(p, *args):
         x = args[-1]
-        n = args[0] if len(args) == 2 else x.labels.shape[1] - 2
+        n = args[0] if len(args) == 2 else len(x.labels) - 2
         out = real_array(p, *args)
         if n != degree:
             return out
-        rows = (x.labels[:, 1:-1] == np.array(hit, dtype=np.int64)).all(axis=1)
-        labels = np.tile(np.array(extra, np.int64), (int(rows.sum()), 1))
-        labels[:, 0] += x.labels[rows, 0]
-        labels[:, -1] += x.labels[rows, -1]
-        return chains._concat(out, chains._Batch(x.rows[rows], labels % p, x.coeffs[rows]))
+        rows = (x.labels[1:-1] == np.array(hit, dtype=np.int64)[:, None]).all(axis=0)
+        labels = np.tile(np.array(extra, np.int64)[:, None], int(rows.sum()))
+        labels[0] += x.labels[0, rows]
+        labels[-1] += x.labels[-1, rows]
+        added = chains._Batch(x.rows[rows], labels % p, x.coeffs[rows])
+        return chains._Batch(*map(np.hstack, zip(out, added)))  # labels: one column per term
 
     def reference(p, *args):
         inner = args[-1]
@@ -491,20 +495,51 @@ def test_verify_names_first_witness_of_a_broken_map(monkeypatch, name, p):
 
 
 def test_chunks_keep_the_first_witness(monkeypatch):
-    # With one generator per chunk, or a few, the witnesses of a broken
-    # periodic d at p = 5 (one of them past the first generator) and the
-    # passing report are those of the one-chunk sweep.
+    # Two broken maps at once fail several identities in degrees 2 and 3; at
+    # p = 5 a broken periodic d first fails pi.d = d.pi past the first
+    # generator.  With one generator per chunk, a few, or the default (one
+    # reduction for the whole sweep), the report is the full sweep's, and a
+    # passing sweep in chunks of one still passes.
     import orbifold.chains as chains
 
     passing = verify_chain_maps(5, 3)
-    broken = break_both(monkeypatch, "periodic_d")
-    failing = verify_chain_maps(5, 3)
-    for terms in (1, 500):
-        monkeypatch.setattr(chains, "CHUNK_TERMS", terms)
-        assert verify_chain_maps(5, 3) == failing == full_sweep(5, 3, periodic_d=broken)
-    monkeypatch.undo()
+    for names in (("pi", "bar_d"), ("periodic_d", "iota")):
+        broken = {name: break_both(monkeypatch, name) for name in names}
+        expected = full_sweep(5, 3, **broken)
+        failed = {(c["identity"], c["degree"]) for c in expected["checks"] if not c["passed"]}
+        assert len(failed) >= 6 and {n for _, n in failed} == {2, 3}
+        for terms in (1, 64, chains.CHUNK_TERMS):
+            monkeypatch.setattr(chains, "CHUNK_TERMS", terms)
+            assert verify_chain_maps(5, 3) == expected
+        monkeypatch.undo()
     monkeypatch.setattr(chains, "CHUNK_TERMS", 1)
     assert verify_chain_maps(5, 3) == passing
+
+
+def test_one_reduction_checks_every_identity(monkeypatch):
+    # Every identity in every degree of (3, 6) goes into one batch of residual
+    # terms, and that batch is reduced once.
+    import orbifold.chains as chains
+
+    calls, real = [], chains._reduce
+    monkeypatch.setattr(chains, "_reduce", lambda p, x: calls.append(len(x.rows)) or real(p, x))
+    assert verify_chain_maps(3, 6)["passed"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, max_degree, bound_mb", [(3, 13, 4.0), (13, 4, 1.4)])
+def test_large_sweeps_reduce_in_bounded_memory(p, max_degree, bound_mb):
+    # The traced peaks were 1.9 and 0.7 MB when each identity was reduced on
+    # its own, and are 1.4 and 0.85 MB with the residual batch; the bounds are
+    # twice the former.  A batch reduced only at the end holds every residual
+    # term of the sweep: it peaked at 60 and 55 MB.
+    tracemalloc.start()
+    try:
+        assert verify_chain_maps(p, max_degree)["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 class TestTransfer:
@@ -570,7 +605,7 @@ class TestBridge:
 
         def moved(p, x):
             image = real(p, x)
-            return image._replace(labels=(image.labels + [1, 0]) % p)
+            return image._replace(labels=(image.labels + [[1], [0]]) % p)
 
         monkeypatch.setattr(chains, "_pi", moved)
         for p in (3, 5, 7):

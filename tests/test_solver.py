@@ -30,6 +30,8 @@ from orbifold.solver import (
     _packing,
     _phi_stack,
     _row_index,
+    _span_index,
+    _span_rows,
     _sweep_hits,
     _system_tables,
     a_from_c,
@@ -301,6 +303,14 @@ class TestKernel:
     def test_agrees_on_every_b(self):
         for p in (3, 5):
             assert all(kernel_agrees(b) is True for b in GA.all_elements(p))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_packed_span_is_the_row_index_of_the_span(self, p):
+        # kernel_agrees reads the span's row indices off the packed sums; they
+        # are those of the coefficient rows, in the same order, for every class.
+        for k in range(p + 1):
+            basis = class_kernel_basis(p, k)
+            assert np.array_equal(_span_index(p, basis), _row_index(p, _span_rows(p, basis)))
 
     def test_agrees_sees_a_wrong_basis(self, monkeypatch):
         import orbifold.solver as solver
