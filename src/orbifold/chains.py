@@ -231,11 +231,19 @@ def _iota(p: int, n: int, x: _Batch) -> _Batch:
     image = np.ones((n + 2, choice.shape[1]), np.int64)
     image[1 + n % 2:-1:2] = choice[::-1]
     image[0], image[-1] = 0, (k * p - k) - np.add.reduce(choice)
-    outer = np.zeros((n + 2, len(x.rows)), np.int64)
-    outer[[0, -1]] = x.labels  # a joins the first slot, b the last
-    labels = (outer[:, :, None] + image[:, None]) % p  # [slot, term of x, term of the image]
-    return _Batch(x.rows.repeat(image.shape[1]), labels.reshape(n + 2, -1),
-                  x.coeffs.repeat(image.shape[1]))
+    return _act(p, x, _Batch(np.zeros(image.shape[1], np.int64), image % p,
+                             np.ones(image.shape[1], np.int64)))
+
+
+def _act(p: int, x: _Batch, y: _Batch) -> _Batch:
+    """The bimodule action of periodic terms on one bar chain: per row of x,
+    the sum over its terms c g^a (x) g^b of c g^a . y . g^b, where y is a
+    batch of one row; a joins the first slot of every term of y, b the last."""
+    outer = np.zeros((len(y.labels), len(x.rows)), np.int64)
+    outer[[0, -1]] = x.labels
+    labels = (outer[:, :, None] + y.labels[:, None]) % p  # [slot, term of x, term of y]
+    return _Batch(x.rows.repeat(len(y.rows)), labels.reshape(len(y.labels), -1),
+                  (x.coeffs[:, None] * y.coeffs).ravel())
 
 
 # -- chains ------------------------------------------------------------------------
@@ -461,6 +469,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
             )
     residuals = _Residuals(p, max_degree)
     unit = _one_row([((0, 0), 1)], 2)  # 1 (x) 1
+    below = None  # iota(1 (x) 1) one degree lower
     for n in range(max_degree + 1):
         up, down = _iota(p, n, unit), _periodic_d(p, n, unit)
         residuals.add(n, "pi_iota_identity", _pi(p, up))
@@ -471,7 +480,10 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
         if n >= 1:
             residuals.add(n, "periodic_differential_squares_to_zero", _periodic_d(p, n - 1, down))
             residuals.add(n, "iota_commutes_with_differentials", _bar_d(p, up))
-            residuals.add(n, "iota_commutes_with_differentials", _iota(p, n - 1, down), sign=-1)
+            # iota is a bimodule map: iota(down) is iota(1 (x) 1) one degree
+            # lower, moved by the terms of down.
+            residuals.add(n, "iota_commutes_with_differentials", _act(p, down, below), sign=-1)
+        below = up
         # A generator's widest batch: bar d twice, or pi and d either way round.
         step = max(1, CHUNK_TERMS // ((n + 3) * max(n, p)))
         several = step < (p - 1) ** n

@@ -21,8 +21,6 @@ from .params import CoboundaryData, DeformationParams, add_coboundary, build_can
 from .pbw import check_all
 from .rewriting import MAX_DIMENSION_DEGREE, check_dimension, check_overlaps, rules_from_params
 from .solver import (
-    Listing,
-    build_listing,
     census,
     class_kernel_basis,
     kernel_agrees,
@@ -44,6 +42,7 @@ SERIAL_WORKERS = "accepted and ignored: this command runs in one process"
 TABLE_FORMATS = ("json", "csv", "text")
 REPORT_FORMATS = ("json", "text")
 Text = Callable[[], Iterable[str]]  # a report's text lines, rendered only for --format text
+Tail = Callable[[int], dict]  # the items that end a JSON listing, given its number of pairs
 
 
 def _parse_element(p: int, text: str, what: str) -> GroupAlgebraElement:
@@ -105,23 +104,24 @@ def _census(p: int) -> tuple[dict, Text]:
     ]
 
 
-def _write_listing(listing: Listing, fmt: str, json_tail: dict, text_head: Text) -> None:
-    """Write the listing of enumerate or table; the text_head lines precede the text table."""
+def _write_listing(p: int, mode: str, fmt: str, json_tail: Tail, text_head: Text) -> int:
+    """Write the listing of enumerate or table and return the exit status of
+    its count; the JSON ends with the json_tail items of that count, and the
+    text_head lines precede the text table."""
     if fmt == "json":
-        records_to_json(listing, sys.stdout, json_tail)
+        total = records_to_json(p, sys.stdout, mode, json_tail)
     elif fmt == "csv":
-        records_to_csv(listing, sys.stdout)
+        total = records_to_csv(p, sys.stdout, mode)
     else:
-        sys.stdout.write("".join(f"{line}\n" for line in text_head()))
-        records_to_text(listing, sys.stdout)
+        total = records_to_text(p, sys.stdout, mode, "".join(f"{line}\n" for line in text_head()))
+    return _count_status(p, total)
 
 
 def cmd_enumerate(args) -> int:
     p = check_prime(args.p)
-    listing = build_listing(p, args.mode)
     payload, text = _census(p)
-    _write_listing(listing, args.format, {"census": payload["rows"], "total": listing.total}, text)
-    return _count_status(p, listing.total)
+    tail = lambda total: {"census": payload["rows"], "total": total}
+    return _write_listing(p, args.mode, args.format, tail, text)
 
 
 def cmd_check(args) -> int:
@@ -164,8 +164,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _write_listing(build_listing(check_prime(args.p)), args.format, {}, lambda: [])
-    return EXIT_OK
+    p = check_prime(args.p)
+    return _write_listing(p, "closed_form", args.format, lambda total: {}, lambda: [])
 
 
 def cmd_chaincheck(args) -> int:

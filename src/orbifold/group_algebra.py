@@ -249,10 +249,21 @@ class GroupAlgebraElement:
         return (cls(p, coeffs) for coeffs in itertools.product(range(p), repeat=p))
 
     @staticmethod
-    def all_texts(p: int) -> list[str]:
-        """to_text of all p^p elements, in the order of all_elements, built
-        from the term table without making any element."""
-        return [_leading(text) for text in map("".join, itertools.product(*_term_texts(p)))]
+    def all_texts(p: int) -> np.ndarray:
+        """to_text of all p^p elements as an object array, row i the element
+        whose base-p value is i, as all_elements orders them; built from the
+        term table without making any element or a Python call per element.
+
+        The elements whose first nonzero coefficient sits at position i have
+        the base-p values [p^(p-1-i), p^(p-i)): one product of that term's
+        leading forms with the terms after it, for i from p - 1 down to 0.
+        """
+        terms = _term_texts(p)
+        texts = itertools.chain(["0"], *(
+            map("".join, itertools.product(map(_leading, terms[i][1:]), *terms[i + 1:]))
+            for i in range(p - 1, -1, -1)
+        ))
+        return np.fromiter(texts, dtype=object, count=p**p)
 
     @classmethod
     def random(cls, rng, p: int) -> "GroupAlgebraElement":

@@ -16,34 +16,40 @@ a_from_c of the kernel element with coordinates d.
 
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
-An enumeration is one Listing, the same for both modes: the class k and the
-btilde row of every b, the p + 1 class kernel bases, and flat c and a
-row-index arrays in b-row order with cumulative offsets; the classes come
-from group_algebra.gminus1_factor_rows.  The closed form uses that the
+A Listing holds the solutions of some b rows, the same for both modes: the
+class k and the btilde row of each b, the p + 1 class kernel bases, and flat
+c and a row-index arrays in b order with cumulative offsets; the classes
+come from group_algebra.gminus1_factor_rows.  The closed form uses that the
 kernel depends on b only through its class k and that a = c P^-1 - b Q P^-1
-is affine in c: per class it spans the kernel once (its p^k lexicographic
-coordinate rows times the basis) and then maps it to the a rows of every b
-of the class with one broadcast.  Brute force, the independent check,
-decides every pair (a, b) with the system itself as one exact
-meet-in-the-middle join: a prefix and a suffix of a each pack a part of the
-residual from uint8 digits reduced by wrap-around, a presence table of the
-suffix parts of each b picks the prefix parts that are compared with them,
-and its offsets count the hits.
+is affine in c: per class it packs, from uint8 digit sums as _packed_sums
+does, the row index of each of the kernel's p^k points c and of the a that
+c gives for every b of the class.  Brute force, the independent check, decides
+every pair (a, b) with the system itself as one exact meet-in-the-middle
+join: a prefix and a suffix of a each pack a part of the residual from
+uint8 digits reduced by wrap-around, a presence table of the suffix parts
+of each b picks the prefix parts that are compared with them, and its hits
+give the offsets.
 
-The writers render each row's text once per call and write the pairs in
-pieces of at most WRITE_PIECE_PAIRS: per piece, one object array of cells,
-gathered from the row texts and overwritten with the heads and tails of the
-b in the piece, joined once; the JSON is the text json.dumps would give.
-enumerate_solutions turns a Listing into SolutionRecords for library
-callers; census gives the class sizes as the plain rows the CLI prints.
+The writers stream: they walk the b rows in chunks (LISTING_CHUNK_ROWS),
+and build, render and write each chunk's Listing before the next, so no
+array of every pair is held.  CSV and JSON walk the rows in order; the text
+table walks each class's members, whose classes come from one chunked
+factorization kept as int8.  Every element's text is a row of one object
+array per call (GroupAlgebraElement.all_texts, or the coefficient lists for
+the JSON), and a piece of at most WRITE_PIECE_PAIRS pairs is one object array
+of cells, gathered from it with the b heads built once per chunk, joined
+once; the JSON is the text json.dumps would give.  build_listing is the
+listing of all rows as one chunk, and enumerate_solutions turns it into
+SolutionRecords for library callers; census gives the class sizes as the
+plain rows the CLI prints.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -73,6 +79,11 @@ SWEEP_CHUNK_PAIRS = 5**8
 #: Most solution pairs in one write of the listing writers, so that a b with
 #: many solutions (the zero b has p^p) is never rendered as one string.
 WRITE_PIECE_PAIRS = 2**12
+#: b rows the listing writers factorize, map and render at a time: all of
+#: them at p = 5, 201 chunks at p = 7.  A chunk of the text table's class
+#: walk holds as many pairs, LISTING_CHUNK_ROWS p, p being the mean number
+#: of solutions of a b: LISTING_CHUNK_ROWS p / p^k b of class k, at least one.
+LISTING_CHUNK_ROWS = 2**12
 
 EnumerationMode = Literal["closed_form", "brute_force"]
 
@@ -156,8 +167,7 @@ def _lex_rows(p: int, k: int) -> np.ndarray:
 def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
     """The rows of span(p, basis): the p^k lexicographic coordinate rows
     times the k basis rows."""
-    basis_rows = np.array([e.coeffs for e in basis], dtype=np.int64).reshape(len(basis), p)
-    return _lex_rows(p, len(basis)) @ basis_rows % p
+    return _lex_rows(p, len(basis)) @ _basis_rows(p, basis) % p
 
 
 def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
@@ -165,12 +175,21 @@ def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
     return rows @ (p ** np.arange(p - 1, -1, -1, dtype=np.int64))
 
 
+def _basis_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
+    return np.array([e.coeffs for e in basis], dtype=np.int64).reshape(len(basis), p)
+
+
+def _span_tables(p: int, rows: np.ndarray) -> np.ndarray:
+    """The _packed_sums tables [l, j, v, 0] = v rows[j, l] mod p of k rows
+    in [0, p)^p, as uint8 (p <= 7, so v rows[j, l] < 2^8)."""
+    return rows.T.astype(np.uint8)[:, :, None, None] * np.arange(p, dtype=np.uint8)[:, None] % p
+
+
 def _span_index(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
     """_row_index of each row of _span_rows(p, basis), in the same order, as
-    the packed sums of the uint8 tables v B[j, l] mod p of the basis rows
-    B[j], without building the p^k coefficient rows (p <= 7, so v B[j, l] < 2^8)."""
-    rows = np.array([e.coeffs for e in basis], dtype=np.uint8).reshape(len(basis), p)
-    tables = rows.T[:, :, None, None] * np.arange(p, dtype=np.uint8)[:, None] % p
+    the packed sums of the span tables of the basis rows, without building
+    the p^k coefficient rows."""
+    tables = _span_tables(p, _basis_rows(p, basis))
     return _packed_sums(p, np.zeros((p, 1), np.uint8), tables).ravel()
 
 
@@ -202,7 +221,7 @@ def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lin % p, const % p
 
 
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _packing(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P, P^-1, Q) with c = a P + b Q and a = (c - b Q) P^-1, read-only int64.
 
@@ -228,17 +247,19 @@ def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
     [0, p)^m, lexicographic, one column per row of a chunk.
 
     Digit plane first, uint8 digits in [0, p): start[l, i] starts row i, and
-    tables[l, j, v, i] = v lin_j[i, l] mod p for the m coordinates j of x.
+    tables[l, j, v, i] = v lin_j[i, l] mod p for the m coordinates j of x;
+    either may have one column, which every row shares.
     Each widens the sums by one less significant place, reduced mod p as
     min(s, s - p), since a digit sum s is below 2p and s - p wraps iff s < p.
     """
     sums = start[:, None]
     for j in range(tables.shape[1]):
-        sums = (sums[:, :, None] + tables[:, j, None]).reshape(p, -1, tables.shape[3])
-        sums = np.minimum(sums, sums - p)
+        sums = sums[:, :, None] + tables[:, j, None]
+        sums = np.minimum(sums, sums - p, out=sums).reshape(p, -1, sums.shape[-1])
     packed = sums[0].astype(np.int16 if p**p < 2**15 else np.int32)  # values below p^p
     for digits in sums[1:]:
-        packed = packed * p + digits
+        packed *= p
+        packed += digits
     return packed
 
 
@@ -272,19 +293,22 @@ def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Listing:
-    """Every (a, b) solution as integer arrays indexed by b's row.
+    """Every (a, b) solution of some b rows, as integer arrays.
 
-    Row i of k and btilde belongs to the b of row i; bases[k] is the kernel
-    basis of class k.  The solutions of b = row i are c[ends[i-1]:ends[i]]
-    and a[ends[i-1]:ends[i]] (from 0 for i = 0), as row indices.
+    Position i belongs to the b of row b[i], of class k[i] and with btilde
+    row btilde[i]; bases[k] is the kernel basis of class k.  Its solutions
+    are c[ends[i-1]:ends[i]] and a[ends[i-1]:ends[i]] (from 0 for i = 0), as
+    row indices; c is None in a listing built without it, as the CSV and
+    text writers build theirs.
     """
 
     p: int
+    b: np.ndarray
     k: np.ndarray
     btilde: np.ndarray
     bases: tuple[tuple[GroupAlgebraElement, ...], ...]
     ends: np.ndarray
-    c: np.ndarray
+    c: np.ndarray | None
     a: np.ndarray
 
     @property
@@ -297,47 +321,94 @@ class Listing:
         return np.diff(self.ends, prepend=0)
 
     def per_b(self) -> Iterator[tuple]:
-        """(b row, k, btilde row, c rows, a rows) for every b, in row order;
-        the c and a rows are views of the flat arrays."""
+        """(b row, k, btilde row, c rows, a rows) for every b, in order; the
+        c and a rows are views of the flat arrays."""
         starts, ends = np.concatenate(([0], self.ends[:-1])).tolist(), self.ends.tolist()
-        ks, btildes = self.k.tolist(), self.btilde.tolist()
+        bs, ks, btildes = self.b.tolist(), self.k.tolist(), self.btilde.tolist()
         for i in range(len(ends)):
-            yield i, ks[i], btildes[i], self.c[starts[i]:ends[i]], self.a[starts[i]:ends[i]]
+            yield bs[i], ks[i], btildes[i], self.c[starts[i]:ends[i]], self.a[starts[i]:ends[i]]
+
+    def take(self, positions: np.ndarray) -> "Listing":
+        """The Listing of the b at these positions, in that order."""
+        counts = self.counts[positions]
+        ends = np.cumsum(counts)
+        pairs = np.arange(ends[-1]) + np.repeat(self.ends[positions] - ends, counts)
+        return Listing(self.p, self.b[positions], self.k[positions], self.btilde[positions],
+                       self.bases, ends, None if self.c is None else self.c[pairs], self.a[pairs])
 
 
-def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
-    """The Listing of every b in F_pG, b iterated lexicographically.
+@functools.lru_cache(maxsize=8)
+def _class_bases(p: int) -> tuple[tuple[GroupAlgebraElement, ...], ...]:
+    return tuple(class_kernel_basis(p, k) for k in range(p + 1))
 
-    closed_form maps the kernel description; brute_force sweeps every (a, b)
-    pair against the system (p <= 5).  Both give the same solution sets, brute
-    force ordered by a, the closed form by kernel coordinates.
-    """
+
+def _check_listing(p: int, mode: EnumerationMode) -> None:
+    """Refuse a listing before any work: a bad p or mode, a pair sweep past
+    PAIR_SWEEP_MAX_P, or p^p rows past MAX_COEFF_ROWS."""
     check_prime(p)
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "brute_force" and p > PAIR_SWEEP_MAX_P:
         raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
-    rows = _lex_rows(p, p)
+    _check_rows(p, p)
+
+
+def _factors(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k as int8, btilde row index as int32) of each coefficient row."""
     ks, btilde_rows = gminus1_factor_rows(p, rows)
-    bases = tuple(class_kernel_basis(p, k) for k in range(p + 1))
+    return ks.astype(np.int8), _row_index(p, btilde_rows).astype(np.int32)
+
+
+def _listing(
+    p: int, mode: EnumerationMode, index: np.ndarray, factors=None, with_c: bool = True
+) -> Listing:
+    """The Listing of the b rows index, in that order (see build_listing),
+    with c only if with_c; factors, if given, are their _factors."""
+    rows = digit_rows(p, p, index)
+    ks, btilde = _factors(p, rows) if factors is None else factors
+    bases = _class_bases(p)
     pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
-        const = rows @ (-pack_b @ unpack) % p  # a = c P^-1 + const[i] for b = row i
-        ends = np.cumsum(p**ks)
+        ends = np.cumsum(np.power(p, ks, dtype=np.int64))
         # Row indices are below p^p <= MAX_COEFF_ROWS, so int32 holds them.
-        c_index, a_index = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
+        c_index = np.empty(ends[-1], dtype=np.int32) if with_c else None
+        a_index = np.empty(ends[-1], dtype=np.int32)
+        # a = c P^-1 + start for c in the span of the basis: the start digits
+        # -b Q P^-1 of each b, plus the span of the basis rows times P^-1.
+        start = (rows @ (-pack_b @ unpack) % p).T.astype(np.uint8)
         for k, basis in enumerate(bases):
-            kernel, members = _span_rows(p, basis), np.flatnonzero(ks == k)
-            slots = (ends[members] - p**k)[:, None] + np.arange(p**k)
-            c_index[slots] = _row_index(p, kernel)
-            a_index[slots] = _row_index(p, ((kernel @ unpack)[None] + const[members][:, None]) % p)
+            members = np.flatnonzero(ks == k)
+            if len(members):
+                tables = _span_tables(p, _basis_rows(p, basis) @ unpack % p)
+                a = _packed_sums(p, start[:, members], tables).T
+                if len(members) == 1:  # one slice, with no index array as long as it
+                    slots = slice(ends[members[0]] - p**k, ends[members[0]])
+                    a = a[0]
+                else:
+                    slots = (ends[members] - p**k)[:, None] + np.arange(p**k)
+                a_index[slots] = a
+                if with_c:
+                    c_index[slots] = _span_index(p, basis)
     else:
         b_index, a_index = _sweep_hits(p, *_system_tables(p, rows))
-        c_rows = ((rows @ pack)[a_index] + (rows @ pack_b)[b_index]) % p
-        c_index = _row_index(p, c_rows).astype(np.int32)
+        c_index = None
+        if with_c:
+            c_rows = ((_lex_rows(p, p) @ pack)[a_index] + (rows @ pack_b)[b_index]) % p
+            c_index = _row_index(p, c_rows).astype(np.int32)
         a_index = a_index.astype(np.int32)
         ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))
-    return Listing(p, ks, _row_index(p, btilde_rows), bases, ends, c_index, a_index)
+    return Listing(p, index, ks, btilde, bases, ends, c_index, a_index)
+
+
+def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
+    """The Listing of every b in F_pG, b iterated lexicographically, as one chunk.
+
+    closed_form maps the kernel description; brute_force sweeps every (a, b)
+    pair against the system (p <= 5).  Both give the same solution sets, brute
+    force ordered by a, the closed form by kernel coordinates.
+    """
+    _check_listing(p, mode)
+    return _listing(p, mode, np.arange(p**p))
 
 
 def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
@@ -361,96 +432,159 @@ def census(p: int) -> list[dict[str, int]]:
     return [{"k": k, "b_class_size": n, "a_per_b": p**k} for k, n in enumerate(sizes)]
 
 
-def _write_walk(
-    out: TextIO, listing: Listing, members: np.ndarray,
-    cells: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    prefix: str = "",
-) -> None:
-    """Write the pairs of the b rows members, in that order, one write per
-    WRITE_PIECE_PAIRS pairs, prefix first.
+def _row_chunks(p: int) -> Iterator[np.ndarray]:
+    """The b rows 0 to p^p - 1 in ranges of LISTING_CHUNK_ROWS."""
+    for lo in range(0, p**p, LISTING_CHUNK_ROWS):
+        yield np.arange(lo, min(lo + LISTING_CHUNK_ROWS, p**p))
 
-    Per piece, cells(b, pair, first, last) gets the b row and the flat index
-    of each pair and whether it is the first or last pair of its b, and
-    returns an (n, m) object array of strings whose rows are the pairs' text.
-    Every b has a solution (c = 0 gives a = a_from_c(0, b)), so each b's head
-    and tail can overwrite cells of its first and last pair.
+
+def _write(
+    out: TextIO, chunks: Iterable[Listing], pieces: Callable[[Listing], Iterator[str]],
+    head: str = "", tail: str = "",
+) -> int:
+    """Write head, the pieces of every chunk, and tail, with head joined to
+    the first write and tail to the last; return the number of pairs.
+
+    Every b has a solution (c = 0 gives a = a_from_c(0, b)), so a chunk that
+    shows a b without one is refused.
     """
-    counts = listing.counts[members]
-    if not counts.all():
-        raise ValueError("a b row of the listing has no solutions")
-    walk_ends = np.cumsum(counts)
-    for lo in range(0, int(walk_ends[-1]), WRITE_PIECE_PAIRS):
-        t = np.arange(lo, min(lo + WRITE_PIECE_PAIRS, int(walk_ends[-1])))
-        i = np.searchsorted(walk_ends, t, side="right")
-        offset = t - walk_ends[i] + counts[i]  # position of the pair within its b
-        b = members[i]
-        table = cells(b, listing.ends[b] - counts[i] + offset, offset == 0, offset == counts[i] - 1)
-        out.write(prefix + "".join(table.ravel().tolist()))
-        prefix = ""
+    total, held = 0, None
+    for chunk in chunks:
+        if not chunk.counts.all():
+            raise ValueError("a b row of the listing has no solutions")
+        total += chunk.total
+        for piece in pieces(chunk):
+            if held is None:
+                held = head + piece
+            else:
+                out.write(held)
+                held = piece
+    out.write((head if held is None else held) + tail)
+    return total
 
 
-def _cells(n: int, *columns: str | np.ndarray) -> np.ndarray:
-    """An (n, len(columns)) object array with the given column values."""
+def _spans(chunk: Listing) -> Iterator[tuple[int, int, np.ndarray, slice]]:
+    """(lo, hi, at, firsts) for each piece of at most WRITE_PIECE_PAIRS pairs
+    [lo, hi) of chunk: the b whose first pair falls in the piece are the
+    positions firsts, and their first pairs are at the offsets at."""
+    starts = chunk.ends - chunk.counts
+    for lo in range(0, chunk.total, WRITE_PIECE_PAIRS):
+        hi = min(lo + WRITE_PIECE_PAIRS, chunk.total)
+        first, stop = np.searchsorted(starts, (lo, hi)).tolist()
+        yield lo, hi, starts[first:stop] - lo, slice(first, stop)
+
+
+def _owners(n: int, at: np.ndarray, firsts: slice) -> np.ndarray:
+    """The position of the b of each of the n pairs of a piece of _spans."""
+    marks = np.zeros(n, dtype=np.int64)
+    marks[at] = 1
+    return np.cumsum(marks) + (firsts.start - 1)
+
+
+def _joined(n: int, *columns: str | np.ndarray, at=None, heads=None) -> str:
+    """The cells of n pairs joined: pair t is the value, or row t, of each
+    column in turn, except that the pairs at the offsets at, which open
+    their b, start with heads instead of the first column."""
     table = np.empty((n, len(columns)), dtype=object)
     for j, column in enumerate(columns):
         table[:, j] = column
-    return table
+    if at is not None:
+        table[at, 0] = heads
+    return "".join(table.ravel().tolist())
 
 
-def records_to_json(listing: Listing, out: TextIO, tail: Mapping[str, object]) -> None:
-    """Write {"p": p, "records": [...], **tail} and a newline to out, as
-    json.dumps would; each row's coefficient list is rendered once, and only
-    the tail values go through json.dumps."""
-    digits = [str(x) for x in range(listing.p)]
-    texts = np.array(
-        [f"[{', '.join(row)}]" for row in itertools.product(digits, repeat=listing.p)], dtype=object
-    )
-    kernels = [json.dumps([e.coeffs for e in basis]) for basis in listing.bases]
+def records_to_json(
+    p: int, out: TextIO, mode: EnumerationMode = "closed_form",
+    tail: Callable[[int], Mapping[str, object]] = lambda total: {},
+) -> int:
+    """Write {"p": p, "records": [...], **tail(total)} and a newline to out, as
+    json.dumps would, and return the number of pairs, total.
 
-    def cells(b, pair, first, last):
-        table = _cells(len(b), ', {"c": ', texts[listing.c[pair]], ', "a": ',
-                       texts[listing.a[pair]], "}")
-        heads = b[first]
-        table[first, 0] = [
-            f'{", " if x else ""}{{"b": {texts[x]}, "k": {k}, "btilde": {texts[bt]}, '
-            f'"kernel": {kernels[k]}, "solutions": [{{"c": '
-            for x, k, bt in zip(heads.tolist(), listing.k[heads].tolist(),
-                                listing.btilde[heads].tolist())
-        ]
-        table[last, -1] = "}]}"
-        return table
+    The records go in b-row order, chunk by chunk.  Each coefficient list is
+    a row of one text table; a record's head adds the texts of its b and
+    btilde to pieces per class, and only the tail values go through json.dumps.
+    """
+    _check_listing(p, mode)
+    ends = (("[", ""), (", ", ""), (", ", "]"))
+    first, middle, last = ([f"{a}{x}{b}" for x in range(p)] for a, b in ends)
+    lists = map("".join, itertools.product(first, *[middle] * (p - 2), last))
+    texts = np.fromiter(lists, dtype=object, count=p**p)  # row i: the coefficient list of row i
+    kernels = [json.dumps([e.coeffs for e in basis]) for basis in _class_bases(p)]
+    k_texts = np.array([f', "k": {k}, "btilde": ' for k in range(p + 1)], dtype=object)
+    kernel_texts = np.array([f', "kernel": {kernel}, "solutions": [{{"c": ' for kernel in kernels],
+                            dtype=object)
 
-    out.write(f'{{"p": {listing.p}, "records": [')
-    _write_walk(out, listing, np.arange(len(listing.ends)), cells)
-    tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail.items())
-    out.write(f"]{tail_text}}}\n")
+    def pieces(chunk):
+        lead = np.full(len(chunk.b), '}]}, {"b": ', dtype=object)
+        lead[chunk.b == 0] = '{"b": '  # the zero b opens the records
+        heads = (lead + texts[chunk.b] + k_texts[chunk.k] + texts[chunk.btilde]
+                 + kernel_texts[chunk.k])
+        for lo, hi, at, firsts in _spans(chunk):
+            yield _joined(hi - lo, '}, {"c": ', texts[chunk.c[lo:hi]], ', "a": ',
+                          texts[chunk.a[lo:hi]], at=at, heads=heads[firsts])
 
-
-def records_to_csv(listing: Listing, out: TextIO) -> None:
-    """Write one (b, a) row per solution to out, in canonical text form."""
-    texts = np.array(GroupAlgebraElement.all_texts(listing.p), dtype=object)
-    out.write("b,a\n")
-    _write_walk(
-        out, listing, np.arange(len(listing.ends)),
-        lambda b, pair, _first, _last: _cells(len(b), texts[b], ",", texts[listing.a[pair]], "\n"),
-    )
+    out.write(f'{{"p": {p}, "records": [')
+    total = _write(out, (_listing(p, mode, index) for index in _row_chunks(p)), pieces)
+    tail_text = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in tail(total).items())
+    out.write(f"}}]}}]{tail_text}}}\n")
+    return total
 
 
-def records_to_text(listing: Listing, out: TextIO) -> None:
-    """Write the solution table: a count line, then per class k a size line
-    and one line per b of the class, in row order."""
-    texts = np.array(GroupAlgebraElement.all_texts(listing.p), dtype=object)
+def records_to_csv(p: int, out: TextIO, mode: EnumerationMode = "closed_form") -> int:
+    """Write one (b, a) row per solution to out, in canonical text form, in
+    b-row order chunk by chunk; return the number of rows."""
+    _check_listing(p, mode)
+    texts = GroupAlgebraElement.all_texts(p)
 
-    def cells(b, pair, first, last):
-        table = _cells(len(b), " | ", texts[listing.a[pair]], "")
-        table[first, 0] = [f"b = {texts[x]} :: a = " for x in b[first].tolist()]
-        table[last, -1] = "\n"
-        return table
+    def pieces(chunk):
+        heads = "\n" + texts[chunk.b] + ","
+        for lo, hi, at, firsts in _spans(chunk):
+            yield _joined(hi - lo, heads[_owners(hi - lo, at, firsts)], texts[chunk.a[lo:hi]])
 
-    out.write(f"solution table for p = {listing.p}: {listing.total} (b, a) pairs\n")
-    for k in range(listing.p + 1):
-        members = np.flatnonzero(listing.k == k)
+    out.write("b,a")
+    chunks = (_listing(p, mode, index, with_c=False) for index in _row_chunks(p))
+    return _write(out, chunks, pieces, tail="\n")
+
+
+def records_to_text(
+    p: int, out: TextIO, mode: EnumerationMode = "closed_form", head: str = ""
+) -> int:
+    """Write head, then the solution table: a count line, then per class k a
+    size line and one line per b of the class, in row order; return the
+    number of pairs.
+
+    The closed form factorizes the rows once, chunk by chunk, keeping the
+    class of each b as int8 and its btilde row, then maps each class's
+    members chunk by chunk.  Brute force (p <= PAIR_SWEEP_MAX_P) sweeps once
+    and takes each class's members from the whole listing, since the count
+    line needs its hits.
+    """
+    _check_listing(p, mode)
+    if mode == "closed_form":
+        ks, btilde = map(np.concatenate, zip(*(_factors(p, digit_rows(p, p, index))
+                                               for index in _row_chunks(p))))
+        counts = np.power(p, ks, dtype=np.int64)
+
+        def part(members):
+            return _listing(p, mode, members, (ks[members], btilde[members]), with_c=False)
+    else:
+        whole = _listing(p, mode, np.arange(p**p), with_c=False)
+        ks, counts, part = whole.k, whole.counts, whole.take
+    texts = GroupAlgebraElement.all_texts(p)
+
+    def pieces(chunk):
+        heads = "\nb = " + texts[chunk.b] + " :: a = "
+        for lo, hi, at, firsts in _spans(chunk):
+            yield _joined(hi - lo, " | ", texts[chunk.a[lo:hi]], at=at, heads=heads[firsts])
+
+    out.write(f"{head}solution table for p = {p}: {int(counts.sum())} (b, a) pairs\n")
+    total = 0
+    for k in range(p + 1):
+        members = np.flatnonzero(ks == k)
         if len(members):
-            size = listing.counts[members[0]]
-            line = f"[k = {k}] {len(members)} b-value(s), {size} solution(s) per b\n"
-            _write_walk(out, listing, members, cells, line)
+            size = int(counts[members[0]])
+            line = f"[k = {k}] {len(members)} b-value(s), {size} solution(s) per b"
+            step = max(1, LISTING_CHUNK_ROWS * p // p**k)
+            chunks = (part(members[lo:lo + step]) for lo in range(0, len(members), step))
+            total += _write(out, chunks, pieces, line, "\n")
+    return total

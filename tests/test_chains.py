@@ -527,6 +527,17 @@ def test_one_reduction_checks_every_identity(monkeypatch):
     assert len(calls) == 1
 
 
+def test_iota_is_built_once_per_degree(monkeypatch):
+    # iota(d(1 (x) 1)) is the image of 1 (x) 1 one degree lower, moved by the
+    # terms of d(1 (x) 1): one _iota call per degree, 7 at (3, 6).
+    import orbifold.chains as chains
+
+    degrees, real = [], chains._iota
+    monkeypatch.setattr(chains, "_iota", lambda p, n, x: degrees.append(n) or real(p, n, x))
+    assert verify_chain_maps(3, 6)["passed"]
+    assert degrees == list(range(7))
+
+
 @pytest.mark.parametrize("p, max_degree, bound_mb", [(3, 13, 4.0), (13, 4, 1.4)])
 def test_large_sweeps_reduce_in_bounded_memory(p, max_degree, bound_mb):
     # The traced peaks were 1.9 and 0.7 MB when each identity was reduced on

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, exit codes, guards, round-trips."""
 
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -12,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbifold.group_algebra as group_algebra
@@ -26,7 +29,8 @@ from orbifold.params import (
     closed_form,
 )
 from orbifold.rewriting import RuleSet
-from orbifold.solver import build_listing, records_to_csv
+import orbifold.solver as solver
+from orbifold.solver import records_to_csv
 from test_pbw import from_elements, perturbed
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -265,13 +269,94 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--p", "3", "--format", "csv")
         assert code == 0
         exported = io.StringIO()
-        records_to_csv(build_listing(3), exported)
+        records_to_csv(3, exported)
         assert out == exported.getvalue()
 
     def test_p5_generates(self, capsys):
         code, out, _ = run(capsys, "table", "--p", "5", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 5**6 + 1
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_count_mismatch_exits_two(self, capsys, monkeypatch, fmt):
+        # One pair goes missing from the first chunk that has a b with more
+        # than one solution: table reports the mismatch, as enumerate does.
+        listing, dropped = solver._listing, []
+
+        def short(*args, **kw):
+            chunk = listing(*args, **kw)
+            i = int(chunk.counts.argmax())
+            if dropped or chunk.counts[i] < 2:
+                return chunk
+            dropped.append(i)
+            ends = chunk.ends.copy()
+            ends[i:] -= 1
+            keep = np.arange(chunk.total) != chunk.ends[i] - 1
+            c = None if chunk.c is None else chunk.c[keep]
+            return dataclasses.replace(chunk, ends=ends, c=c, a=chunk.a[keep])
+
+        monkeypatch.setattr(solver, "_listing", short)
+        code, _, err = run(capsys, "table", "--p", "3", "--format", fmt)
+        assert dropped and code == 2
+        assert err == "count mismatch: 80 != 81\n"
+
+
+class HashingOut:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+def test_p7_table_is_pinned():
+    # The class walk at p = 7 crosses chunks in every class, and the zero b
+    # alone has 7^7 solutions; the 120 MB of text is hashed as it is written.
+    out = HashingOut()
+    with contextlib.redirect_stdout(out):
+        assert main(["table", "--p", "7"]) == 0
+    assert out.digest.hexdigest() == (
+        "7642a36dd689c9ddc7914891ab28a2ecf43d5855a9fce610d2a7f2f7b63109f9"
+    )
+
+
+# Every pinned p = 3 and p = 5 listing: enumerate and table, each format, both modes.
+LISTING_PINS = {
+    **P5_STDOUT_SHA256,
+    **P3_BRUTE_FORCE_STDOUT_SHA256,
+    ("enumerate", "--p", "3", "--format", "json"):
+        "9f7018eb4131b64ce3a97f186660ef94e12d0b2d05442846ebcf8457b8ef616a",
+    ("table", "--p", "3"): hashlib.sha256((GOLDEN / "table_p3.txt").read_bytes()).hexdigest(),
+}
+
+
+def chunk_cases():
+    """(argv, chunk rows, piece pairs or None) for each pinned listing: chunks of
+    1 (at p = 3 only: 3125 chunks at p = 5 take a second a command), 7 and
+    64 b rows with the default pieces, and chunks of 7 rows in pieces of 7
+    pairs, which split every b with 9 and more solutions."""
+    for argv in LISTING_PINS:
+        for rows in (1, 7, 64) if argv[2] == "3" else (7, 64):
+            yield pytest.param(argv, rows, None, id=f"{' '.join(argv)}-rows-{rows}")
+        yield pytest.param(argv, 7, 7, id=f"{' '.join(argv)}-rows-7-pieces-7")
+
+
+@pytest.mark.parametrize("argv, rows, pairs", chunk_cases())
+def test_listings_are_the_same_in_any_chunks(capsys, monkeypatch, argv, rows, pairs):
+    # The zero b, with p^p solutions, opens the first chunk of the row walk
+    # and is a chunk of its own in the class walk; in pieces of 7 pairs its
+    # solutions cross piece boundaries up to the chunk boundary after it.
+    monkeypatch.setattr(solver, "LISTING_CHUNK_ROWS", rows)
+    if pairs:
+        monkeypatch.setattr(solver, "WRITE_PIECE_PAIRS", pairs)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_PINS[argv]
 
 
 class TestChaincheck:

@@ -23,6 +23,7 @@ from orbifold.group_algebra import (
     shift_index,
     sum_index,
 )
+from orbifold.group_algebra import _leading, _term_texts
 
 
 def ga(p, text):
@@ -410,7 +411,20 @@ def test_text_round_trip_random_p7():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_all_texts_equals_to_text(p):
-    assert GA.all_texts(p) == [x.to_text() for x in GA.all_elements(p)]
+    assert GA.all_texts(p).tolist() == [x.to_text() for x in GA.all_elements(p)]
+
+
+def reference_all_texts(p):
+    """to_text of every element as the product of all term tables, one
+    _leading call per element: the way all_texts was first written."""
+    return [_leading(text) for text in map("".join, itertools.product(*_term_texts(p)))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_all_texts_equals_the_per_element_reference(p):
+    texts = GA.all_texts(p)
+    assert texts.dtype == object and texts.shape == (p**p,)
+    assert texts.tolist() == reference_all_texts(p)
 
 
 def test_all_texts_by_row_index_p7():

@@ -469,7 +469,7 @@ def test_json_writer_equals_json_dumps(p, mode, with_tail):
     tail = {"census": [{"k": r["k"], "n": r["b_class_size"]} for r in census(p)], "total": 7}
     tail = tail if with_tail else {}
     out = io.StringIO()
-    records_to_json(build_listing(p, mode), out, tail)
+    assert records_to_json(p, out, mode, lambda total: tail) == p ** (p + 1)
     assert out.getvalue() == reference_records_json(p, records, tail)
 
 
@@ -477,7 +477,7 @@ def test_json_writer_equals_json_dumps(p, mode, with_tail):
 @pytest.mark.parametrize("p", [3, 5])
 def test_csv_writer_equals_records(p, mode):
     out = io.StringIO()
-    records_to_csv(build_listing(p, mode), out)
+    assert records_to_csv(p, out, mode) == p ** (p + 1)
     assert out.getvalue() == reference_records_csv(enumerate_solutions(p, mode))
 
 
@@ -485,7 +485,7 @@ def test_csv_writer_equals_records(p, mode):
 @pytest.mark.parametrize("p", [3, 5])
 def test_text_writer_equals_records(p, mode):
     out = io.StringIO()
-    records_to_text(build_listing(p, mode), out)
+    assert records_to_text(p, out, mode) == p ** (p + 1)
     assert out.getvalue() == reference_records_text(p, enumerate_solutions(p, mode))
 
 
@@ -500,17 +500,16 @@ def test_csv_and_text_writers_write_a_small_listing_at_once(monkeypatch, writer,
     writes = []
     out = io.StringIO()
     monkeypatch.setattr(out, "write", writes.append)
-    writer(build_listing(3), out)
+    writer(3, out)
     assert len(writes) == n_writes
 
 
 def test_json_writer_writes_a_small_listing_at_once(monkeypatch):
     # All 27 JSON records in one write, plus the head and the tail.
-    listing = build_listing(3)
     writes = []
     out = io.StringIO()
     monkeypatch.setattr(out, "write", writes.append)
-    records_to_json(listing, out, {})
+    records_to_json(3, out)
     assert len(writes) == 1 + 2
     assert json.loads("".join(writes))["records"][0]["k"] == 3
     assert writes[1].count('"b": ') == 3**3
@@ -518,7 +517,7 @@ def test_json_writer_writes_a_small_listing_at_once(monkeypatch):
 
 @pytest.mark.parametrize("writer, pairs_in, extra", [
     # The JSON head and tail.
-    pytest.param(lambda listing, out: records_to_json(listing, out, {"total": 81}),
+    pytest.param(lambda p, out: records_to_json(p, out, tail=lambda total: {"total": total}),
                  lambda text: text.count('"a": '), 2, id="json"),
     # The header.
     pytest.param(records_to_csv, lambda text: text.count("\n"), 1, id="csv"),
@@ -529,31 +528,45 @@ def test_json_writer_writes_a_small_listing_at_once(monkeypatch):
 def test_writers_split_large_b_into_pieces(monkeypatch, writer, pairs_in, extra):
     # With pieces of 7 pairs, no write carries more than 7 of the 81 pairs,
     # the writes are about 81 / 7, and they join to the text of one default run.
-    listing = build_listing(3)
     whole, pieces = [], []
     out = io.StringIO()
     monkeypatch.setattr(out, "write", whole.append)
-    writer(listing, out)
+    writer(3, out)
     monkeypatch.setattr(solver, "WRITE_PIECE_PAIRS", 7)
     monkeypatch.setattr(out, "write", pieces.append)
-    writer(listing, out)
+    writer(3, out)
     assert "".join(pieces) == "".join(whole)
     assert max(map(pairs_in, pieces)) <= 7
     assert len(pieces) <= math.ceil(81 / 7) + extra
 
 
+real_listing = solver._listing
+
+
+def drop_pairs(listing, i, n=None):
+    """listing without the first n pairs (all of them by default) of its b at position i."""
+    n = listing.counts[i] if n is None else n
+    start = listing.ends[i] - listing.counts[i]
+    keep = np.r_[0:start, start + n:listing.total]
+    ends = listing.ends.copy()
+    ends[i:] -= n
+    c = None if listing.c is None else listing.c[keep]
+    return dataclasses.replace(listing, ends=ends, c=c, a=listing.a[keep])
+
+
 @pytest.mark.parametrize("writer", [
-    pytest.param(lambda listing, out: records_to_json(listing, out, {}), id="json"),
+    pytest.param(records_to_json, id="json"),
     pytest.param(records_to_csv, id="csv"),
     pytest.param(records_to_text, id="text"),
 ])
-def test_writers_refuse_a_b_with_no_solutions(writer):
-    # Every b has a solution; a listing that shows none for the zero b is
+def test_writers_refuse_a_b_with_no_solutions(monkeypatch, writer):
+    # Every b has a solution; a chunk that shows none for its first b is
     # broken, and the writers say so rather than leave the b out.
-    listing = build_listing(3)
-    broken = dataclasses.replace(listing, ends=np.concatenate(([0], listing.ends[1:])))
-    with pytest.raises(ValueError, match="no solutions"):
-        writer(broken, io.StringIO())
+    monkeypatch.setattr(solver, "_listing",
+                        lambda *args, **kw: drop_pairs(real_listing(*args, **kw), 0))
+    for mode in ("closed_form", "brute_force"):
+        with pytest.raises(ValueError, match="no solutions"):
+            writer(3, io.StringIO(), mode)
 
 
 def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
@@ -572,9 +585,39 @@ def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
     assert capsys.readouterr().err == "count mismatch: 80 != 81\n"
 
 
+@pytest.mark.parametrize("mode", ["closed_form", "brute_force"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_take_is_the_listing_of_those_rows(p, mode):
+    # A listing taken from the whole one at some positions, in any order,
+    # is the listing built from those rows alone.
+    positions = np.random.default_rng(p).permutation(p**p)[: p**p // 3]
+    taken, built = build_listing(p, mode).take(positions), real_listing(p, mode, positions)
+    for field in ("b", "k", "btilde", "ends", "c", "a"):
+        assert np.array_equal(getattr(taken, field), getattr(built, field)), field
+
+
+@pytest.mark.parametrize("writer", [records_to_json, records_to_csv, records_to_text])
+def test_writing_the_p5_listing_in_small_chunks_is_bounded(monkeypatch, writer):
+    # Chunks of 64 rows peak near 0.5-0.7 MB traced; one chunk of all 3125
+    # rows peaks near 1.2 MB for the CSV and 2 MB for the JSON.
+    class Discard:
+        def write(self, text):
+            pass
+
+    monkeypatch.setattr(solver, "LISTING_CHUNK_ROWS", 64)
+    writer(5, Discard())  # warm the caches
+    tracemalloc.start()
+    try:
+        writer(5, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_csv_export_shape():
     out = io.StringIO()
-    records_to_csv(build_listing(3), out)
+    records_to_csv(3, out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "b,a"
     assert len(lines) == 82
