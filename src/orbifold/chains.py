@@ -20,15 +20,15 @@ A chain holds its (label, coeff) terms mod p, sorted by label.
 
 The maps work on batches of chains.  A batch is three integer arrays: the
 row (which chain) of each term, its label as one digit per slot (one array
-row per slot, one column per term), and its coefficient.  ``_reduce`` sums
-equal (row, label) terms mod p and drops the zeros.  All four maps (bar d,
-periodic d, pi, iota) are bimodule maps, so, as Shepler and Witherspoon
-define chain maps of bimodule complexes, each is fixed by its value on a
-free generator and sends g^a . x . g^b to g^a . f(x) . g^b.  Each is
-written once, as ``_bar_d``, ``_periodic_d``, ``_pi`` and ``_iota`` from one
-batch to another, and the outer slots ride along: a joins the first slot of
-every image term, b the last.  The public maps on chains run the same
-functions on a batch of one row.
+row per slot, one column per term), and its coefficient.  All four maps
+(bar d, periodic d, pi, iota) are bimodule maps, so, as Shepler and
+Witherspoon define chain maps of bimodule complexes, each is fixed by its
+value on a free generator and sends g^a . x . g^b to g^a . f(x) . g^b.
+Each is written once, as ``_bar_d``, ``_periodic_d``, ``_pi`` and
+``_iota`` from one batch to another, and the outer slots ride along: a
+joins the first slot of every image term, b the last.  The public maps on
+chains run the same functions on a batch of one row and sum its equal
+labels mod p.
 
 In degree n the bar resolution is a free F_pG-bimodule on the (p-1)^n
 tensors 1 (x) g^(i_1) (x) ... (x) g^(i_n) (x) 1 and the periodic one on
@@ -45,11 +45,13 @@ or, for a grading check, the image terms of the wrong grade (a grade
 depends on the label alone, so keeping them commutes with reducing).  The
 residual terms of every identity in every degree go into one batch, in
 which each (degree, identity) owns a range of rows, one for 1 (x) 1 or one
-per bar generator, and one ``_reduce`` sums them.  An identity first fails
-at the lowest row of its range that the reduction leaves nonzero.  A degree
-whose generators take several batches is reduced batch by batch, so no
-array outgrows a batch; the other degrees are reduced together, at the end
-or once their terms reach CHUNK_TERMS.
+per bar generator.  A term enters as one int64 word, its row and label
+read base p, and a reduction sorts the words with their coefficients and
+sums each run of equal words mod p.  An identity first fails at the lowest
+row of its range that the reduction leaves nonzero.  A degree whose
+generators take several batches is reduced batch by batch, so no array
+outgrows a batch; the other degrees are reduced together, at the end or
+once their terms reach CHUNK_TERMS.
 
 The G-grading conventions: a bar tensor is graded by the sum of all its
 exponents; the degree-n component of the periodic resolution places
@@ -89,38 +91,6 @@ class _Batch(NamedTuple):
     def take(self, keep) -> "_Batch":
         """The terms that keep selects, a boolean mask or term indices."""
         return _Batch(self.rows[keep], self.labels[:, keep], self.coeffs[keep])
-
-
-def _reduce(p: int, x: _Batch) -> _Batch:
-    """x with equal (row, label) terms summed mod p and zeros dropped, sorted by row, then label."""
-    if not len(x.rows):
-        return x
-    # (row, label, coeff mod p) packed base p into int64 words below 2^62, most significant first.
-    words, word, room = [], x.rows, 2**62 // (int(x.rows.max()) + 1)
-    for digits in (*x.labels, x.coeffs % p):
-        if room < p:
-            words.append(word)
-            word, room = 0, 2**62
-        word, room = word * p + digits, room // p
-    words.append(word)
-    # One word sorts as values and unpacks; several sort a permutation.
-    order = np.lexsort(words[::-1]) if len(words) > 1 else slice(None)
-    words = [np.sort(word)] if len(words) == 1 else [word[order] for word in words]
-    key = words[-1] // p  # the last word without its coefficient digit
-    new = np.empty(len(key), bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    for word in words[:-1]:
-        new[1:] |= word[1:] != word[:-1]
-    starts = np.flatnonzero(new)
-    sums = np.add.reduceat(words[-1] - key * p, starts) % p
-    starts, sums = starts[sums != 0], sums[sums != 0]
-    if len(words) > 1:
-        return x.take(order[starts])._replace(coeffs=sums)
-    key, labels = key[starts], np.empty((len(x.labels), len(starts)), np.int64)
-    for slot in range(len(x.labels) - 1, -1, -1):
-        key, labels[slot] = np.divmod(key, p)
-    return _Batch(key, labels, sums)
 
 
 def _one_row(terms, width: int) -> _Batch:
@@ -269,9 +239,11 @@ class _Chain:
 
     @classmethod
     def _of(cls, p: int, degree: int, x: _Batch):
-        """The chain of a batch of one row, reduced."""
-        x = _reduce(p, x)
-        return cls(p, degree, tuple(zip(map(tuple, x.labels.T.tolist()), x.coeffs.tolist())))
+        """The chain of a batch of one row: equal labels summed mod p, zeros dropped."""
+        sums: dict[tuple, int] = {}
+        for label, c in zip(map(tuple, x.labels.T.tolist()), x.coeffs.tolist()):
+            sums[label] = sums.get(label, 0) + c
+        return cls(p, degree, tuple((label, c % p) for label, c in sorted(sums.items()) if c % p))
 
 
 class BarGroupChain(_Chain):
@@ -352,29 +324,18 @@ def periodic_grade(degree: int, i: int, j: int, p: int) -> int:
     return (i + j) % p if degree % 2 == 0 else (i + j + 1) % p
 
 
-# The identities verify_chain_maps checks in each degree, in report order.
-CHAIN_IDENTITIES = (
-    "pi_iota_identity",
-    "iota_graded",
-    "pi_graded",
-    "bar_differential_squares_to_zero",
-    "periodic_differential_squares_to_zero",
-    "pi_commutes_with_differentials",
-    "iota_commutes_with_differentials",
-)
-# The lowest degree of the identities not checked from degree 0 on.
-_FROM_DEGREE = {
-    "bar_differential_squares_to_zero": 2,
-    "periodic_differential_squares_to_zero": 1,
-    "pi_commutes_with_differentials": 1,
-    "iota_commutes_with_differentials": 1,
+# The identities verify_chain_maps checks in each degree, in report order, each
+# with its lowest degree and whether it is checked on the periodic generator
+# 1 (x) 1 (else on the bar generators).
+CHAIN_IDENTITIES = {
+    "pi_iota_identity": (0, True),
+    "iota_graded": (0, True),
+    "pi_graded": (0, False),
+    "bar_differential_squares_to_zero": (2, False),
+    "periodic_differential_squares_to_zero": (1, True),
+    "pi_commutes_with_differentials": (1, False),
+    "iota_commutes_with_differentials": (1, True),
 }
-# The identities checked on the periodic generator 1 (x) 1; the others are
-# checked on the bar generators.
-_ON_UNIT = frozenset(
-    ("pi_iota_identity", "iota_graded", "periodic_differential_squares_to_zero",
-     "iota_commutes_with_differentials")
-)
 
 
 class _Residuals:
@@ -392,13 +353,14 @@ class _Residuals:
     def __init__(self, p: int, max_degree: int):
         self.p, self.base = p, p ** (max_degree + 2)
         self.powers = p ** np.arange(max_degree + 1, -1, -1)  # a label read base p: powers @ label
-        self.keys = [(n, identity) for n in range(max_degree + 1) for identity in CHAIN_IDENTITIES
-                     if n >= _FROM_DEGREE.get(identity, 0)]
-        sizes = [1 if identity in _ON_UNIT else (p - 1) ** n for n, identity in self.keys]
+        self.keys = [(n, identity) for n in range(max_degree + 1)
+                     for identity, (lowest, _) in CHAIN_IDENTITIES.items() if n >= lowest]
+        sizes = [1 if CHAIN_IDENTITIES[identity][1] else (p - 1) ** n for n, identity in self.keys]
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
-        # Within MAX_BAR_TENSORS and p <= 97 a word stays below 2^44, far from int64 overflow.
-        assert int(self.ends[-1]) * self.base < 2**52
+        # Within MAX_BAR_TENSORS and p <= 97 a word stays below 2^44, so a word
+        # and its coefficient digit, word p + c, fit one int64 with room to spare.
+        assert int(self.ends[-1]) * self.base * p < 2**62
         self.start = dict(zip(self.keys, self.starts.tolist()))
         self.lowest = self.ends.copy()  # per range, its lowest failing row, or its end
         self.words: list[np.ndarray] = []
@@ -417,11 +379,15 @@ class _Residuals:
         to the first row the reduction keeps in it."""
         if not self.words:
             return
-        words = np.concatenate(self.words)
-        x = _Batch(words, np.empty((0, len(words)), np.int64), np.concatenate(self.coeffs))
+        p = self.p
+        # Sorted as word p + (coeff mod p), equal words are runs, summed mod p.
+        packed = np.sort(np.concatenate(self.words) * p + np.concatenate(self.coeffs) % p)
         self.words, self.coeffs, self.terms = [], [], 0
+        words = packed // p
+        starts = np.flatnonzero(np.diff(words, prepend=-1))
+        sums = np.add.reduceat(packed - words * p, starts) % p
         # The kept rows are sorted; the sentinel past every range ends the search.
-        kept = np.append(_reduce(self.p, x).rows // self.base, self.ends[-1])
+        kept = np.append(words[starts[sums != 0]] // self.base, self.ends[-1])
         self.lowest = np.minimum(self.lowest, kept[np.searchsorted(kept, self.starts)])
 
     def checks(self) -> list[dict]:
@@ -432,7 +398,7 @@ class _Residuals:
             self.keys, self.starts.tolist(), self.lowest.tolist(), self.ends.tolist()
         ):
             entry = {"identity": identity, "degree": n, "passed": row == end}
-            if row < end and identity in _ON_UNIT:
+            if row < end and CHAIN_IDENTITIES[identity][1]:
                 entry["witness"] = (n, 0, 0)
             elif row < end:
                 t = _generators(self.p, n, row - start, row - start + 1).labels[:, 0]

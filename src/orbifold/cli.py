@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Callable, Iterable
 
@@ -149,10 +150,9 @@ def cmd_check(args) -> int:
         ok_all = ok_all and ok
 
     def text():
-        for i in sorted(report.passed):
-            yield f"condition {i}: {'pass' if report.passed[i] else 'FAIL'}"
-            if not report.passed[i]:
-                yield from (f"  witness: {w}" for w in report.witnesses[i][:5])
+        for i, witnesses in sorted(report.witnesses.items()):
+            yield f"condition {i}: {'FAIL' if witnesses else 'pass'}"
+            yield from (f"  witness: {w}" for w in witnesses[:5])
         if args.oracle:
             yield f"oracle (degree {args.degree}): {'pass' if ok else 'FAIL'}"
             if witness:
@@ -184,10 +184,11 @@ def cmd_chaincheck(args) -> int:
 def cmd_build(args) -> int:
     p = check_prime(args.p)
     b = _parse_element(p, args.b, "--b")
-    try:
-        d = [int(x) % p for x in args.d.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad --d list {args.d!r}: {exc}") from exc
+    d = []
+    for entry in args.d.split(",") if args.d.strip() else []:
+        if not re.fullmatch(r"[+-]?[0-9]+", entry.strip()):
+            raise ValueError(f"bad --d entry {entry!r} in {args.d!r}: expected an integer")
+        d.append(int(entry) % p)
     kappaC = _parse_element(p, args.kappaC, "--kappaC") if args.kappaC else None
     a = implied_a(b, d)
     params = build_candidate(a, b)

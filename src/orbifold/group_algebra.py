@@ -19,6 +19,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_PRIME_CEILING = 97
 
@@ -389,9 +390,10 @@ def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     z = rows @ basis % p
     nonzero = z != 0
     k = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), p)
-    shifted = np.zeros_like(z)
-    for kk in range(p):
-        shifted[k == kk, : p - kk] = z[k == kk, kk:]
+    # btilde's coordinates: row i of z from column k[i] on, padded with zeros.
+    padded = np.zeros((len(z), 2 * p), z.dtype)
+    padded[:, :p] = z
+    shifted = sliding_window_view(padded, p, axis=1)[np.arange(len(z)), k]
     shifted[k == p, 0] = 1
     return k, shifted @ inverse % p
 

@@ -24,7 +24,9 @@ when its list is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -36,26 +38,29 @@ DIM2_NOTE = "holds identically for a two-dimensional V; nothing to evaluate"
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Pass/fail per condition with the witnesses of every failure."""
+    """The witnesses of each condition; a condition passes when it has none."""
 
-    passed: dict[int, bool]
     witnesses: dict[int, list]
-    notes: dict[int, str] = field(default_factory=dict)
+    notes: ClassVar[Mapping[int, str]] = MappingProxyType({4: DIM2_NOTE, 5: DIM2_NOTE})
+
+    @property
+    def passed(self) -> dict[int, bool]:
+        return {i: not w for i, w in self.witnesses.items()}
 
     @property
     def pbw(self) -> bool:
-        return all(self.passed.values())
+        return not any(self.witnesses.values())
 
     def to_json(self) -> dict:
         return {
             "pbw": self.pbw,
             "conditions": {
                 str(i): {
-                    "passed": self.passed[i],
-                    "witnesses": self.witnesses[i],
+                    "passed": not w,
+                    "witnesses": w,
                     **({"note": self.notes[i]} if i in self.notes else {}),
                 }
-                for i in sorted(self.passed)
+                for i, w in sorted(self.witnesses.items())
             },
         }
 
@@ -175,6 +180,4 @@ def check_all(params: DeformationParams) -> ConditionReport:
     check_condition6, which returns no witnesses.
     """
     checks = {1: check_condition1, 2: check_condition2, 3: check_condition3, 6: check_condition6}
-    witnesses = {i: checks[i](params) if i in checks else [] for i in range(1, 7)}
-    passed = {i: not w for i, w in witnesses.items()}
-    return ConditionReport(passed, witnesses, notes={4: DIM2_NOTE, 5: DIM2_NOTE})
+    return ConditionReport({i: checks[i](params) if i in checks else [] for i in range(1, 7)})

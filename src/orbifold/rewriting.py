@@ -77,16 +77,8 @@ def word_degree(word: Word) -> int:
     return sum(1 for x in word if x < 0)
 
 
-def letter_to_text(letter: int) -> str:
-    if letter == V1:
-        return "v1"
-    if letter == V2:
-        return "v2"
-    return f"g^{letter}"
-
-
 def word_to_text(word: Word) -> str:
-    return "*".join(letter_to_text(x) for x in word) if word else "1"
+    return "*".join("v1" if x == V1 else "v2" if x == V2 else f"g^{x}" for x in word) or "1"
 
 
 def _canonical(term: tuple[Word, int]) -> tuple:

@@ -17,14 +17,15 @@ a_from_c of the kernel element with coordinates d.
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
 A Listing holds the solutions of some b rows, the same for both modes: the
-class k and the btilde row of each b, the p + 1 class kernel bases, and flat
-c and a row-index arrays in b order with cumulative offsets; the classes
-come from group_algebra.gminus1_factor_rows.  The closed form uses that the
-kernel depends on b only through its class k and that a = c P^-1 - b Q P^-1
-is affine in c: per class it packs, from uint8 digit sums as _packed_sums
-does, the row index of each of the kernel's p^k points c and of the a that
-c gives for every b of the class.  Brute force, the independent check, decides
-every pair (a, b) with the system itself as one exact meet-in-the-middle
+class k and the btilde row of each b, and flat c and a row-index arrays in
+b order with cumulative offsets; the classes come from
+group_algebra.gminus1_factor_rows, and the kernel basis of class k is
+_class_bases(p)[k].  The closed form uses that the kernel depends on b
+only through its class k and that a = c P^-1 - b Q P^-1 is affine in c:
+per class it packs, from uint8 digit sums as _packed_sums does, the row
+index of each of the kernel's p^k points c and of the a that c gives for
+every b of the class.  Brute force, the independent check, decides every
+pair (a, b) with the system itself as one exact meet-in-the-middle
 join: a prefix and a suffix of a each pack a part of the residual from
 uint8 digits reduced by wrap-around, a presence table of the suffix parts
 of each b picks the prefix parts that are compared with them, and its hits
@@ -38,10 +39,11 @@ factorization kept as int8.  Every element's text is a row of one object
 array per call (GroupAlgebraElement.all_texts, or the coefficient lists for
 the JSON), and a piece of at most WRITE_PIECE_PAIRS pairs is one object array
 of cells, gathered from it with the b heads built once per chunk, joined
-once; the JSON is the text json.dumps would give.  build_listing is the
-listing of all rows as one chunk, and enumerate_solutions turns it into
-SolutionRecords for library callers; census gives the class sizes as the
-plain rows the CLI prints.
+once; the CSV repeats each b's head once per pair, the text table and the
+JSON open each b with it.  The JSON is the text json.dumps would give.
+enumerate_solutions builds the listing of all rows as one chunk and turns
+it into SolutionRecords for library callers; census gives the class sizes
+as the plain rows the CLI prints.
 """
 
 from __future__ import annotations
@@ -145,8 +147,11 @@ def kernel_basis(b: GroupAlgebraElement) -> tuple[GroupAlgebraElement, ...]:
 
 
 def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraElement]:
-    """All F_p-linear combinations, coordinates iterated lexicographically."""
-    return [GroupAlgebraElement(p, tuple(row)) for row in _span_rows(p, list(basis)).tolist()]
+    """All F_p-linear combinations, coordinates iterated lexicographically:
+    the p^k lexicographic coordinate rows times the k basis rows."""
+    basis = list(basis)
+    rows = _lex_rows(p, len(basis)) @ _basis_rows(p, basis) % p
+    return [GroupAlgebraElement(p, tuple(row)) for row in rows.tolist()]
 
 
 def _check_rows(p: int, k: int) -> None:
@@ -162,12 +167,6 @@ def _lex_rows(p: int, k: int) -> np.ndarray:
     row i holds the k base-p digits of i."""
     _check_rows(p, k)
     return digit_rows(p, k, np.arange(p**k, dtype=np.int64))
-
-
-def _span_rows(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
-    """The rows of span(p, basis): the p^k lexicographic coordinate rows
-    times the k basis rows."""
-    return _lex_rows(p, len(basis)) @ _basis_rows(p, basis) % p
 
 
 def _row_index(p: int, rows: np.ndarray) -> np.ndarray:
@@ -186,7 +185,7 @@ def _span_tables(p: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _span_index(p: int, basis: Sequence[GroupAlgebraElement]) -> np.ndarray:
-    """_row_index of each row of _span_rows(p, basis), in the same order, as
+    """The row index of each element of span(p, basis), in the same order, as
     the packed sums of the span tables of the basis rows, without building
     the p^k coefficient rows."""
     tables = _span_tables(p, _basis_rows(p, basis))
@@ -296,17 +295,16 @@ class Listing:
     """Every (a, b) solution of some b rows, as integer arrays.
 
     Position i belongs to the b of row b[i], of class k[i] and with btilde
-    row btilde[i]; bases[k] is the kernel basis of class k.  Its solutions
-    are c[ends[i-1]:ends[i]] and a[ends[i-1]:ends[i]] (from 0 for i = 0), as
-    row indices; c is None in a listing built without it, as the CSV and
-    text writers build theirs.
+    row btilde[i], whose kernel basis is _class_bases(p)[k[i]].  Its
+    solutions are c[ends[i-1]:ends[i]] and a[ends[i-1]:ends[i]] (from 0 for
+    i = 0), as row indices; c is None in a listing built without it, as the
+    CSV and text writers build theirs.
     """
 
     p: int
     b: np.ndarray
     k: np.ndarray
     btilde: np.ndarray
-    bases: tuple[tuple[GroupAlgebraElement, ...], ...]
     ends: np.ndarray
     c: np.ndarray | None
     a: np.ndarray
@@ -320,21 +318,13 @@ class Listing:
         """The number of solutions of each b."""
         return np.diff(self.ends, prepend=0)
 
-    def per_b(self) -> Iterator[tuple]:
-        """(b row, k, btilde row, c rows, a rows) for every b, in order; the
-        c and a rows are views of the flat arrays."""
-        starts, ends = np.concatenate(([0], self.ends[:-1])).tolist(), self.ends.tolist()
-        bs, ks, btildes = self.b.tolist(), self.k.tolist(), self.btilde.tolist()
-        for i in range(len(ends)):
-            yield bs[i], ks[i], btildes[i], self.c[starts[i]:ends[i]], self.a[starts[i]:ends[i]]
-
     def take(self, positions: np.ndarray) -> "Listing":
         """The Listing of the b at these positions, in that order."""
         counts = self.counts[positions]
         ends = np.cumsum(counts)
         pairs = np.arange(ends[-1]) + np.repeat(self.ends[positions] - ends, counts)
         return Listing(self.p, self.b[positions], self.k[positions], self.btilde[positions],
-                       self.bases, ends, None if self.c is None else self.c[pairs], self.a[pairs])
+                       ends, None if self.c is None else self.c[pairs], self.a[pairs])
 
 
 @functools.lru_cache(maxsize=8)
@@ -362,11 +352,15 @@ def _factors(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _listing(
     p: int, mode: EnumerationMode, index: np.ndarray, factors=None, with_c: bool = True
 ) -> Listing:
-    """The Listing of the b rows index, in that order (see build_listing),
-    with c only if with_c; factors, if given, are their _factors."""
+    """The Listing of the b rows index, in that order, with c only if
+    with_c; factors, if given, are their _factors.
+
+    closed_form maps the kernel description; brute_force sweeps every (a, b)
+    pair against the system (p <= 5).  Both give the same solution sets, brute
+    force ordered by a, the closed form by kernel coordinates.
+    """
     rows = digit_rows(p, p, index)
     ks, btilde = _factors(p, rows) if factors is None else factors
-    bases = _class_bases(p)
     pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
         ends = np.cumsum(np.power(p, ks, dtype=np.int64))
@@ -376,7 +370,7 @@ def _listing(
         # a = c P^-1 + start for c in the span of the basis: the start digits
         # -b Q P^-1 of each b, plus the span of the basis rows times P^-1.
         start = (rows @ (-pack_b @ unpack) % p).T.astype(np.uint8)
-        for k, basis in enumerate(bases):
+        for k, basis in enumerate(_class_bases(p)):
             members = np.flatnonzero(ks == k)
             if len(members):
                 tables = _span_tables(p, _basis_rows(p, basis) @ unpack % p)
@@ -397,29 +391,22 @@ def _listing(
             c_index = _row_index(p, c_rows).astype(np.int32)
         a_index = a_index.astype(np.int32)
         ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))
-    return Listing(p, index, ks, btilde, bases, ends, c_index, a_index)
-
-
-def build_listing(p: int, mode: EnumerationMode = "closed_form") -> Listing:
-    """The Listing of every b in F_pG, b iterated lexicographically, as one chunk.
-
-    closed_form maps the kernel description; brute_force sweeps every (a, b)
-    pair against the system (p <= 5).  Both give the same solution sets, brute
-    force ordered by a, the closed form by kernel coordinates.
-    """
-    _check_listing(p, mode)
-    return _listing(p, mode, np.arange(p**p))
+    return Listing(p, index, ks, btilde, ends, c_index, a_index)
 
 
 def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
-    """One SolutionRecord per b of build_listing(p, mode), in row order; each
-    element is one object, shared by every record that mentions it."""
-    listing = build_listing(p, mode)
-    elems = list(GroupAlgebraElement.all_elements(p))
-    get = lambda rows: map(elems.__getitem__, rows.tolist())
+    """One SolutionRecord per b in F_pG, b iterated lexicographically, from the
+    Listing of every row as one chunk (see _listing); each element is one
+    object, shared by every record that mentions it."""
+    _check_listing(p, mode)
+    listing = _listing(p, mode, np.arange(p**p))
+    elems, bases = list(GroupAlgebraElement.all_elements(p)), _class_bases(p)
+    c, a = (list(map(elems.__getitem__, x.tolist())) for x in (listing.c, listing.a))
+    ends = listing.ends.tolist()
     return [
-        SolutionRecord(elems[b], k, elems[bt], listing.bases[k], tuple(zip(get(c), get(a))))
-        for b, k, bt, c, a in listing.per_b()
+        SolutionRecord(elems[b], k, elems[bt], bases[k], tuple(zip(c[lo:hi], a[lo:hi])))
+        for b, k, bt, lo, hi in zip(listing.b.tolist(), listing.k.tolist(),
+                                    listing.btilde.tolist(), [0, *ends], ends)
     ]
 
 
@@ -472,13 +459,6 @@ def _spans(chunk: Listing) -> Iterator[tuple[int, int, np.ndarray, slice]]:
         hi = min(lo + WRITE_PIECE_PAIRS, chunk.total)
         first, stop = np.searchsorted(starts, (lo, hi)).tolist()
         yield lo, hi, starts[first:stop] - lo, slice(first, stop)
-
-
-def _owners(n: int, at: np.ndarray, firsts: slice) -> np.ndarray:
-    """The position of the b of each of the n pairs of a piece of _spans."""
-    marks = np.zeros(n, dtype=np.int64)
-    marks[at] = 1
-    return np.cumsum(marks) + (firsts.start - 1)
 
 
 def _joined(n: int, *columns: str | np.ndarray, at=None, heads=None) -> str:
@@ -537,9 +517,9 @@ def records_to_csv(p: int, out: TextIO, mode: EnumerationMode = "closed_form") -
     texts = GroupAlgebraElement.all_texts(p)
 
     def pieces(chunk):
-        heads = "\n" + texts[chunk.b] + ","
-        for lo, hi, at, firsts in _spans(chunk):
-            yield _joined(hi - lo, heads[_owners(hi - lo, at, firsts)], texts[chunk.a[lo:hi]])
+        heads = np.repeat("\n" + texts[chunk.b] + ",", chunk.counts)  # one per pair
+        for lo, hi, _, _ in _spans(chunk):
+            yield _joined(hi - lo, heads[lo:hi], texts[chunk.a[lo:hi]])
 
     out.write("b,a")
     chunks = (_listing(p, mode, index, with_c=False) for index in _row_chunks(p))

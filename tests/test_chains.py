@@ -521,8 +521,14 @@ def test_one_reduction_checks_every_identity(monkeypatch):
     # terms, and that batch is reduced once.
     import orbifold.chains as chains
 
-    calls, real = [], chains._reduce
-    monkeypatch.setattr(chains, "_reduce", lambda p, x: calls.append(len(x.rows)) or real(p, x))
+    calls, real = [], chains._Residuals.reduce
+
+    def counted(residuals):
+        if residuals.words:  # a reduction with pending terms
+            calls.append(residuals.terms)
+        real(residuals)
+
+    monkeypatch.setattr(chains._Residuals, "reduce", counted)
     assert verify_chain_maps(3, 6)["passed"]
     assert len(calls) == 1
 

@@ -774,6 +774,24 @@ class TestBuild:
         code, out, _ = run(capsys, "check", str(path), "--oracle")
         assert code == 0
 
+    @pytest.mark.parametrize("d, entry", [
+        ("1,,2", ""), ("1,2,", ""), (",1", ""), ("1_0", "1_0"), ("x", "x"), ("1.0", "1.0"),
+        ("+-1", "+-1"), (" , ", " "),
+    ])
+    def test_malformed_d_entry_exits_one_naming_it(self, capsys, d, entry):
+        # Empty entries used to be dropped, and int() reads "1_0" as 10.
+        code, out, err = run(capsys, "build", "--p", "3", "--b", "1+g+g^2", "--d=" + d)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad --d entry {entry!r} in {d!r}: expected an integer\n"
+
+    @pytest.mark.parametrize("d, values", [("", 0), (" ", 0), (" 1 , -2 ", 2), ("+1,2", 2)])
+    def test_well_formed_d_lists(self, capsys, d, values):
+        # k = 2 for 1 + g + g^2 at p = 3, so only two values build.
+        code, _, err = run(capsys, "build", "--p", "3", "--b", "1+g+g^2", "--d=" + d)
+        assert code == (0 if values == 2 else 1)
+        if values != 2:
+            assert f"expected 2 d-values, got {values}" in err
+
     def test_bad_element_text(self, capsys):
         code, _, err = run(capsys, "build", "--p", "3", "--b", "1-q", "--d", "")
         assert code == 1

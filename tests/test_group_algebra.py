@@ -17,6 +17,7 @@ from orbifold.group_algebra import (
     check_prime,
     digit_rows,
     gminus1_basis,
+    gminus1_factor_rows,
     gminus1_power,
     same_prime,
     scalar_inv,
@@ -344,6 +345,26 @@ def test_gminus1_basis_is_the_binomial_change(p):
         assert tuple(row) == power.coeffs
         power = power * t
     assert np.array_equal(basis @ inverse % p, np.eye(p, dtype=np.int64))
+
+
+def reference_factor_rows(p, rows):
+    """gminus1_factor_rows with the shift written as one masked copy per class."""
+    basis, inverse = gminus1_basis(p)
+    z = rows @ basis % p
+    nonzero = z != 0
+    k = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), p)
+    shifted = np.zeros_like(z)
+    for kk in range(p):
+        shifted[k == kk, : p - kk] = z[k == kk, kk:]
+    shifted[k == p, 0] = 1
+    return k, shifted @ inverse % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_rows_equal_the_per_class_copy(p):
+    rows = digit_rows(p, p, np.arange(p**p))
+    for got, expected in zip(gminus1_factor_rows(p, rows), reference_factor_rows(p, rows)):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("k", [-1, -4])

@@ -370,6 +370,13 @@ class TestCheckAll:
         assert blob["conditions"]["2"]["witnesses"]
         assert "note" in blob["conditions"]["4"]
 
+    def test_notes_are_read_only(self):
+        # Every report shares one notes mapping, so no report may write to it.
+        report = check_all(DeformationParams.zero(3))
+        with pytest.raises(TypeError):
+            report.notes[6] = "changed"
+        assert set(report.notes) == {4, 5}
+
 
 class TestCoboundaryInvariance:
     def test_condition2_outcome_invariant(self):

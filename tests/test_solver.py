@@ -31,11 +31,9 @@ from orbifold.solver import (
     _phi_stack,
     _row_index,
     _span_index,
-    _span_rows,
     _sweep_hits,
     _system_tables,
     a_from_c,
-    build_listing,
     c_from_ab,
     census,
     class_kernel_basis,
@@ -53,6 +51,11 @@ from test_group_algebra import reference_mul
 from test_params import reference_implied_a
 
 ODD_PRIMES = [p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))]
+
+
+def whole_listing(p, mode="closed_form"):
+    """The Listing of every b row as one chunk, as enumerate_solutions builds it."""
+    return solver._listing(p, mode, np.arange(p**p))
 
 
 def ga(p, text):
@@ -310,7 +313,8 @@ class TestKernel:
         # are those of the coefficient rows, in the same order, for every class.
         for k in range(p + 1):
             basis = class_kernel_basis(p, k)
-            assert np.array_equal(_span_index(p, basis), _row_index(p, _span_rows(p, basis)))
+            rows = _lex_rows(p, k) @ np.array([e.coeffs for e in basis]).reshape(k, p) % p
+            assert np.array_equal(_span_index(p, basis), _row_index(p, rows))
 
     def test_agrees_sees_a_wrong_basis(self, monkeypatch):
         import orbifold.solver as solver
@@ -496,7 +500,7 @@ def test_text_writer_equals_records(p, mode):
 def test_csv_and_text_writers_write_a_small_listing_at_once(monkeypatch, writer, n_writes):
     # The 81 pairs at p = 3 fit in one piece of the default size: one write
     # for all 27 b (one per class for the text table), not one per b.
-    assert build_listing(3).total <= solver.WRITE_PIECE_PAIRS
+    assert whole_listing(3).total <= solver.WRITE_PIECE_PAIRS
     writes = []
     out = io.StringIO()
     monkeypatch.setattr(out, "write", writes.append)
@@ -578,8 +582,8 @@ def test_brute_force_counts_come_from_the_hits(monkeypatch, capsys):
 
     sweep = solver._sweep_hits
     monkeypatch.setattr(solver, "_sweep_hits", lambda *args: tuple(x[:-1] for x in sweep(*args)))
-    brute = np.diff(build_listing(3, "brute_force").ends, prepend=0)
-    closed = np.diff(build_listing(3).ends, prepend=0)
+    brute = np.diff(whole_listing(3, "brute_force").ends, prepend=0)
+    closed = np.diff(whole_listing(3).ends, prepend=0)
     assert (closed - brute).tolist() == [0] * 26 + [1]
     assert main(["enumerate", "--p", "3", "--mode", "brute_force", "--format", "csv"]) == 2
     assert capsys.readouterr().err == "count mismatch: 80 != 81\n"
@@ -591,7 +595,7 @@ def test_take_is_the_listing_of_those_rows(p, mode):
     # A listing taken from the whole one at some positions, in any order,
     # is the listing built from those rows alone.
     positions = np.random.default_rng(p).permutation(p**p)[: p**p // 3]
-    taken, built = build_listing(p, mode).take(positions), real_listing(p, mode, positions)
+    taken, built = whole_listing(p, mode).take(positions), real_listing(p, mode, positions)
     for field in ("b", "k", "btilde", "ends", "c", "a"):
         assert np.array_equal(getattr(taken, field), getattr(built, field)), field
 
