@@ -48,10 +48,9 @@ which each (degree, identity) owns a range of rows, one for 1 (x) 1 or one
 per bar generator.  A term enters as one int64 word, its row and label
 read base p, and a reduction sorts the words with their coefficients and
 sums each run of equal words mod p.  An identity first fails at the lowest
-row of its range that the reduction leaves nonzero.  A degree whose
-generators take several batches is reduced batch by batch, so no array
-outgrows a batch; the other degrees are reduced together, at the end or
-once their terms reach CHUNK_TERMS.
+row of its range that the reduction leaves nonzero.  The pending terms
+are reduced whenever they reach CHUNK_TERMS after a batch, and once at the
+end, so a reduction holds at most one batch's terms past CHUNK_TERMS.
 
 The G-grading conventions: a bar tensor is graded by the sum of all its
 exponents; the degree-n component of the periodic resolution places
@@ -71,12 +70,13 @@ from .params import DeformationParams
 
 # Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
 # sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4, 31 at 3, 97 at 2) take
-# 0.3-0.6 s end to end, at a peak RSS of 31-32 MB, on a shared 2-core host.
+# 0.3-0.6 s end to end, at a peak RSS of 31-33 MB, on a shared 2-core host.
 MAX_BAR_TENSORS = 30_000
-#: Terms a batch of generators may put through its widest map, and the pending
-#: residual terms that start a reduction.  At 2^14 those sweeps take 0.3-0.5 s
-#: and peak at 31-32 MB; at 2^12 they took 0.3-0.7 s, and at 2^16 and 2^17
-#: 0.3-0.5 s but peaked at 34-36 and 35-41 MB.
+#: Terms a batch of generators may put through its widest map in verify_chain_maps,
+#: and the pending residual terms that start a reduction there; the maps
+#: themselves do not read it.  At 2^14 those sweeps take 0.3-0.5 s and peak at
+#: 31-33 MB; at 2^12 they took 0.3-0.7 s, and at 2^16 and 2^17 0.3-0.5 s but
+#: peaked at 34-36 and 35-41 MB.
 CHUNK_TERMS = 2**14
 
 
@@ -117,34 +117,21 @@ def _bar_d(p: int, x: _Batch) -> _Batch:
     whose merged inner slot is the identity (the reduced-bar quotient).
 
     Face m of a label keeps its slots below m, merges slots m and m + 1, and
-    keeps the slots above, one place lower.  A batch with at most CHUNK_TERMS
-    slots over all its faces gathers them at once; a larger one writes the
-    kept terms face by face, which holds no array of every face.
+    keeps the slots above, one place lower; one index table gathers every face.
     """
     t, n = x.labels, len(x.labels) - 2
     merged = (t[:-1] + t[1:]) % p  # row m: the merged slot of face m
     keep = merged != 0
     keep[0] = keep[n] = True
+    keep = keep.ravel()  # [face, term], as rows, coeffs and the label columns
     signs = np.ones((n + 1, 1), np.int64)
     signs[1::2] = -1
-    rows = x.rows[None].repeat(n + 1, axis=0)  # [face, term], as keep
-    coeffs = signs * x.coeffs
-    if (n + 1) ** 2 * len(x.rows) <= CHUNK_TERMS:
-        face = np.arange(n + 1)
-        slot = face[:, None]
-        source = slot + (slot >= face) + (slot == face) * (n + 1 + face - slot)
-        labels = np.concatenate((t, merged))[source].reshape(n + 1, -1)
-        keep = keep.ravel()
-        return _Batch(rows.ravel()[keep], labels.compress(keep, axis=1), coeffs.ravel()[keep])
-    stops = np.cumsum(np.add.reduce(keep, axis=1)).tolist()
-    labels, start = np.empty((n + 1, stops[-1]), np.int64), 0
-    for m, stop in enumerate(stops):
-        face = t.compress(keep[m], axis=1)
-        labels[:m, start:stop] = face[:m]
-        labels[m, start:stop] = merged[m, keep[m]]
-        labels[m + 1:, start:stop] = face[m + 2:]
-        start = stop
-    return _Batch(rows[keep], labels, coeffs[keep])
+    face = np.arange(n + 1)
+    slot = face[:, None]
+    source = slot + (slot >= face) + (slot == face) * (n + 1 + face - slot)
+    labels = np.concatenate((t, merged))[source].reshape(n + 1, -1)
+    rows = x.rows[None].repeat(n + 1, axis=0).ravel()
+    return _Batch(rows[keep], labels.compress(keep, axis=1), (signs * x.coeffs).ravel()[keep])
 
 
 # gamma as (shifts, signs): g^(i+1) (x) g^j minus g^i (x) g^(j+1).
@@ -452,7 +439,6 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
         below = up
         # A generator's widest batch: bar d twice, or pi and d either way round.
         step = max(1, CHUNK_TERMS // ((n + 3) * max(n, p)))
-        several = step < (p - 1) ** n
         for start in range(0, (p - 1) ** n, step):
             x = _generators(p, n, start, min(start + step, (p - 1) ** n))
             image = _pi(p, x)
@@ -465,7 +451,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
                     residuals.add(n, "bar_differential_squares_to_zero", _bar_d(p, dx), start)
                 residuals.add(n, "pi_commutes_with_differentials", _periodic_d(p, n, image), start)
                 residuals.add(n, "pi_commutes_with_differentials", _pi(p, dx), start, -1)
-            if several or residuals.terms >= CHUNK_TERMS:
+            if residuals.terms >= CHUNK_TERMS:
                 residuals.reduce()
     residuals.reduce()
     checks = residuals.checks()

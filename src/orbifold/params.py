@@ -119,7 +119,8 @@ class DeformationParams:
         )
 
     def with_kappaC(self, kappaC: GroupAlgebraElement) -> "DeformationParams":
-        return DeformationParams(self.p, self.lam, kappaC.coeffs, self.kappaL)
+        p = same_prime(self.p, kappaC.p)
+        return DeformationParams(p, self.lam, kappaC.coeffs, self.kappaL)
 
     # -- serialization ---------------------------------------------------
 

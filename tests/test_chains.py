@@ -516,9 +516,11 @@ def test_chunks_keep_the_first_witness(monkeypatch):
     assert verify_chain_maps(5, 3) == passing
 
 
-def test_one_reduction_checks_every_identity(monkeypatch):
-    # Every identity in every degree of (3, 6) goes into one batch of residual
-    # terms, and that batch is reduced once.
+@pytest.mark.parametrize("p, max_degree, once", [(3, 6, True), (13, 4, False), (97, 2, False)])
+def test_one_reduction_checks_every_identity(monkeypatch, p, max_degree, once):
+    # Every identity in every degree goes into one batch of residual terms,
+    # reduced once CHUNK_TERMS of them are pending and once at the end: (3, 6)
+    # never reaches CHUNK_TERMS, so its batch is reduced once.
     import orbifold.chains as chains
 
     calls, real = [], chains._Residuals.reduce
@@ -529,8 +531,9 @@ def test_one_reduction_checks_every_identity(monkeypatch):
         real(residuals)
 
     monkeypatch.setattr(chains._Residuals, "reduce", counted)
-    assert verify_chain_maps(3, 6)["passed"]
-    assert len(calls) == 1
+    assert verify_chain_maps(p, max_degree)["passed"]
+    assert (len(calls) == 1) == once
+    assert all(terms >= chains.CHUNK_TERMS for terms in calls[:-1])
 
 
 def test_iota_is_built_once_per_degree(monkeypatch):
@@ -547,9 +550,10 @@ def test_iota_is_built_once_per_degree(monkeypatch):
 @pytest.mark.parametrize("p, max_degree, bound_mb", [(3, 13, 4.0), (13, 4, 1.4)])
 def test_large_sweeps_reduce_in_bounded_memory(p, max_degree, bound_mb):
     # The traced peaks were 1.9 and 0.7 MB when each identity was reduced on
-    # its own, and are 1.4 and 0.85 MB with the residual batch; the bounds are
-    # twice the former.  A batch reduced only at the end holds every residual
-    # term of the sweep: it peaked at 60 and 55 MB.
+    # its own, 1.4 and 0.55 MB with the residual batch reduced batch by batch,
+    # and are 2.6 and 1.05 MB with it reduced once CHUNK_TERMS terms are
+    # pending; the bounds are twice the first.  A batch reduced only at the
+    # end holds every residual term of the sweep: it peaked at 60 and 55 MB.
     tracemalloc.start()
     try:
         assert verify_chain_maps(p, max_degree)["passed"]

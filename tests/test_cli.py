@@ -401,6 +401,15 @@ CHAINCHECK_STDOUT_SHA256 = {
         "cdd7ca64928862130786259d7a9f911ccca9557c1d5c7f838e822c60f697239c",
     ("--p", "7", "--degree", "4", "--format", "text"):
         "9589c8197d9274e39bae971e555176811eaed9d70c7470a5b315fa7f962e90ee",
+    # Sweeps whose degrees take many generator batches, and so many reductions.
+    ("--p", "3", "--degree", "13", "--format", "json"):
+        "dee03c807d892bd604e5bb67670a575a41712d010898f88b1decc74487649a18",
+    ("--p", "13", "--degree", "4", "--format", "json"):
+        "75edebde09e0738df7bfc1e63fb487b73012732680dbe5087c138561dd609fcd",
+    ("--p", "97", "--degree", "2", "--format", "json"):
+        "5ec351db98e0c9fa1aeeff5288b70ae12c74b1029f6fcc92e890ceee8a8944c3",
+    ("--p", "5", "--degree", "7", "--format", "json"):
+        "39b24acc86414933a9055fe9a0df124d1251980f364863286a9d1396ffc81a48",
 }
 
 

@@ -162,8 +162,11 @@ def running_example():
     lambda x, y: transfer_cochain((x, x), np.zeros((2, y.p))),
     rep_to_params,
     lambda x, y: DeformationParams.zero(x.p) + DeformationParams.zero(y.p),
+    lambda x, y: DeformationParams.zero(x.p).with_kappaC(y),
+    lambda x, y: closed_form(x, [], kappaC=y),
 ], ids=["ring", "system_residual", "c_from_ab", "a_from_c", "build_candidate",
-        "CoboundaryData", "transfer_cochain", "rep_to_params", "params_add"])
+        "CoboundaryData", "transfer_cochain", "rep_to_params", "params_add", "with_kappaC",
+        "closed_form"])
 def test_every_prime_check_names_the_primes(call):
     # One helper, group_algebra.same_prime, makes every one of these checks.
     with pytest.raises(ValueError, match=r"^mismatched primes: \[3, 5\]$"):
