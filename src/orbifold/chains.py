@@ -65,18 +65,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .group_algebra import GroupAlgebraElement, TooLarge, check_prime, digit_rows, same_prime
+from .group_algebra import (GroupAlgebraElement, check_prime, check_work, digit_rows, exact_int,
+                           same_prime)
 from .params import DeformationParams
 
-# Free generators verify_chain_maps may sweep, sum_(n <= d) (p-1)^n.  The slowest
-# sweeps it accepts (p = 3 at degree 13, 5 at 7, 13 at 4, 31 at 3, 97 at 2) take
-# 0.3-0.6 s end to end, at a peak RSS of 31-33 MB, on a shared 2-core host.
-MAX_BAR_TENSORS = 30_000
-#: Terms a batch of generators may put through its widest map in verify_chain_maps,
-#: and the pending residual terms that start a reduction there; the maps
-#: themselves do not read it.  At 2^14 those sweeps take 0.3-0.5 s and peak at
-#: 31-33 MB; at 2^12 they took 0.3-0.7 s, and at 2^16 and 2^17 0.3-0.5 s but
-#: peaked at 34-36 and 35-41 MB.
+#: Terms a batch of generators (_generator_terms each) may put through a map in
+#: verify_chain_maps, and the pending residual terms that start a reduction there;
+#: the maps do not read it.  At 2^14 the sweeps of p = 3 at degree 13, 5 at 7, 13 at
+#: 4, 31 at 3 and 97 at 2 took 0.3-0.5 s at 31-33 MB; at 2^12 0.3-0.7 s, and at 2^16
+#: and 2^17 0.3-0.5 s but 34-36 and 35-41 MB.
 CHUNK_TERMS = 2**14
 
 
@@ -93,9 +90,13 @@ class _Batch(NamedTuple):
         return _Batch(self.rows[keep], self.labels[:, keep], self.coeffs[keep])
 
 
+def _generator_terms(p: int, n: int) -> int:
+    """Most terms of one degree-n generator in a map: bar d twice, or pi and d."""
+    return (n + 3) * max(n, p)
+
+
 def _one_row(terms, width: int) -> _Batch:
-    """The batch of one chain, row 0, from (label, coeff) pairs with labels of this width."""
-    terms = list(terms)
+    """The batch of one chain, row 0, from a sequence of (label, coeff) pairs of this width."""
     labels = np.array([label for label, _ in terms], np.int64).reshape(len(terms), width)
     return _Batch(np.zeros(len(terms), np.int64), labels.T,
                   np.array([c for _, c in terms], np.int64))
@@ -225,6 +226,19 @@ class _Chain:
         return _one_row(self.terms, self.degree + 2 if isinstance(self, BarGroupChain) else 2)
 
     @classmethod
+    def _make(cls, p: int, degree: int, terms: dict, width: int, what: str):
+        """Terms as a chain: labels of this width, inner slots in [1, p), exact ints mod p."""
+        labelled = []
+        for t, c in terms.items():
+            if len(t) != width:
+                raise ValueError(f"{what} need {width} slots, got {t}")
+            t = tuple(map(exact_int, t))
+            if any(not (1 <= e < p) for e in t[1:-1]):
+                raise ValueError(f"inner slots must lie in [1, p): {t}")
+            labelled.append((tuple(e % p for e in t), exact_int(c) % p))
+        return cls._of(p, degree, _one_row(labelled, width))
+
+    @classmethod
     def _of(cls, p: int, degree: int, x: _Batch):
         """The chain of a batch of one row: equal labels summed mod p, zeros dropped."""
         sums: dict[tuple, int] = {}
@@ -242,13 +256,7 @@ class BarGroupChain(_Chain):
 
     @classmethod
     def make(cls, p: int, degree: int, terms: dict[tuple[int, ...], int]) -> "BarGroupChain":
-        for t in terms:
-            if len(t) != degree + 2:
-                raise ValueError(f"degree-{degree} tensors need {degree + 2} slots, got {t}")
-            if any(not (1 <= e < p) for e in t[1:-1]):
-                raise ValueError(f"inner slots must lie in [1, p): {t}")
-        labelled = ((tuple(e % p for e in t), c % p) for t, c in terms.items())
-        return cls._of(p, degree, _one_row(labelled, degree + 2))
+        return cls._make(p, degree, terms, degree + 2, f"degree-{degree} tensors")
 
 
 class PeriodicChain(_Chain):
@@ -259,8 +267,7 @@ class PeriodicChain(_Chain):
 
     @classmethod
     def make(cls, p: int, degree: int, entries: dict[tuple[int, int], int]) -> "PeriodicChain":
-        labelled = (((i % p, j % p), c % p) for (i, j), c in entries.items())
-        return cls._of(p, degree, _one_row(labelled, 2))
+        return cls._make(p, degree, entries, 2, "periodic labels (i, j)")
 
 
 def bar_basis(p: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -345,7 +352,7 @@ class _Residuals:
         sizes = [1 if CHAIN_IDENTITIES[identity][1] else (p - 1) ** n for n, identity in self.keys]
         self.ends = np.cumsum(sizes)
         self.starts = self.ends - sizes
-        # Within MAX_BAR_TENSORS and p <= 97 a word stays below 2^44, so a word
+        # Within MAX_WORK terms and p <= 97 a word stays below 2^43, so a word
         # and its coefficient digit, word p + c, fit one int64 with room to spare.
         assert int(self.ends[-1]) * self.base * p < 2**62
         self.start = dict(zip(self.keys, self.starts.tolist()))
@@ -406,20 +413,16 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
 
     Per degree n only the free generators are checked (see the module
     docstring), 1 (x) 1 and the (p-1)^n bar tensors (0, i_1, ..., i_n, 0),
-    the latter in batches of at most CHUNK_TERMS terms per map.
-    The sweep is refused up front (``TooLarge``) past MAX_BAR_TENSORS of them.
+    the latter in batches of at most CHUNK_TERMS terms per map, and refused up
+    front once sum_(n <= max_degree) (p-1)^n _generator_terms(p, n) > MAX_WORK.
     """
     check_prime(p)
     if max_degree < 0:
         raise ValueError(f"chain check degree must be >= 0, got {max_degree}")
-    generators = 0
+    terms = 0
     for n in range(max_degree + 1):
-        generators += (p - 1) ** n
-        if generators > MAX_BAR_TENSORS:
-            raise TooLarge(
-                f"chain check to degree {max_degree} is past the limit of {MAX_BAR_TENSORS} "
-                f"bar tensors (free generators): degrees <= {n} already hold {generators}"
-            )
+        terms += (p - 1) ** n * _generator_terms(p, n)
+        check_work(f"chain check to degree {max_degree}: degrees 0..{n}", terms, "batch terms")
     residuals = _Residuals(p, max_degree)
     unit = _one_row([((0, 0), 1)], 2)  # 1 (x) 1
     below = None  # iota(1 (x) 1) one degree lower
@@ -437,8 +440,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
             # lower, moved by the terms of down.
             residuals.add(n, "iota_commutes_with_differentials", _act(p, down, below), sign=-1)
         below = up
-        # A generator's widest batch: bar d twice, or pi and d either way round.
-        step = max(1, CHUNK_TERMS // ((n + 3) * max(n, p)))
+        step = max(1, CHUNK_TERMS // _generator_terms(p, n))
         for start in range(0, (p - 1) ** n, step):
             x = _generators(p, n, start, min(start + step, (p - 1) ** n))
             image = _pi(p, x)

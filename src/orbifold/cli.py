@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, check, table, chaincheck, build, census, kernel.
 Exit codes: 0 = pass, 2 = mathematical failure (not PBW / count mismatch),
-1 = usage or I/O error.  Every sweep has a fixed guard and fails at once,
-with exit 1, past it.
+1 = usage or I/O error.  A sweep past the one work limit (MAX_WORK rows,
+pairs or terms) fails at once, with exit 1.
 """
 
 from __future__ import annotations

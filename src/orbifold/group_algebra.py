@@ -22,6 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_PRIME_CEILING = 97
+#: The most rows, pairs or terms one sweep may touch (see check_work).
+MAX_WORK = 10**7
 
 
 class NotAUnit(ValueError):
@@ -29,7 +31,13 @@ class NotAUnit(ValueError):
 
 
 class TooLarge(ValueError):
-    """Raised when a brute-force sweep would exceed its guard ceiling."""
+    """Raised, by check_work alone, when a sweep would touch more than MAX_WORK units."""
+
+
+def check_work(what: str, count: int, unit: str) -> None:
+    """Refuse a sweep, before any work, that touches count units past MAX_WORK."""
+    if count > MAX_WORK:
+        raise TooLarge(f"{what} = {count} {unit} is past the limit of {MAX_WORK}")
 
 
 def json_int(value) -> int:
@@ -49,7 +57,7 @@ def exact_int(value) -> int:
 
 
 def check_prime(p: int) -> int:
-    """p, validated as an odd prime in [3, DEFAULT_PRIME_CEILING]; each sweep has its own guard."""
+    """p, validated as an odd prime in [3, DEFAULT_PRIME_CEILING]; sweeps also check_work."""
     if not isinstance(p, int):  # outside the cache, where 3.0 would hit the entry of 3
         raise ValueError(f"p must be an integer, got {p!r}")
     return _check_int_prime(p)
@@ -285,8 +293,8 @@ class GroupAlgebraElement:
 
     _TERM_RE = re.compile(
         r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)(?:\s*\*?\s*g(?:\^(?P<exp1>\d+))?)?"
-        r"|g(?:\^(?P<exp2>\d+))?"
+        r"(?P<coeff>[0-9]+)(?:\s*\*?\s*g(?:\^(?P<exp1>[0-9]+))?)?"
+        r"|g(?:\^(?P<exp2>[0-9]+))?"
         r")"
     )
 

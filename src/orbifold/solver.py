@@ -58,9 +58,9 @@ import numpy as np
 
 from .group_algebra import (
     GroupAlgebraElement,
-    TooLarge,
     binom_mod,
     check_prime,
+    check_work,
     digit_rows,
     gminus1_factor_rows,
     gminus1_power,
@@ -70,11 +70,6 @@ from .group_algebra import (
     sum_index,
 )
 
-#: Guard for the p^(2p) pair sweeps (5^10 is about 1e7 pairs).
-PAIR_SWEEP_MAX_P = 5
-#: The array path holds one row per element of F_pG, so p^p must stay
-#: within this many rows (p <= 7).
-MAX_COEFF_ROWS = 10**7
 #: Pairs decided per chunk of the pair sweep, one presence-table byte each:
 #: 125 rows of b at p = 5, one at p = 7; a chunk peaks near 0.7 MB at p = 5.
 SWEEP_CHUNK_PAIRS = 5**8
@@ -150,22 +145,16 @@ def span(p: int, basis: Iterable[GroupAlgebraElement]) -> list[GroupAlgebraEleme
     """All F_p-linear combinations, coordinates iterated lexicographically:
     the p^k lexicographic coordinate rows times the k basis rows."""
     basis = list(basis)
+    same_prime(p, *(e.p for e in basis))
     rows = _lex_rows(p, len(basis)) @ _basis_rows(p, basis) % p
     return [GroupAlgebraElement(p, tuple(row)) for row in rows.tolist()]
 
 
-def _check_rows(p: int, k: int) -> None:
-    """Raise TooLarge, before any work, when p^k rows are past MAX_COEFF_ROWS;
-    k = p counts coefficient rows, smaller k coordinate rows."""
-    if p**k > MAX_COEFF_ROWS:
-        name, noun = ("p^p", "coefficient") if k == p else (f"p^{k}", "coordinate")
-        raise TooLarge(f"{name} = {p**k} {noun} rows is past the limit of {MAX_COEFF_ROWS}")
-
-
 def _lex_rows(p: int, k: int) -> np.ndarray:
     """All p^k vectors in [0, p)^k as an int64 array, lexicographic by row:
-    row i holds the k base-p digits of i."""
-    _check_rows(p, k)
+    row i holds the k base-p digits of i; refused past MAX_WORK rows."""
+    name, unit = ("p^p", "coefficient rows") if k == p else (f"p^{k}", "coordinate rows")
+    check_work(name, p**k, unit)
     return digit_rows(p, k, np.arange(p**k, dtype=np.int64))
 
 
@@ -197,9 +186,9 @@ def kernel_agrees(b: GroupAlgebraElement) -> bool:
     equals set(span(b.p, kernel_basis(b))) with no element spanned twice, i.e.
     the basis independent; compared as sorted row indices without building
     either set's elements.  phi_b is linear in c, so the sweep is _sweep_hits
-    with the matrix of phi_b and no constant, guarded by MAX_COEFF_ROWS."""
+    with the matrix of phi_b and no constant, refused past MAX_WORK rows."""
     p = b.p
-    _check_rows(p, p)
+    check_work("p^p", p**p, "coefficient rows")
     hits = _sweep_hits(p, _phi_stack(p, np.array([b.coeffs])), np.zeros((1, p), np.int64))[1]
     return np.array_equal(hits, np.sort(_span_index(p, kernel_basis(b))))
 
@@ -333,14 +322,14 @@ def _class_bases(p: int) -> tuple[tuple[GroupAlgebraElement, ...], ...]:
 
 
 def _check_listing(p: int, mode: EnumerationMode) -> None:
-    """Refuse a listing before any work: a bad p or mode, a pair sweep past
-    PAIR_SWEEP_MAX_P, or p^p rows past MAX_COEFF_ROWS."""
+    """Refuse a listing before any work: a bad p or mode, or a pair sweep or
+    p^p rows past MAX_WORK."""
     check_prime(p)
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "brute_force" and p > PAIR_SWEEP_MAX_P:
-        raise TooLarge(f"pair sweep needs p <= {PAIR_SWEEP_MAX_P}, got {p}")
-    _check_rows(p, p)
+    if mode == "brute_force":
+        check_work("p^(2p)", p ** (2 * p), "(a, b) pairs")
+    check_work("p^p", p**p, "coefficient rows")
 
 
 def _factors(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +353,7 @@ def _listing(
     pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
         ends = np.cumsum(np.power(p, ks, dtype=np.int64))
-        # Row indices are below p^p <= MAX_COEFF_ROWS, so int32 holds them.
+        # Row indices are below p^p <= MAX_WORK, so int32 holds them.
         c_index = np.empty(ends[-1], dtype=np.int32) if with_c else None
         a_index = np.empty(ends[-1], dtype=np.int32)
         # a = c P^-1 + start for c in the span of the basis: the start digits
@@ -535,7 +524,7 @@ def records_to_text(
 
     The closed form factorizes the rows once, chunk by chunk, keeping the
     class of each b as int8 and its btilde row, then maps each class's
-    members chunk by chunk.  Brute force (p <= PAIR_SWEEP_MAX_P) sweeps once
+    members chunk by chunk.  Brute force (p^(2p) <= MAX_WORK) sweeps once
     and takes each class's members from the whole listing, since the count
     line needs its hits.
     """

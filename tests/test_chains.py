@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from orbifold.chains import (
     CHAIN_IDENTITIES,
-    MAX_BAR_TENSORS,
     BarGroupChain,
     PeriodicChain,
     bar_basis,
@@ -25,7 +25,8 @@ from orbifold.chains import (
     transfer_cochain,
     verify_chain_maps,
 )
-from orbifold.group_algebra import GroupAlgebraElement as GA, TooLarge
+import orbifold.chains as chains
+from orbifold.group_algebra import MAX_WORK, GroupAlgebraElement as GA, TooLarge
 from orbifold.params import (
     CoboundaryData,
     DeformationParams,
@@ -80,6 +81,21 @@ class TestBarDifferential:
     def test_rejects_a_negative_degree(self, terms):
         with pytest.raises(ValueError, match="chain degree must be >= 0, got -1"):
             BarGroupChain.make(3, -1, terms)
+
+
+@pytest.mark.parametrize("cls, degree, terms, message", [
+    (BarGroupChain, 1, {(0, 1.5, 0): 1}, "expected an integer coefficient, got 1.5"),
+    (BarGroupChain, 1, {(0, 1, 0): 0.5}, "expected an integer coefficient, got 0.5"),
+    (PeriodicChain, 0, {(0, 0): 1.5}, "expected an integer coefficient, got 1.5"),
+    (PeriodicChain, 0, {(0, 0.5): 1}, "expected an integer coefficient, got 0.5"),
+    (PeriodicChain, 0, {(0,): 1}, re.escape("periodic labels (i, j) need 2 slots, got (0,)")),
+    (PeriodicChain, 1, {(0, 0, 0): 1}, re.escape("need 2 slots, got (0, 0, 0)")),
+])
+def test_make_reads_labels_and_coefficients_exactly(cls, degree, terms, message):
+    # Labels and coefficients go through exact_int, as the ring elements' do:
+    # a non-integer is refused, never truncated, and a periodic label must be a pair.
+    with pytest.raises(ValueError, match=message):
+        cls.make(3, degree, terms)
 
 
 class TestPeriodicDifferential:
@@ -411,15 +427,54 @@ def test_labels_past_one_sort_word():
 def test_verify_guard():
     with pytest.raises(ValueError, match=">= 0"):
         verify_chain_maps(3, -1)
-    # At p = 3 degrees <= d hold 2^(d+1) - 1 generators.
-    past = next(d for d in itertools.count() if 2 ** (d + 1) - 1 > MAX_BAR_TENSORS)
-    with pytest.raises(TooLarge, match="bar tensors"):
-        verify_chain_maps(3, past)
+    # At p = 3 the batches of degrees <= d hold sum_n 2^n (n + 3) max(n, 3)
+    # terms: 6,881,325 to degree 14, and 15,728,685 to degree 15.
+    with pytest.raises(TooLarge, match=r"^chain check to degree 15: degrees 0\.\.15 = 15728685 "
+                                       f"batch terms is past the limit of {MAX_WORK}$"):
+        verify_chain_maps(3, 15)
 
 
 def test_verify_refuses_a_sweep_past_the_tensor_limit():
-    with pytest.raises(TooLarge, match=f"past the limit of {MAX_BAR_TENSORS}"):
-        verify_chain_maps(17, 4)
+    with pytest.raises(TooLarge, match=f"batch terms is past the limit of {MAX_WORK}$"):
+        verify_chain_maps(17, 5)
+
+
+# The largest degree verify_chain_maps accepts at each odd prime <= 97.
+LARGEST_ACCEPTED_DEGREE = {
+    3: 14, 5: 8, 7: 6, 11: 5, 13: 4, 17: 4, **dict.fromkeys([19, 23, 29, 31], 3),
+    **dict.fromkeys([37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97], 2),
+}
+
+
+class _SweepStarted(Exception):
+    pass
+
+
+def test_largest_accepted_degree_is_pinned(monkeypatch):
+    # The guard passes at each pinned degree, where the sweep is stopped as
+    # it builds its residual batch, and refuses one degree more.  Each of
+    # these batches is built for real, so the word-bound assert of
+    # _Residuals is checked at every accepted size.
+    primes = {p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))}
+    assert set(LARGEST_ACCEPTED_DEGREE) == primes
+    residuals = chains._Residuals
+
+    def started(p, max_degree):
+        residuals(p, max_degree)
+        raise _SweepStarted
+
+    monkeypatch.setattr(chains, "_Residuals", started)
+    for p, degree in LARGEST_ACCEPTED_DEGREE.items():
+        with pytest.raises(_SweepStarted):
+            verify_chain_maps(p, degree)
+        with pytest.raises(TooLarge, match=f"past the limit of {MAX_WORK}$"):
+            verify_chain_maps(p, degree + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_largest_accepted_sweeps_pass(p):
+    # The primes whose largest accepted degree is above 3.
+    assert verify_chain_maps(p, LARGEST_ACCEPTED_DEGREE[p])["passed"]
 
 
 # Each broken map gains one term on the degree-2 generators with the given

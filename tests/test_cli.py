@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orbifold.chains as chains
 import orbifold.group_algebra as group_algebra
-from orbifold.chains import MAX_BAR_TENSORS
 from orbifold.cli import main
 from orbifold.group_algebra import GroupAlgebraElement as GA
 from orbifold.params import (
@@ -31,6 +31,7 @@ from orbifold.params import (
 from orbifold.rewriting import RuleSet
 import orbifold.solver as solver
 from orbifold.solver import records_to_csv
+from test_chains import LARGEST_ACCEPTED_DEGREE
 from test_pbw import from_elements, perturbed
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,7 +68,7 @@ class TestEnumerate:
     def test_brute_force_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "--p", "7", "--mode", "brute_force")
         assert code == 1
-        assert "pair sweep" in err
+        assert err == "error: p^(2p) = 678223072849 (a, b) pairs is past the limit of 10000000\n"
 
 
 # sha256 of the stdout of each p = 5 command, so the outputs are pinned
@@ -369,11 +370,11 @@ class TestChaincheck:
         code, out, err = run(capsys, "chaincheck", "--p", "3", "--degree", "-1")
         assert code == 1 and out == ""
         assert err == "error: chain check degree must be >= 0, got -1\n"
-        # At p = 3 degrees <= d hold 2^(d+1) - 1 generators.
-        past = next(d for d in itertools.count() if 2 ** (d + 1) - 1 > MAX_BAR_TENSORS)
-        code, out, err = run(capsys, "chaincheck", "--p", "3", "--degree", str(past))
+        # At p = 3 the batch terms of degrees <= 15 are the first past the limit.
+        code, out, err = run(capsys, "chaincheck", "--p", "3", "--degree", "15")
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "bar tensors" in err
+        assert err == ("error: chain check to degree 15: degrees 0..15 = 15728685 batch terms "
+                       "is past the limit of 10000000\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "chaincheck", "--p", "3", "--degree", "2", "--format", "json")
@@ -386,8 +387,8 @@ class TestChaincheck:
         code, out, err = run(capsys, "chaincheck", "--p", "97", "--degree", "4")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "bar tensors" in err
-        assert f"past the limit of {MAX_BAR_TENSORS}" in err
+        assert err.startswith("error: ") and "batch terms" in err
+        assert f"past the limit of {group_algebra.MAX_WORK}" in err
 
 
 # sha256 of the stdout of chaincheck reports, so that every identity line and
@@ -729,7 +730,7 @@ def report_files():
 
 # sha256 of the exit codes, stdout and stderr of report_sweep, so that each
 # report command's output is pinned in every format it writes.
-REPORT_SWEEP_SHA256 = "471a0f71cd2d1cc4744ab5e87000f4cacba4f32cca882a165869dd6778ccdddf"
+REPORT_SWEEP_SHA256 = "b64d5eb2748ee087d51e238830b89f870cc3c07f65dfe9a5590a0b4361f275e4"
 
 
 def test_report_sweep_is_pinned(capsys, tmp_path):
@@ -811,6 +812,16 @@ class TestBuild:
         code, out, err = run(capsys, "build", "--p", "3", "--b", text)
         assert (code, out) == (1, "")
         assert err.startswith("error: bad --b: parse error at position 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--p", "3", "--b", "\u0661"],
+        ["build", "--p", "5", "--b", "\u0661-g^\u0662"],
+    ])
+    def test_non_ascii_digits_exit_one(self, capsys, argv):
+        # An Arabic-Indic one and two: int() reads them, the element grammar does not.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad --b: parse error at position 0")
 
     @pytest.mark.parametrize("f, message", [
         ("v1:g,v1:1", "bad --f entry 'v1:1': repeated vector 'v1'"),
@@ -998,3 +1009,91 @@ def test_module_entry_point_runs():
 def test_usage_error_exit_code():
     proc = run_module("enumerate")
     assert proc.returncode == 1
+
+
+CONTRACT_PRIMES = (3, 5, 7, 11, 13, 97)
+
+
+def contract_files():
+    """check's inputs by name: a PBW file and a failing one at each contract
+    prime, and the malformed files."""
+    files = {f"{name}_p{p}.json": json.dumps(check_files(p)[name].to_json())
+             for p in CONTRACT_PRIMES for name in ("pbw", "condition2")}
+    return {**files, **malformed_files()}
+
+
+def malformed_files():
+    obj = check_files(3)["pbw"].to_json()
+    text = json.dumps(obj)
+    return {
+        "truncated.json": text[:len(text) // 2],
+        "list.json": "[1, 2, 3]",
+        "unknown_key.json": json.dumps({**obj, "comment": "x"}),
+        "float.json": json.dumps({**obj, "p": 3.0}),
+        "bool.json": json.dumps({**obj, "p": True}),
+        "deep.json": "[" * 100_000 + "]" * 100_000,
+    }
+
+
+def contract_runs():
+    """(argv, refused) of every subcommand at the contract primes in each
+    format, with the option extremes; refused marks the runs past the work
+    limit.  The accepted p = 7 listings are left out (2-3 s each;
+    test_p7_table_is_pinned runs one)."""
+    for p in CONTRACT_PRIMES:
+        rows_past = p**p > group_algebra.MAX_WORK
+        for fmt in ("json", "csv", "text"):
+            common = ["--p", str(p), "--format", fmt]
+            yield ["census", *common], False
+            if p != 7:
+                yield ["enumerate", *common], rows_past
+                yield ["table", *common], rows_past
+        top = LARGEST_ACCEPTED_DEGREE[p]
+        for fmt in ("json", "text"):
+            common = ["--p", str(p), "--format", fmt]
+            yield ["kernel", *common, "--b", "1-g"], False
+            yield ["kernel", *common, "--b", "0", "--brute"], rows_past
+            yield ["build", *common, "--b", "1-g", "--d", "1", "--kappaC", "g", "--f", "v1:g"], False
+            yield ["build", *common, "--b", "0", "--d", "1,2"], False
+            for degree in (-1, 0, top, top + 1, 10**20):
+                yield ["chaincheck", *common, "--degree", str(degree)], degree > top
+            for name in (f"pbw_p{p}.json", f"condition2_p{p}.json"):
+                yield ["check", name, "--format", fmt], False
+        yield ["check", f"pbw_p{p}.json", "--oracle"], False
+    for p, fmt in itertools.product((5, 7), ("json", "csv", "text")):
+        yield ["enumerate", "--p", str(p), "--format", fmt, "--mode", "brute_force"], p == 7
+    for degree in (-1, 0, 16, 17, 10**20):
+        for flags in ((), ("--oracle",)):
+            yield ["check", "pbw_p3.json", *flags, "--degree", str(degree)], False
+    for name in malformed_files():
+        yield ["check", name, "--format", "json"], False
+        yield ["check", name, "--oracle"], False
+
+
+class WorkStarted(Exception):
+    """Raised by a sweep entry point that a refused run must not reach."""
+
+
+def work_started(*args, **kwargs):
+    raise WorkStarted
+
+
+def test_contract_sweep(capsys, monkeypatch, tmp_path):
+    # Every run exits 0, 1 or 2 with no traceback.  Each run past the work
+    # limit exits 1 naming it, with the sweep entry points patched to raise,
+    # so that the refusal comes before any work.
+    files = contract_files()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for argv, refused in contract_runs():
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        with monkeypatch.context() as patch:
+            if refused:
+                for module, name in ((solver, "_listing"), (solver, "_sweep_hits"),
+                                     (chains, "_generators")):
+                    patch.setattr(module, name, work_started)
+            code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        assert ("past the limit" in err) == refused, argv
+        if refused:
+            assert (code, out) == (1, "") and err.startswith("error: "), argv

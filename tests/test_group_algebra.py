@@ -479,6 +479,10 @@ def test_text_parse_errors():
         GA.from_text(3, "")
     with pytest.raises(ValueError):
         GA.from_text(3, "1 1")
+    # Digits are ASCII: int() reads other Unicode decimal digits, the grammar does not.
+    for text in ("\u0661", "\u0661-g^\u0662", "g^\u0662", "2*g^\uff11", "\u09e7g"):
+        with pytest.raises(ValueError, match="parse error at position"):
+            GA.from_text(5, text)
 
 
 @pytest.mark.parametrize("text", ["2*", "2*+g", "2 *", "g*", "*g"])

@@ -21,7 +21,7 @@ from orbifold.params import (
     implied_a,
     params_to_ab,
 )
-from orbifold.solver import a_from_c, c_from_ab, system_residual
+from orbifold.solver import a_from_c, c_from_ab, span, system_residual
 from test_chains import reference_coboundary
 from test_pbw import elements, from_elements
 
@@ -164,9 +164,10 @@ def running_example():
     lambda x, y: DeformationParams.zero(x.p) + DeformationParams.zero(y.p),
     lambda x, y: DeformationParams.zero(x.p).with_kappaC(y),
     lambda x, y: closed_form(x, [], kappaC=y),
+    lambda x, y: span(x.p, [x, y]),
 ], ids=["ring", "system_residual", "c_from_ab", "a_from_c", "build_candidate",
         "CoboundaryData", "transfer_cochain", "rep_to_params", "params_add", "with_kappaC",
-        "closed_form"])
+        "closed_form", "span"])
 def test_every_prime_check_names_the_primes(call):
     # One helper, group_algebra.same_prime, makes every one of these checks.
     with pytest.raises(ValueError, match=r"^mismatched primes: \[3, 5\]$"):

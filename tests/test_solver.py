@@ -881,12 +881,13 @@ def test_round_trips(p):
 
 
 def test_guard_variable_has_no_effect(monkeypatch):
-    # The sweep guards are fixed: ORBIFOLD_MAX_P in the environment moves
-    # neither, and both sweeps are refused before any work.
+    # The work limit is fixed: ORBIFOLD_MAX_P in the environment moves it
+    # for neither sweep, and both are refused before any work.
     monkeypatch.setenv("ORBIFOLD_MAX_P", "11")
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="coefficient rows"):
         kernel_agrees(GA.one(11))
-    with pytest.raises(TooLarge, match="pair sweep needs p <= 5, got 7"):
+    with pytest.raises(TooLarge, match=re.escape(
+            "p^(2p) = 678223072849 (a, b) pairs is past the limit of 10000000")):
         enumerate_solutions(7, "brute_force")
     assert time.perf_counter() - start < 1
