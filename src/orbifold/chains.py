@@ -60,6 +60,7 @@ g^i (x) g^j in grade i + j for n even and i + j + 1 for n odd.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -216,6 +217,7 @@ class _Chain:
     terms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.degree < 0:
             raise ValueError(f"chain degree must be >= 0, got {self.degree}")
 
@@ -298,6 +300,7 @@ def periodic_differential(x: PeriodicChain) -> "PeriodicChain | GroupAlgebraElem
 
 def pi_group(n: int, x: BarGroupChain) -> PeriodicChain:
     """The chain map from the reduced bar to the periodic resolution."""
+    n = operator.index(n)
     if n != x.degree:
         raise ValueError(f"degree mismatch: {n} != {x.degree}")
     return PeriodicChain._of(x.p, n, _pi(x.p, x._batch()))
@@ -417,6 +420,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
     front once sum_(n <= max_degree) (p-1)^n _generator_terms(p, n) > MAX_WORK.
     """
     check_prime(p)
+    max_degree = operator.index(max_degree)
     if max_degree < 0:
         raise ValueError(f"chain check degree must be >= 0, got {max_degree}")
     terms = 0
@@ -496,7 +500,7 @@ def distinguished_cocycle(
     v1 |-> sum_l b_l g^(l+1),  v2 |-> sum_(l>=1) a_l g^(l+1),
     v1 ^ v2 |-> a_0 v1 + sum_l l b_l v2 g^l, as a (2, p) kappaL table.
     """
-    p = a.p
+    p = same_prime(a.p, b.p)
     lp1 = b.shift(1)
     lp2 = GroupAlgebraElement.from_coeffs(p, (0,) + a.coeffs[1:]).shift(1)
     alpha = np.array([[a.coeffs[0]] + [0] * (p - 1), np.arange(p) * b.coeffs])
@@ -510,5 +514,4 @@ def rep_to_params(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Deformation
     that agreement is the bridge between the resolution on which cohomology
     is computed and the one on which the lifting conditions live.
     """
-    same_prime(a.p, b.p)
     return transfer_cochain(*distinguished_cocycle(a, b))

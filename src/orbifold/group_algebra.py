@@ -408,7 +408,8 @@ def gminus1_factor_rows(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def gminus1_power(p: int, k: int) -> GroupAlgebraElement:
     """(g-1)^k for k >= 0; zero for k >= p since (g-1)^p = g^p - 1 = 0 in char p."""
-    if operator.index(k) < 0:
+    k = operator.index(k)
+    if k < 0:
         raise ValueError(f"(g-1)^k needs k >= 0, got {k}")
     if k >= p:
         return GroupAlgebraElement.zero(p)

@@ -18,18 +18,20 @@ Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
 A Listing holds the solutions of some b rows, the same for both modes: the
 class k and the btilde row of each b, and flat c and a row-index arrays in
-b order with cumulative offsets; the classes come from
-group_algebra.gminus1_factor_rows, and the kernel basis of class k is
-_class_bases(p)[k].  The closed form uses that the kernel depends on b
-only through its class k and that a = c P^-1 - b Q P^-1 is affine in c:
-per class it packs, from uint8 digit sums as _packed_sums does, the row
-index of each of the kernel's p^k points c and of the a that c gives for
-every b of the class.  Brute force, the independent check, decides every
-pair (a, b) with the system itself as one exact meet-in-the-middle
-join: a prefix and a suffix of a each pack a part of the residual from
-uint8 digits reduced by wrap-around, a presence table of the suffix parts
-of each b picks the prefix parts that are compared with them, and its hits
-give the offsets.
+b order with cumulative offsets; the kernel basis of class k is
+_class_bases(p)[k].  The class and btilde come from the b row index alone,
+through the permutation between row indices and base-p values of (g-1)-adic
+coordinates (_gminus1_tables, see _factors): two gathers per b, with
+group_algebra.gminus1_factor_rows, the one-element path, as the reference.
+The closed form uses that the kernel depends on b only through its class k
+and that a = c P^-1 - b Q P^-1 is affine in c: per class it packs, from
+uint8 digit sums as _packed_sums does, the row index of each of the
+kernel's p^k points c and of the a that c gives for every b of the class.
+Brute force, the independent check, decides every pair (a, b) with the
+system itself as one exact meet-in-the-middle join: a prefix and a suffix
+of a each pack a part of the residual from uint8 digits reduced by
+wrap-around, a presence table of the suffix parts of each b picks the
+prefix parts that are compared with them, and its hits give the offsets.
 
 The writers stream: they walk the b rows in chunks (LISTING_CHUNK_ROWS),
 and build, render and write each chunk's Listing before the next, so no
@@ -62,7 +64,6 @@ from .group_algebra import (
     check_prime,
     check_work,
     digit_rows,
-    gminus1_factor_rows,
     gminus1_power,
     same_prime,
     scalar_inv,
@@ -332,10 +333,30 @@ def _check_listing(p: int, mode: EnumerationMode) -> None:
     check_work("p^p", p**p, "coefficient rows")
 
 
-def _factors(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k as int8, btilde row index as int32) of each coefficient row."""
-    ks, btilde_rows = gminus1_factor_rows(p, rows)
-    return ks.astype(np.int8), _row_index(p, btilde_rows).astype(np.int32)
+@functools.lru_cache(maxsize=8)
+def _gminus1_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(to_row, to_z), read-only int32 (p^p <= MAX_WORK < 2^31): to_row[zeta]
+    is the row index of the element whose (g-1)-adic coordinates z have the
+    base-p value zeta, sum_i z_i p^(p-1-i), and to_z is its inverse."""
+    to_row = _span_index(p, [gminus1_power(p, i) for i in range(p)]).astype(np.int32)
+    to_z = np.empty_like(to_row)
+    to_z[to_row] = np.arange(p**p, dtype=np.int32)
+    to_row.flags.writeable = to_z.flags.writeable = False
+    return to_row, to_z
+
+
+def _factors(p: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k as int8, btilde row index as int32) of each b row index, by two gathers.
+
+    With zeta = to_z[r] in [p^(p-k-1), p^(p-k)), k is the number of leading
+    zero digits of zeta (p for zeta = 0), and btilde, whose coordinates are
+    those of b moved k places to the front, has the value zeta p^k in
+    [p^(p-1), p^p).  The zero b gets p^(p-1), the value of btilde = 1.
+    """
+    to_row, to_z = _gminus1_tables(p)
+    zeta = to_z[index]
+    ks = p - np.searchsorted(p ** np.arange(p), zeta, side="right")
+    return ks.astype(np.int8), to_row[np.maximum(zeta * p**ks, p ** (p - 1))]
 
 
 def _listing(
@@ -349,7 +370,7 @@ def _listing(
     force ordered by a, the closed form by kernel coordinates.
     """
     rows = digit_rows(p, p, index)
-    ks, btilde = _factors(p, rows) if factors is None else factors
+    ks, btilde = _factors(p, index) if factors is None else factors
     pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
         ends = np.cumsum(np.power(p, ks, dtype=np.int64))
@@ -522,16 +543,15 @@ def records_to_text(
     size line and one line per b of the class, in row order; return the
     number of pairs.
 
-    The closed form factorizes the rows once, chunk by chunk, keeping the
-    class of each b as int8 and its btilde row, then maps each class's
+    The closed form factorizes the row indices once, chunk by chunk, keeping
+    the class of each b as int8 and its btilde row, then maps each class's
     members chunk by chunk.  Brute force (p^(2p) <= MAX_WORK) sweeps once
     and takes each class's members from the whole listing, since the count
     line needs its hits.
     """
     _check_listing(p, mode)
     if mode == "closed_form":
-        ks, btilde = map(np.concatenate, zip(*(_factors(p, digit_rows(p, p, index))
-                                               for index in _row_chunks(p))))
+        ks, btilde = map(np.concatenate, zip(*(_factors(p, index) for index in _row_chunks(p))))
         counts = np.power(p, ks, dtype=np.int64)
 
         def part(members):

@@ -1,6 +1,7 @@
 """Resolutions, comparison maps, and the cochain-transfer bridge."""
 
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -162,6 +163,18 @@ class TestComparisonMaps:
         p = 5
         out = pi_group(2, iota_chain(PeriodicChain.make(p, 2, {(0, 0): 1})))
         assert out == PeriodicChain.make(p, 2, {(0, 0): 1})
+
+    @pytest.mark.parametrize("n", [True, np.int64(1)])
+    def test_pi_reads_the_degree_as_an_int(self, n):
+        # Chains store their degree as an int too, so both n's are read.
+        x = BarGroupChain.make(3, n, {(0, 2, 0): 1})
+        out = pi_group(n, x)
+        assert type(x.degree) is int and type(out.degree) is int
+        assert out == PeriodicChain.make(3, 1, {(0, 1): 1, (1, 0): 1})
+
+    def test_pi_refuses_a_float_degree(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            pi_group(1.0, BarGroupChain.make(3, 1, {(0, 1, 0): 1}))
 
     def test_pi1_grading_shift(self):
         # The image of the grade-s slot lands in the grade-(s-1) matrix entries.
@@ -427,11 +440,21 @@ def test_labels_past_one_sort_word():
 def test_verify_guard():
     with pytest.raises(ValueError, match=">= 0"):
         verify_chain_maps(3, -1)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        verify_chain_maps(3, 2.0)
     # At p = 3 the batches of degrees <= d hold sum_n 2^n (n + 3) max(n, 3)
     # terms: 6,881,325 to degree 14, and 15,728,685 to degree 15.
     with pytest.raises(TooLarge, match=r"^chain check to degree 15: degrees 0\.\.15 = 15728685 "
                                        f"batch terms is past the limit of {MAX_WORK}$"):
         verify_chain_maps(3, 15)
+
+
+@pytest.mark.parametrize("degree", [np.int64(2), True])
+def test_verify_reads_the_degree_as_an_int(degree):
+    # The report is JSON: a numpy integer or a bool degree is read as its int.
+    report = verify_chain_maps(3, degree)
+    assert type(report["max_degree"]) is int and report["max_degree"] == int(degree)
+    assert json.loads(json.dumps(report)) == verify_chain_maps(3, int(degree))
 
 
 def test_verify_refuses_a_sweep_past_the_tensor_limit():

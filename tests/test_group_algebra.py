@@ -378,6 +378,12 @@ def test_gminus1_power_refuses_a_float_exponent():
         gminus1_power(3, 1.0)
 
 
+@pytest.mark.parametrize("k", [True, np.int64(1)])
+def test_gminus1_power_reads_the_exponent_as_an_int(k):
+    # Read with operator.index: True is 1, not a numpy boolean index.
+    assert gminus1_power(3, k) == gminus1_power(3, 1) == GA.from_text(3, "-1 + g")
+
+
 class TestExactCoefficients:
     """The constructor stores a tuple of Python ints in [0, p), from any
     integers (integral floats too), and refuses any other value by name."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold.chains import rep_to_params, transfer_cochain
+from orbifold.chains import distinguished_cocycle, rep_to_params, transfer_cochain
 from orbifold.group_algebra import GroupAlgebraElement as GA, binom_mod, gminus1_power, scalar_inv
 from orbifold.params import (
     CoboundaryData,
@@ -160,13 +160,14 @@ def running_example():
     build_candidate,
     CoboundaryData,
     lambda x, y: transfer_cochain((x, x), np.zeros((2, y.p))),
+    distinguished_cocycle,
     rep_to_params,
     lambda x, y: DeformationParams.zero(x.p) + DeformationParams.zero(y.p),
     lambda x, y: DeformationParams.zero(x.p).with_kappaC(y),
     lambda x, y: closed_form(x, [], kappaC=y),
     lambda x, y: span(x.p, [x, y]),
 ], ids=["ring", "system_residual", "c_from_ab", "a_from_c", "build_candidate",
-        "CoboundaryData", "transfer_cochain", "rep_to_params", "params_add", "with_kappaC",
+        "CoboundaryData", "transfer_cochain", "distinguished_cocycle", "rep_to_params", "params_add", "with_kappaC",
         "closed_form", "span"])
 def test_every_prime_check_names_the_primes(call):
     # One helper, group_algebra.same_prime, makes every one of these checks.

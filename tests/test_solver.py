@@ -18,6 +18,7 @@ from orbifold.group_algebra import (
     GroupAlgebraElement as GA,
     TooLarge,
     binom_mod,
+    digit_rows,
     gminus1_factor_rows,
     gminus1_power,
     scalar_inv,
@@ -26,6 +27,8 @@ import orbifold.solver as solver
 from orbifold.solver import (
     SWEEP_CHUNK_PAIRS,
     SolutionRecord,
+    _factors,
+    _gminus1_tables,
     _lex_rows,
     _packing,
     _phi_stack,
@@ -679,6 +682,20 @@ class TestArrayPath:
     @given(st.lists(b_of_any_class(7), min_size=1, max_size=8))
     def test_factor_rows_sample_p7(self, bs):
         self.assert_factors_agree(7, bs)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_index_factors_equal_the_row_factors(self, p):
+        # The listings factor each b from its row index by two gathers through
+        # read-only tables; gminus1_factor_rows, then _row_index, is the reference.
+        index = np.arange(p**p)
+        ks, btilde = _factors(p, index)
+        expected_ks, btilde_rows = gminus1_factor_rows(p, digit_rows(p, p, index))
+        assert (ks.dtype, btilde.dtype) == (np.int8, np.int32)
+        assert np.array_equal(ks, expected_ks)
+        assert np.array_equal(btilde, _row_index(p, btilde_rows))
+        sizes = [p ** (p - k - 1) * (p - 1) for k in range(p)] + [1]
+        assert np.bincount(ks, minlength=p + 1).tolist() == sizes
+        assert not any(table.flags.writeable for table in _gminus1_tables(p))
 
     @staticmethod
     def reference_record(b):
