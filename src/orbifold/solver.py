@@ -28,8 +28,9 @@ and that a = c P^-1 - b Q P^-1 is affine in c: per class it packs, from
 uint8 digit sums as _packed_sums does, the row index of each of the
 kernel's p^k points c and of the a that c gives for every b of the class.
 Brute force, the independent check, decides every pair (a, b) with the
-system itself as one exact meet-in-the-middle join: a prefix and a suffix
-of a each pack a part of the residual from uint8 digits reduced by
+system itself as one exact meet-in-the-middle join: a prefix of a, which
+carries the constant, and the shorter suffix each pack a part of the
+residual from uint8 digit tables built by addition and reduced by
 wrap-around, a presence table of the suffix parts of each b picks the
 prefix parts that are compared with them, and its hits give the offsets.
 
@@ -72,7 +73,8 @@ from .group_algebra import (
 )
 
 #: Pairs decided per chunk of the pair sweep, one presence-table byte each:
-#: 125 rows of b at p = 5, one at p = 7; a chunk peaks near 0.7 MB at p = 5.
+#: 125 rows of b at p = 5, one at p = 7.  One table serves every chunk of a
+#: call; with the digit tables of all 3,125 rows a p = 5 sweep peaks near 1.6 MB.
 SWEEP_CHUNK_PAIRS = 5**8
 #: Most solution pairs in one write of the listing writers, so that a b with
 #: many solutions (the zero b has p^p) is never rendered as one string.
@@ -195,19 +197,22 @@ def kernel_agrees(b: GroupAlgebraElement) -> bool:
 
 
 def _system_tables(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lin, const) with residual r = a lin[i] + const[i] mod p for b = row i.
+    """(lin, const) with residual r = a lin[i] + const[i] mod p for b = row i,
+    entries in [0, p) for rows in [0, p)^p, lin as uint8 (p <= 97).
 
     The residual r_l = a_0 b_l + sum_j b_(l-j) (-C(j+1,2) b_j + j a_j) is
     affine in a: the coefficient of a_0 in r_l is b_l, the coefficient of
     a_j (j >= 1) is j * b_(l-j), and the constant part is
-    -sum_j C(j+1,2) b_j b_(l-j).
+    -sum_j C(j+1,2) b_j b_(l-j).  lin is one gather from the p x p product
+    table mod p, at the weights 1, 1, 2, ..., p - 1 and b_(l-j).
     """
     shifted = rows[:, shift_index(p)]  # [i, j, l] = b_(l-j)
-    lin = shifted * np.arange(p)[:, None]
-    lin[:, 0] = rows
+    digits = np.arange(p)
+    product = (digits[:, None] * digits % p).astype(np.uint8)  # [w, x] = w x mod p
+    lin = product[np.maximum(digits, 1)[:, None], shifted]
     binom = np.array([binom_mod(j + 1, 2, p) for j in range(p)], dtype=np.int64)
     const = -np.einsum("ij,ijl->il", rows * binom, shifted)
-    return lin % p, const % p
+    return lin, const % p
 
 
 @functools.lru_cache(maxsize=8)
@@ -254,29 +259,46 @@ def _packed_sums(p: int, start: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (i, x) with x lin[i] + const[i] = 0 mod p, as row-index arrays
-    ordered by i, then x; the entries of lin and const are in [0, p).
+    ordered by i, then x; the entries of lin and const must lie in [0, p).
 
     An exact meet-in-the-middle join decides every pair: with x split into
-    x_hi and x_lo after h = p // 2 coordinates, the residual vanishes exactly
-    when const + x_hi lin_hi = -x_lo lin_lo mod p.  Per chunk of rows both
-    sides are packed into base-p values, a presence table seen[row, value] of
-    SWEEP_CHUNK_PAIRS bytes marks the lo values, and only the slots (row, x_hi)
+    x_hi and x_lo after h = p - p // 2 coordinates, the residual vanishes
+    exactly when const + x_hi lin_hi = -x_lo lin_lo mod p.  Both sides are
+    packed into base-p values from the uint8 tables of _packed_sums, built
+    once by addition; those of -lin_lo are the planes v = 0, p - 1, ..., 1
+    of lin_lo's, as -v x = (p - v) x.  Per chunk of rows one presence table
+    seen[row, value] of SWEEP_CHUNK_PAIRS bytes, cleared after each chunk,
+    marks the p^(p//2) lo values of each row, and only the slots (row, x_hi)
     with a marked hi value meet the lo values of their row, in (i, x) order.
     """
-    h = p // 2
+    for name, table in (("lin", lin), ("const", const)):
+        if table.min() < 0 or table.max() >= p:
+            raise ValueError(f"entries of {name} must lie in [0, {p})")
+    h = p - p // 2
+    tables = np.zeros((p, p, p, len(lin)), dtype=np.uint8)  # [l, j, v, i] = v lin[i, j, l] mod p
+    tables[:, :, 1] = lin.T
+    for v in range(2, p):
+        plane = np.add(tables[:, :, v - 1], tables[:, :, 1], out=tables[:, :, v])
+        np.minimum(plane, plane - p, out=plane)
+    hi_tables, lo_tables = tables[:, :h], tables[:, h:, -np.arange(p) % p]
+    const = const.T.astype(np.uint8)
     chunk = max(1, SWEEP_CHUNK_PAIRS // p**p)
-    digits = np.arange(p, dtype=np.uint8)[:, None]
+    seen = np.zeros(min(chunk, len(lin)) * p**p, dtype=bool)
     found = []
     for start in range(0, len(lin), chunk):
-        tables = lin[start:start + chunk].T.astype(np.uint8)[:, :, None] * digits % p
-        hi = _packed_sums(p, const[start:start + chunk].T.astype(np.uint8), tables[:, :h]).T
-        lo = _packed_sums(p, np.zeros((p, 1), np.uint8), (p - tables[:, h:]) % p).T
+        rows = slice(start, start + chunk)
+        hi = _packed_sums(p, const[:, rows], hi_tables[..., rows]).T
+        lo = _packed_sums(p, np.zeros((p, 1), np.uint8), lo_tables[..., rows]).T
         offsets = np.arange(len(lo))[:, None] * p**p
-        seen = np.zeros(len(lo) * p**p, dtype=bool)
-        seen[lo + offsets] = True
+        keys = lo + offsets
+        seen[keys] = True
         r, x_hi = np.divmod(np.flatnonzero(seen[hi + offsets]), hi.shape[1])
-        t, x_lo = np.divmod(np.flatnonzero(hi[r, x_hi][:, None] == lo[r]), lo.shape[1])
-        found.append(((r + start)[t], x_hi[t] * lo.shape[1] + x_lo))
+        seen[keys] = False
+        width = lo.shape[1]
+        x = np.flatnonzero(hi[r, x_hi][:, None] == lo[r])  # t width + x_lo, for now
+        t = x // width  # not np.divmod, several times slower on p^p hits
+        x += (x_hi[t] - t) * width  # x_hi width + x_lo
+        found.append(((r + start)[t], x))
     return tuple(np.concatenate(side) for side in zip(*found))
 
 

@@ -848,8 +848,9 @@ class TestJoin:
         assert_join_equals_broadcast(p, *_system_tables(p, _lex_rows(p, p)))
 
     def test_memory_is_bounded(self):
-        # All 3125 rows at p = 5 peak near 1.1 MB in chunks of 125 rows; one
-        # presence table for every row, or a wider one per chunk, passes 2 MB.
+        # All 3125 rows at p = 5 peak near 1.55 MB: the digit tables of every
+        # row (0.55 MB), one presence table of 125 rows that every chunk
+        # reuses, and the hits; one presence table for every row passes 2 MB.
         lin, const = _system_tables(5, _lex_rows(5, 5))
         tracemalloc.start()
         try:
@@ -858,6 +859,17 @@ class TestJoin:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 10**6
+
+    @pytest.mark.parametrize("entry", [5, -1])
+    def test_entries_outside_the_field_are_refused(self, entry):
+        # The digit tables are sums reduced as min(s, s - p), right only for
+        # entries in [0, p): p or -1 in lin or in const is refused.
+        lin, const = _system_tables(5, _lex_rows(5, 5)[:3])
+        bad_lin, bad_const = lin.astype(np.int64), const.copy()
+        bad_lin[1, 2, 3] = bad_const[1, 2] = entry
+        for name, tables in (("lin", (bad_lin, const)), ("const", (lin, bad_const))):
+            with pytest.raises(ValueError, match=rf"entries of {name} must lie in \[0, 5\)"):
+                _sweep_hits(5, *tables)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_drawn_rows(self, p):
