@@ -53,6 +53,14 @@ def _parse_element(p: int, text: str, what: str) -> GroupAlgebraElement:
         raise ValueError(f"bad {what}: {exc}") from exc
 
 
+def _integer(text: str) -> int:
+    """text as an integer of the one grammar the command line reads, ASCII
+    [+-]?[0-9]+ between blanks: int() alone also reads "1_1" and "٣"."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Write "--d -2,-1" as "--d=-2,-1" for the options whose values may start
     with "-" (elements such as -g, d lists): argparse reads a separate value
@@ -69,12 +77,12 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: tuple) -> None:
-    sub.add_argument("--p", type=int, required=True, help="odd prime order of the group")
+    sub.add_argument("--p", type=_integer, required=True, help="odd prime order of the group")
     sub.add_argument("--format", choices=formats, default="text")
 
 
 def _add_workers(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--workers", type=int, default=1, help=SERIAL_WORKERS)
+    sub.add_argument("--workers", type=_integer, default=1, help=SERIAL_WORKERS)
 
 
 def _count_status(p: int, total: int) -> int:
@@ -186,9 +194,11 @@ def cmd_build(args) -> int:
     b = _parse_element(p, args.b, "--b")
     d = []
     for entry in args.d.split(",") if args.d.strip() else []:
-        if not re.fullmatch(r"[+-]?[0-9]+", entry.strip()):
-            raise ValueError(f"bad --d entry {entry!r} in {args.d!r}: expected an integer")
-        d.append(int(entry) % p)
+        try:
+            d.append(_integer(entry) % p)
+        except argparse.ArgumentTypeError:
+            raise ValueError(
+                f"bad --d entry {entry!r} in {args.d!r}: expected an integer") from None
     kappaC = _parse_element(p, args.kappaC, "--kappaC") if args.kappaC else None
     a = implied_a(b, d)
     params = build_candidate(a, b)
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run the six-condition check on a parameter file")
     sp.add_argument("--format", choices=REPORT_FORMATS, default="text")
     _add_workers(sp)
-    sp.add_argument("--degree", type=int, default=4,
+    sp.add_argument("--degree", type=_integer, default=4,
                     help="degree bound for the oracle's dimension rows")
     sp.add_argument("params_file", help="JSON file with the parameter tables")
     sp.add_argument("--oracle", action="store_true", help="also run the rewriting oracle")
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chaincheck", help="verify the resolution comparison maps")
     _add_common(sp, REPORT_FORMATS)
     _add_workers(sp)
-    sp.add_argument("--degree", type=int, default=4, help="highest homological degree checked")
+    sp.add_argument("--degree", type=_integer, default=4, help="highest homological degree checked")
     sp.set_defaults(func=cmd_chaincheck)
 
     sp = sub.add_parser("build", help="build parameter tables from (b, d, kappaC, f)")

@@ -301,21 +301,15 @@ def overlap_forms(
         out[2] += (u[:, 1] @ r3_circ.transpose(1, 0, 2).reshape(p, 6 * p)).reshape(p, 6, p)
         return out.reshape(3 * p, 6 * p) % p
 
-    # g^m*v2*v1: N[m, v2] * v1 against g^m * R3, the sum over the prefixes w
-    # that occur in R3 of NF(g^m * w) convolved with the w-block of R3.
-    by_v = {1: times_v(1), 2: times_v(2)}
+    # g^m*v2*v1: N[m, v2] * v1 against g^m * R3.  R3 is v1*v2 plus its
+    # blocks w = 1, v1, v2, so g^m * R3 is NF(g^m * v1*v2) = N[m, v1] * v2
+    # plus NF(g^m * w) = N[m, w] convolved with the w-block of R3.
     left = n_forms[1:].reshape(p - 1, 3, 3 * p)
-    lhs = (left[:, 2] @ by_v[1]) % p
-    rhs = np.zeros((p - 1, 6, p), dtype=np.int64)
-    for w, prefix in enumerate(PREFIXES):
-        if not r3[w].any():
-            continue
-        if len(prefix) < 2:
-            g_w = np.zeros((p - 1, 6, p), dtype=np.int64)
-            g_w[:, :3] = n_forms[1:, w]
-        else:  # NF(g^m * v_x*v_y) = N[m, x] * v_y
-            g_w = (left[:, -prefix[0]] @ by_v[-prefix[1]]).reshape(p - 1, 6, p) % p
-        rhs += g_w @ r3_circ[w]
+    lhs = (left[:, 2] @ times_v(1)) % p
+    rhs = (left[:, 1] @ times_v(2)).reshape(p - 1, 6, p) % p
+    for w in range(3):
+        if r3[w].any():
+            rhs[:, :3] += n_forms[1:, w] @ r3_circ[w]
     yield [(m, V2, V1) for m in range(1, p)], lhs.reshape(p - 1, 6, p), rhs % p
 
     # g^a*g^b*v_x: N[a + b, x] against g^a * N[b, x], in blocks of a: the group

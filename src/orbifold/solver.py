@@ -17,16 +17,17 @@ a_from_c of the kernel element with coordinates d.
 Both enumeration modes work on integer arrays whose rows are coefficient
 vectors; row i of the p^p-row table is the element whose base-p value is i.
 A Listing holds the solutions of some b rows, the same for both modes: the
-class k and the btilde row of each b, and flat c and a row-index arrays in
-b order with cumulative offsets; the kernel basis of class k is
-_class_bases(p)[k].  The class and btilde come from the b row index alone,
-through the permutation between row indices and base-p values of (g-1)-adic
-coordinates (_gminus1_tables, see _factors): two gathers per b, with
-group_algebra.gminus1_factor_rows, the one-element path, as the reference.
-The closed form uses that the kernel depends on b only through its class k
-and that a = c P^-1 - b Q P^-1 is affine in c: per class it packs, from
-uint8 digit sums as _packed_sums does, the row index of each of the
-kernel's p^k points c and of the a that c gives for every b of the class.
+b row indices, and flat c and a row-index arrays in b order with cumulative
+offsets.  The class k and the btilde row of a b come from its row index
+alone, through the permutation between row indices and base-p values of
+(g-1)-adic coordinates (_gminus1_tables, see _factors): two gathers per b,
+with group_algebra.gminus1_factor_rows, the one-element path, as the
+reference; they are read where they are printed, and the kernel basis of
+class k is _class_bases(p)[k].  The closed form uses that the kernel
+depends on b only through its class k and that a = c P^-1 - b Q P^-1 is
+affine in c: per class it packs, from uint8 digit sums as _packed_sums
+does, the row index of each of the kernel's p^k points c and of the a that
+c gives for every b of the class.
 Brute force, the independent check, decides every pair (a, b) with the
 system itself as one exact meet-in-the-middle join: a prefix of a, which
 carries the constant, and the shorter suffix each pack a part of the
@@ -37,10 +38,10 @@ prefix parts that are compared with them, and its hits give the offsets.
 The writers stream: they walk the b rows in chunks (LISTING_CHUNK_ROWS),
 and build, render and write each chunk's Listing before the next, so no
 array of every pair is held.  CSV and JSON walk the rows in order; the text
-table walks each class's members, whose classes come from one chunked
-factorization kept as int8.  Every element's text is a row of one object
-array per call (GroupAlgebraElement.all_texts, or the coefficient lists for
-the JSON), and a piece of at most WRITE_PIECE_PAIRS pairs is one object array
+table walks each class's members, whose classes come from one _factors call
+over all rows.  Every element's text is a row of one object array per call
+(GroupAlgebraElement.all_texts, or the coefficient lists for the JSON), and
+a piece of at most WRITE_PIECE_PAIRS pairs is one object array
 of cells, gathered from it with the b heads built once per chunk, joined
 once; the CSV repeats each b's head once per pair, the text table and the
 JSON open each b with it.  The JSON is the text json.dumps would give.
@@ -79,8 +80,8 @@ SWEEP_CHUNK_PAIRS = 5**8
 #: Most solution pairs in one write of the listing writers, so that a b with
 #: many solutions (the zero b has p^p) is never rendered as one string.
 WRITE_PIECE_PAIRS = 2**12
-#: b rows the listing writers factorize, map and render at a time: all of
-#: them at p = 5, 201 chunks at p = 7.  A chunk of the text table's class
+#: b rows the listing writers map and render at a time: all of them at
+#: p = 5, 201 chunks at p = 7.  A chunk of the text table's class
 #: walk holds as many pairs, LISTING_CHUNK_ROWS p, p being the mean number
 #: of solutions of a b: LISTING_CHUNK_ROWS p / p^k b of class k, at least one.
 LISTING_CHUNK_ROWS = 2**12
@@ -299,24 +300,21 @@ def _sweep_hits(p: int, lin: np.ndarray, const: np.ndarray) -> tuple[np.ndarray,
         t = x // width  # not np.divmod, several times slower on p^p hits
         x += (x_hi[t] - t) * width  # x_hi width + x_lo
         found.append(((r + start)[t], x))
-    return tuple(np.concatenate(side) for side in zip(*found))
+    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
 
 @dataclass(frozen=True, eq=False)
 class Listing:
     """Every (a, b) solution of some b rows, as integer arrays.
 
-    Position i belongs to the b of row b[i], of class k[i] and with btilde
-    row btilde[i], whose kernel basis is _class_bases(p)[k[i]].  Its
-    solutions are c[ends[i-1]:ends[i]] and a[ends[i-1]:ends[i]] (from 0 for
-    i = 0), as row indices; c is None in a listing built without it, as the
-    CSV and text writers build theirs.
+    Position i belongs to the b of row b[i]; _factors(p, b) gives the class
+    and btilde row of each.  Its solutions are c[ends[i-1]:ends[i]] and
+    a[ends[i-1]:ends[i]] (from 0 for i = 0), as row indices; c is None in a
+    listing built without it, as the CSV and text writers build theirs.
     """
 
     p: int
     b: np.ndarray
-    k: np.ndarray
-    btilde: np.ndarray
     ends: np.ndarray
     c: np.ndarray | None
     a: np.ndarray
@@ -335,8 +333,8 @@ class Listing:
         counts = self.counts[positions]
         ends = np.cumsum(counts)
         pairs = np.arange(ends[-1]) + np.repeat(self.ends[positions] - ends, counts)
-        return Listing(self.p, self.b[positions], self.k[positions], self.btilde[positions],
-                       ends, None if self.c is None else self.c[pairs], self.a[pairs])
+        return Listing(self.p, self.b[positions], ends,
+                       None if self.c is None else self.c[pairs], self.a[pairs])
 
 
 @functools.lru_cache(maxsize=8)
@@ -381,20 +379,17 @@ def _factors(p: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ks.astype(np.int8), to_row[np.maximum(zeta * p**ks, p ** (p - 1))]
 
 
-def _listing(
-    p: int, mode: EnumerationMode, index: np.ndarray, factors=None, with_c: bool = True
-) -> Listing:
-    """The Listing of the b rows index, in that order, with c only if
-    with_c; factors, if given, are their _factors.
+def _listing(p: int, mode: EnumerationMode, index: np.ndarray, with_c: bool = True) -> Listing:
+    """The Listing of the b rows index, in that order, with c only if with_c.
 
     closed_form maps the kernel description; brute_force sweeps every (a, b)
     pair against the system (p <= 5).  Both give the same solution sets, brute
     force ordered by a, the closed form by kernel coordinates.
     """
     rows = digit_rows(p, p, index)
-    ks, btilde = _factors(p, index) if factors is None else factors
     pack, unpack, pack_b = _packing(p)
     if mode == "closed_form":
+        ks = _factors(p, index)[0]
         ends = np.cumsum(np.power(p, ks, dtype=np.int64))
         # Row indices are below p^p <= MAX_WORK, so int32 holds them.
         c_index = np.empty(ends[-1], dtype=np.int32) if with_c else None
@@ -423,7 +418,7 @@ def _listing(
             c_index = _row_index(p, c_rows).astype(np.int32)
         a_index = a_index.astype(np.int32)
         ends = np.cumsum(np.bincount(b_index, minlength=len(rows)))
-    return Listing(p, index, ks, btilde, ends, c_index, a_index)
+    return Listing(p, index, ends, c_index, a_index)
 
 
 def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[SolutionRecord]:
@@ -435,10 +430,10 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     elems, bases = list(GroupAlgebraElement.all_elements(p)), _class_bases(p)
     c, a = (list(map(elems.__getitem__, x.tolist())) for x in (listing.c, listing.a))
     ends = listing.ends.tolist()
+    ks, btilde = (x.tolist() for x in _factors(p, listing.b))
     return [
         SolutionRecord(elems[b], k, elems[bt], bases[k], tuple(zip(c[lo:hi], a[lo:hi])))
-        for b, k, bt, lo, hi in zip(listing.b.tolist(), listing.k.tolist(),
-                                    listing.btilde.tolist(), [0, *ends], ends)
+        for b, k, bt, lo, hi in zip(listing.b.tolist(), ks, btilde, [0, *ends], ends)
     ]
 
 
@@ -527,10 +522,10 @@ def records_to_json(
                             dtype=object)
 
     def pieces(chunk):
+        ks, btilde = _factors(p, chunk.b)
         lead = np.full(len(chunk.b), '}]}, {"b": ', dtype=object)
         lead[chunk.b == 0] = '{"b": '  # the zero b opens the records
-        heads = (lead + texts[chunk.b] + k_texts[chunk.k] + texts[chunk.btilde]
-                 + kernel_texts[chunk.k])
+        heads = lead + texts[chunk.b] + k_texts[ks] + texts[btilde] + kernel_texts[ks]
         for lo, hi, at, firsts in _spans(chunk):
             yield _joined(hi - lo, '}, {"c": ', texts[chunk.c[lo:hi]], ', "a": ',
                           texts[chunk.a[lo:hi]], at=at, heads=heads[firsts])
@@ -565,22 +560,21 @@ def records_to_text(
     size line and one line per b of the class, in row order; return the
     number of pairs.
 
-    The closed form factorizes the row indices once, chunk by chunk, keeping
-    the class of each b as int8 and its btilde row, then maps each class's
-    members chunk by chunk.  Brute force (p^(2p) <= MAX_WORK) sweeps once
-    and takes each class's members from the whole listing, since the count
-    line needs its hits.
+    Both modes take the class of every b from one _factors call over all
+    rows.  The closed form maps each class's members chunk by chunk; brute
+    force (p^(2p) <= MAX_WORK) sweeps once and takes each class's members
+    from the whole listing, since the count line needs its hits.
     """
     _check_listing(p, mode)
+    ks = _factors(p, np.arange(p**p))[0]
     if mode == "closed_form":
-        ks, btilde = map(np.concatenate, zip(*(_factors(p, index) for index in _row_chunks(p))))
         counts = np.power(p, ks, dtype=np.int64)
 
         def part(members):
-            return _listing(p, mode, members, (ks[members], btilde[members]), with_c=False)
+            return _listing(p, mode, members, with_c=False)
     else:
         whole = _listing(p, mode, np.arange(p**p), with_c=False)
-        ks, counts, part = whole.k, whole.counts, whole.take
+        counts, part = whole.counts, whole.take
     texts = GroupAlgebraElement.all_texts(p)
 
     def pieces(chunk):
@@ -590,12 +584,10 @@ def records_to_text(
 
     out.write(f"{head}solution table for p = {p}: {int(counts.sum())} (b, a) pairs\n")
     total = 0
-    for k in range(p + 1):
+    for k in range(p + 1):  # every class has a member: p^(p-k-1)(p-1) for k < p, one for k = p
         members = np.flatnonzero(ks == k)
-        if len(members):
-            size = int(counts[members[0]])
-            line = f"[k = {k}] {len(members)} b-value(s), {size} solution(s) per b"
-            step = max(1, LISTING_CHUNK_ROWS * p // p**k)
-            chunks = (part(members[lo:lo + step]) for lo in range(0, len(members), step))
-            total += _write(out, chunks, pieces, line, "\n")
+        line = f"[k = {k}] {len(members)} b-value(s), {int(counts[members[0]])} solution(s) per b"
+        step = max(1, LISTING_CHUNK_ROWS * p // p**k)
+        chunks = (part(members[lo:lo + step]) for lo in range(0, len(members), step))
+        total += _write(out, chunks, pieces, line, "\n")
     return total

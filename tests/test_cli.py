@@ -873,6 +873,21 @@ def test_option_without_value_still_fails(capsys):
     assert "argument --b: expected one argument" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--p", "1_1"),
+    ("census", "--p", "٣"),
+    ("chaincheck", "--p", "3", "--degree", "٢"),
+    ("enumerate", "--p", "3", "--workers", "+1_0"),
+], ids=" ".join)
+def test_integer_options_read_ascii_digits_only(capsys, argv):
+    # int() reads "1_1" as 11 and Arabic-Indic digits as their values; the
+    # command line reads every integer as ASCII [+-]?[0-9]+, as --d does.
+    *_, option, value = argv
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument {option}: expected an integer, got {value!r}" in err
+
+
 class TestCensusAndKernel:
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "census", "--p", "5", "--format", "json")
