@@ -419,7 +419,7 @@ def verify_chain_maps(p: int, max_degree: int) -> dict:
     the latter in batches of at most CHUNK_TERMS terms per map, and refused up
     front once sum_(n <= max_degree) (p-1)^n _generator_terms(p, n) > MAX_WORK.
     """
-    check_prime(p)
+    p = check_prime(p)
     max_degree = operator.index(max_degree)
     if max_degree < 0:
         raise ValueError(f"chain check degree must be >= 0, got {max_degree}")

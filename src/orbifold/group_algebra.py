@@ -22,6 +22,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_PRIME_CEILING = 97
+#: The admitted p: the odd primes up to the ceiling, by the sieve of Eratosthenes.
+_PRIMES = frozenset(range(3, DEFAULT_PRIME_CEILING + 1, 2)).difference(*(
+    range(d * d, DEFAULT_PRIME_CEILING + 1, 2 * d) for d in range(3, DEFAULT_PRIME_CEILING, 2)))
 #: The most rows, pairs or terms one sweep may touch (see check_work).
 MAX_WORK = 10**7
 
@@ -56,22 +59,20 @@ def exact_int(value) -> int:
     return operator.index(value)
 
 
-def check_prime(p: int) -> int:
-    """p, validated as an odd prime in [3, DEFAULT_PRIME_CEILING]; sweeps also check_work."""
-    if not isinstance(p, int):  # outside the cache, where 3.0 would hit the entry of 3
-        raise ValueError(f"p must be an integer, got {p!r}")
-    return _check_int_prime(p)
-
-
-@lru_cache(maxsize=None)
-def _check_int_prime(p: int) -> int:
+def check_prime(p) -> int:
+    """p as a Python int if it is one of _PRIMES, read through __index__ (a numpy
+    integer), never from a bool, float or str; sweeps also check_work."""
+    if type(p) is not int:
+        if isinstance(p, bool) or not hasattr(p, "__index__"):
+            raise ValueError(f"p must be an integer, got {p!r}")
+        p = operator.index(p)
+    if p in _PRIMES:
+        return p
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     if p > DEFAULT_PRIME_CEILING:
         raise ValueError(f"p={p} exceeds the ceiling {DEFAULT_PRIME_CEILING}")
-    if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
-        raise ValueError(f"p={p} is not prime")
-    return p
+    raise ValueError(f"p={p} is not prime")
 
 
 def same_prime(*ps: int) -> int:
@@ -124,6 +125,8 @@ class GroupAlgebraElement:
 
     def __post_init__(self):
         p, coeffs = check_prime(self.p), self.coeffs
+        if type(self.p) is not int:  # a numpy integer, say: store the int
+            object.__setattr__(self, "p", p)
         if len(coeffs) != p:
             raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
         if type(coeffs) is not tuple or not all(type(c) is int and 0 <= c < p for c in coeffs):
@@ -147,7 +150,7 @@ class GroupAlgebraElement:
     @classmethod
     def monomial(cls, p: int, exp: int, coeff: int) -> "GroupAlgebraElement":
         coeffs = [0] * p
-        coeffs[exp % p] = coeff % p
+        coeffs[operator.index(exp) % p] = coeff
         return cls(p, tuple(coeffs))
 
     @classmethod
@@ -183,12 +186,12 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.p, tuple((product % self.p).tolist()))
 
     def scale(self, c: int) -> "GroupAlgebraElement":
-        c %= self.p
+        c = exact_int(c) % self.p
         return GroupAlgebraElement(self.p, tuple((c * a) % self.p for a in self.coeffs))
 
     def shift(self, m: int) -> "GroupAlgebraElement":
         """Multiply by the basis element g^m: row m of the circulant of x."""
-        row = np.array(self.coeffs)[shift_index(self.p)[m % self.p]]
+        row = np.array(self.coeffs)[shift_index(self.p)[operator.index(m) % self.p]]
         return GroupAlgebraElement(self.p, tuple(row.tolist()))
 
     def __pow__(self, n: int) -> "GroupAlgebraElement":
@@ -292,48 +295,35 @@ class GroupAlgebraElement:
         return _leading("".join([terms[c] for terms, c in zip(_term_texts(self.p), self.coeffs)]))
 
     _TERM_RE = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>[0-9]+)(?:\s*\*?\s*g(?:\^(?P<exp1>[0-9]+))?)?"
-        r"|g(?:\^(?P<exp2>[0-9]+))?"
-        r")"
+        r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>[0-9]+)|(?=g))"
+        r"(?P<g>(?(coeff)\s*\*?\s*)g(?:\^(?P<exp>[0-9]+))?)?"
     )
 
     @classmethod
     def from_text(cls, p: int, text: str) -> "GroupAlgebraElement":
         """Parse the textual grammar: signed terms like "2*g^2", "g", "-1".
 
-        Accepts both "2*g" and "2g"; a "*" must be followed by g.  Exponents
-        must lie in [0, p).
+        A term is one _TERM_RE match: a coefficient, g, or both ("2g", "2 g",
+        "2 * g"); group g matches when g is there, with an exponent in [0, p).
+        Each term past position 0 needs its sign; blanks may surround terms.
         Raises ValueError with the offending position on bad input.
         """
         coeffs = [0] * p
-        pos, n = 0, len(text)
-        if not text.strip():
+        pos, end = 0, len(text.rstrip())
+        if not end:
             raise ValueError("empty element text")
-        first = True
-        while pos < n:
-            m = cls._TERM_RE.match(text, pos)
-            if not m or m.end() == m.start():
+        while pos < end:
+            m = cls._TERM_RE.match(text, pos, end)
+            if not m:
                 raise ValueError(f"parse error at position {pos}: {text[pos:]!r}")
-            sign_tok = m.group("sign")
-            if sign_tok is None and not first:
-                raise ValueError(f"missing +/- before position {m.start()}: {text!r}")
-            sign = -1 if sign_tok == "-" else 1
-            if m.group("coeff") is not None:
-                coeff = int(m.group("coeff"))
-                # A bare coefficient is a constant term unless g follows in this match.
-                has_g = "g" in text[m.start():m.end()]
-                exp = int(m.group("exp1")) if m.group("exp1") else (1 if has_g else 0)
-            else:
-                coeff = 1
-                exp = int(m.group("exp2")) if m.group("exp2") else 1
+            if m["sign"] is None and pos:
+                raise ValueError(f"missing +/- before position {pos}: {text!r}")
+            exp = 0 if m["g"] is None else int(m["exp"] or 1)
             if exp >= p:
                 raise ValueError(f"exponent {exp} out of range for p={p} in {text!r}")
-            coeffs[exp] = (coeffs[exp] + sign * coeff) % p
+            sign = -1 if m["sign"] == "-" else 1
+            coeffs[exp] = (coeffs[exp] + sign * int(m["coeff"] or 1)) % p
             pos = m.end()
-            first = False
-            if pos < n and text[pos:].strip() == "":
-                break
         return cls(p, tuple(coeffs))
 
 

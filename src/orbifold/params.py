@@ -36,7 +36,8 @@ from .solver import a_from_c, kernel_basis
 
 
 def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
-    """Refuse anything but a JSON object whose keys are all in keys."""
+    """Refuse anything but a JSON object with exactly the keys in keys, naming
+    the first key it has and should not, else the first it lacks."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a {what} object, got {type(obj).__name__}")
     for key in obj:
@@ -44,6 +45,9 @@ def _only_keys(obj, keys: tuple[str, ...], what: str) -> None:
             raise ValueError(
                 f"unexpected key {key!r} in the {what} object; expected {', '.join(keys)}"
             )
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r} in the {what} object")
 
 
 def _coeffs(p: int, values, what: str) -> list[int]:
@@ -78,6 +82,7 @@ class DeformationParams:
 
     def __post_init__(self):
         p = check_prime(self.p)
+        object.__setattr__(self, "p", p)
         for name, shape in (("lam", (p, 2, p)), ("kappaC", (p,)), ("kappaL", (2, p))):
             table = np.asarray(getattr(self, name))
             if table.dtype.kind not in "biu":
@@ -134,8 +139,8 @@ class DeformationParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DeformationParams":
-        """Read the tables of to_json; an entry the tables do not use, or a
-        list of the wrong length, is an error."""
+        """Read the tables of to_json; a missing entry, an entry the tables do
+        not use, or a list of the wrong length, is an error."""
         _only_keys(obj, ("p", "lambda", "kappaC", "kappaL"), "parameter")
         try:
             p = check_prime(json_int(obj["p"]))
@@ -153,7 +158,7 @@ class DeformationParams:
             kappaC = _coeffs(p, obj["kappaC"], "kappaC")
             _only_keys(obj["kappaL"], ("v1", "v2"), "kappaL")
             kappaL = [_coeffs(p, obj["kappaL"][v], f"kappaL {v}") for v in ("v1", "v2")]
-        except (KeyError, TypeError, IndexError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed parameter JSON: {exc}") from exc
         return cls(p, lam, kappaC, kappaL)
 

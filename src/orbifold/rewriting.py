@@ -59,6 +59,7 @@ being silently repaired.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -378,6 +379,7 @@ def irreducible_words(rules: RuleSet, max_degree: int) -> list[Word]:
     with which its last letter forms no left-hand side.  Since every group
     letter must be final in an irreducible word, the search space stays small.
     """
+    max_degree = operator.index(max_degree)
     if max_degree < 0:
         raise ValueError(f"degree bound must be >= 0, got {max_degree}")
     letters = [V1, V2] + list(range(1, rules.p))

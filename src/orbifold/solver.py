@@ -342,15 +342,16 @@ def _class_bases(p: int) -> tuple[tuple[GroupAlgebraElement, ...], ...]:
     return tuple(class_kernel_basis(p, k) for k in range(p + 1))
 
 
-def _check_listing(p: int, mode: EnumerationMode) -> None:
-    """Refuse a listing before any work: a bad p or mode, or a pair sweep or
-    p^p rows past MAX_WORK."""
-    check_prime(p)
+def _check_listing(p: int, mode: EnumerationMode) -> int:
+    """p as check_prime returns it; refuse a listing before any work: a bad p
+    or mode, or a pair sweep or p^p rows past MAX_WORK."""
+    p = check_prime(p)
     if mode not in ("closed_form", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "brute_force":
         check_work("p^(2p)", p ** (2 * p), "(a, b) pairs")
     check_work("p^p", p**p, "coefficient rows")
+    return p
 
 
 @functools.lru_cache(maxsize=8)
@@ -425,7 +426,7 @@ def enumerate_solutions(p: int, mode: EnumerationMode = "closed_form") -> list[S
     """One SolutionRecord per b in F_pG, b iterated lexicographically, from the
     Listing of every row as one chunk (see _listing); each element is one
     object, shared by every record that mentions it."""
-    _check_listing(p, mode)
+    p = _check_listing(p, mode)
     listing = _listing(p, mode, np.arange(p**p))
     elems, bases = list(GroupAlgebraElement.all_elements(p)), _class_bases(p)
     c, a = (list(map(elems.__getitem__, x.tolist())) for x in (listing.c, listing.a))
@@ -441,7 +442,7 @@ def census(p: int) -> list[dict[str, int]]:
     """Class sizes by (g-1)-adic class, one row {"k", "b_class_size",
     "a_per_b"} per class k: p^(p-k-1)(p-1) values of b for k < p, one for
     k = p, each contributing p^k solutions."""
-    check_prime(p)
+    p = check_prime(p)
     sizes = [p ** (p - k - 1) * (p - 1) for k in range(p)] + [1]
     return [{"k": k, "b_class_size": n, "a_per_b": p**k} for k, n in enumerate(sizes)]
 
@@ -511,7 +512,7 @@ def records_to_json(
     a row of one text table; a record's head adds the texts of its b and
     btilde to pieces per class, and only the tail values go through json.dumps.
     """
-    _check_listing(p, mode)
+    p = _check_listing(p, mode)
     ends = (("[", ""), (", ", ""), (", ", "]"))
     first, middle, last = ([f"{a}{x}{b}" for x in range(p)] for a, b in ends)
     lists = map("".join, itertools.product(first, *[middle] * (p - 2), last))
@@ -540,7 +541,7 @@ def records_to_json(
 def records_to_csv(p: int, out: TextIO, mode: EnumerationMode = "closed_form") -> int:
     """Write one (b, a) row per solution to out, in canonical text form, in
     b-row order chunk by chunk; return the number of rows."""
-    _check_listing(p, mode)
+    p = _check_listing(p, mode)
     texts = GroupAlgebraElement.all_texts(p)
 
     def pieces(chunk):
@@ -565,7 +566,7 @@ def records_to_text(
     force (p^(2p) <= MAX_WORK) sweeps once and takes each class's members
     from the whole listing, since the count line needs its hits.
     """
-    _check_listing(p, mode)
+    p = _check_listing(p, mode)
     ks = _factors(p, np.arange(p**p))[0]
     if mode == "closed_form":
         counts = np.power(p, ks, dtype=np.int64)

@@ -231,7 +231,11 @@ class TestCheck:
          "unexpected key 'comment' in the parameter object; expected p, lambda, kappaC, kappaL"),
         (lambda obj: obj["lambda"][1].__setitem__(1, [1, 2]),
          "lambda(g^1, v2) needs 3 coefficients, got 2"),
-    ], ids=["third_lambda_list", "kappaL_key", "top_level_key", "short_lambda_list"])
+        (lambda obj: [obj.pop(key) for key in ("lambda", "kappaC", "kappaL")],
+         "missing key 'lambda' in the parameter object"),
+        (lambda obj: obj["kappaL"].pop("v2"), "missing key 'v2' in the kappaL object"),
+    ], ids=["third_lambda_list", "kappaL_key", "top_level_key", "short_lambda_list",
+            "only_p", "kappaL_without_v2"])
     def test_ignored_entries_exit_one_naming_them(self, capsys, tmp_path, edit, message):
         obj = closed_form(GA.from_text(3, "1-g"), [-1]).to_json()
         edit(obj)

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbifold import (DeformationParams, census, closed_form, enumerate_solutions,
+                      rules_from_params, verify_chain_maps)
 from orbifold.group_algebra import (
+    DEFAULT_PRIME_CEILING,
     GroupAlgebraElement as GA,
     NotAUnit,
     binom_mod,
@@ -24,7 +27,8 @@ from orbifold.group_algebra import (
     shift_index,
     sum_index,
 )
-from orbifold.group_algebra import _leading, _term_texts
+from orbifold.group_algebra import _PRIMES, _leading, _term_texts
+from orbifold.rewriting import irreducible_words
 
 
 def ga(p, text):
@@ -66,6 +70,53 @@ def test_check_prime_type_check_is_not_cached():
             check_prime(p)
     with pytest.raises(ValueError, match="p must be an integer, got 3.0"):
         GA(3.0, (0, 0, 0))
+
+
+def test_primes_are_the_odd_primes_up_to_the_ceiling():
+    by_trial_division = {n for n in range(3, DEFAULT_PRIME_CEILING + 1)
+                         if all(n % d for d in range(2, n))}
+    assert _PRIMES == by_trial_division and len(_PRIMES) == 24
+
+
+@pytest.mark.parametrize("p", [np.int64(5), np.int32(97), np.uint8(3)],
+                         ids=["int64", "int32", "uint8"])
+def test_check_prime_reads_an_integer_type_as_its_int(p):
+    assert check_prime(p) == p and type(check_prime(p)) is int
+    with pytest.raises(ValueError, match="^p=9 is not prime$"):
+        check_prime(type(p)(9))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: GA.one(p).p,
+    census,
+    lambda p: DeformationParams.zero(p).to_json(),
+    lambda p: verify_chain_maps(p, 2),
+    lambda p: [(r.b.coeffs, r.k) for r in enumerate_solutions(p)],
+], ids=["element", "census", "params_zero", "verify_chain_maps", "enumerate_solutions"])
+def test_a_numpy_integer_p_gives_what_its_int_gives(call):
+    # json.dumps refuses numpy integers, so the results hold Python ints.
+    assert json.dumps(call(np.int64(3))) == json.dumps(call(3))
+
+
+NOT_AN_INDEX = "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GA.one(3).shift(1.5), TypeError, NOT_AN_INDEX),
+    (lambda: GA.monomial(3, 1.5, 1), TypeError, NOT_AN_INDEX),
+    (lambda: GA.g(3, 1.0), TypeError, NOT_AN_INDEX),
+    (lambda: GA.monomial(3, 0, "x"), ValueError, "expected an integer coefficient, got 'x'"),
+    (lambda: GA.one(3).scale("x"), ValueError, "expected an integer coefficient, got 'x'"),
+    (lambda: closed_form(GA.from_text(3, "1-g"), ["x"]), ValueError,
+     "expected an integer coefficient, got 'x'"),
+    (lambda: irreducible_words(rules_from_params(DeformationParams.zero(3)), 1.5), TypeError,
+     NOT_AN_INDEX),
+], ids=["shift", "monomial_exponent", "g_exponent", "monomial_coefficient", "scale",
+        "closed_form_d", "irreducible_words_bound"])
+def test_integer_arguments_are_refused_by_their_reader(call, error, message):
+    # Exponents and bounds are read with operator.index, scalars with exact_int.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_same_prime_names_the_primes():
@@ -489,6 +540,42 @@ def test_text_parse_errors():
     for text in ("\u0661", "\u0661-g^\u0662", "g^\u0662", "2*g^\uff11", "\u09e7g"):
         with pytest.raises(ValueError, match="parse error at position"):
             GA.from_text(5, text)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("2 g", (0, 2, 0)),
+    ("2 * g", (0, 2, 0)),
+    ("2\t*  g^2", (0, 0, 2)),
+    ("12g^1", (0, 0, 0)),
+    (" g^0 ", (1, 0, 0)),
+    ("+1", (1, 0, 0)),
+    ("- 4", (2, 0, 0)),
+    ("+ g - 3", (0, 1, 0)),
+    ("1 ", (1, 0, 0)),
+    ("\t-g + 2\n", (2, 2, 0)),
+    ("1 + \u00a0g", (1, 1, 0)),
+    ("1 +", "parse error at position 1: ' +'"),
+    ("1 +  ", "parse error at position 1: ' +  '"),
+    ("--g", "parse error at position 0: '--g'"),
+    ("1+-g", "parse error at position 1: '+-g'"),
+    ("-", "parse error at position 0: '-'"),
+    ("g^", "parse error at position 1: '^'"),
+    ("2^2", "parse error at position 1: '^2'"),
+    ("2*", "parse error at position 1: '*'"),
+    ("g^\u0662", "parse error at position 1: '^\u0662'"),
+    ("\u0661", "parse error at position 0: '\u0661'"),
+    ("1 1", "missing +/- before position 1: '1 1'"),
+    ("g g ", "missing +/- before position 1: 'g g '"),
+    ("1 - g^3", "exponent 3 out of range for p=3 in '1 - g^3'"),
+    (" \t", "empty element text"),
+])
+def test_text_grammar_table(text, outcome):
+    # Each outcome is what the grammar gave before it was read through one pattern.
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+            GA.from_text(3, text)
+    else:
+        assert GA.from_text(3, text).coeffs == outcome
 
 
 @pytest.mark.parametrize("text", ["2*", "2*+g", "2 *", "g*", "*g"])

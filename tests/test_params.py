@@ -469,9 +469,16 @@ class TestSerialization:
          "lambda(g^2, v2) needs 3 coefficients, got 4"),
         (lambda obj: obj["lambda"].pop(), "lambda table needs 3 rows, got 2"),
         (lambda obj: obj["lambda"].append([[0, 0, 0], [0, 0, 0]]), "lambda table needs 3 rows, got 4"),
+        (lambda obj: obj.pop("p"), "missing key 'p' in the parameter object"),
+        (lambda obj: obj.pop("lambda"), "missing key 'lambda' in the parameter object"),
+        (lambda obj: obj.pop("kappaC"), "missing key 'kappaC' in the parameter object"),
+        (lambda obj: obj.pop("kappaL"), "missing key 'kappaL' in the parameter object"),
+        (lambda obj: obj["kappaL"].pop("v1"), "missing key 'v1' in the kappaL object"),
+        (lambda obj: obj["kappaL"].pop("v2"), "missing key 'v2' in the kappaL object"),
     ], ids=["third_lambda_list", "one_lambda_list", "lambda_scalar", "kappaL_v3",
             "kappaL_list", "top_level_key", "kappaC_short", "kappaL_long", "lambda_row_short",
-            "lambda_row_long", "lambda_rows_short", "lambda_rows_long"])
+            "lambda_row_long", "lambda_rows_short", "lambda_rows_long", "no_p", "no_lambda",
+            "no_kappaC", "no_kappaL", "no_kappaL_v1", "no_kappaL_v2"])
     def test_from_json_rejects_entries_it_would_ignore(self, edit, message):
         obj = closed_form(ga(3, "1-g"), [-1]).to_json()
         DeformationParams.from_json(obj)
